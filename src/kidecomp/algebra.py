@@ -1,50 +1,36 @@
 """Operator *-algebras generated by finite matrix families.
 
-The decomposition engine needs three ingredients from this module: the
-algebra spanned by products of the generators, its commutant, and the
-splitting of the ambient space into simple invariant subspaces grouped by
-isomorphism class (multiplicity spaces). Everything works on dense complex
-matrices; bases are orthonormal under the Hilbert-Schmidt inner product
+The decomposition engine needs two ingredients from this module: the
+commutant of a generator family, and the splitting of the ambient space into
+simple invariant subspaces grouped by isomorphism class (multiplicity
+spaces). Both rest on one linear solve, the null space of L x_i = y_i L
+(`_intertwiners`). Everything works on dense complex matrices; commutant
+bases are orthonormal under the Hilbert-Schmidt inner product
 <A, B> = Tr(A^dag B).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
-    BasisOverflow,
     DegenerateSample,
     DimensionMismatch,
+    NoConvergence,
     NotInvariant,
     SupportDeficient,
 )
 from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, seeded_random_hermitian
 
 __all__ = [
-    "AlgebraBasis",
     "IsotypicComponent",
     "IsotypicDecomposition",
-    "generate_algebra",
-    "commutant",
     "commutant_of_family",
     "isotypic_decompose",
     "intertwiner_space",
 ]
 
 _RETRY_BUDGET = 8
-
-
-@dataclass(frozen=True)
-class AlgebraBasis:
-    """Orthonormal (Hilbert-Schmidt) basis of a subspace of d x d matrices."""
-
-    dim: int
-    basis: tuple
-
-    def __len__(self) -> int:
-        return len(self.basis)
 
 
 def _check_square_family(mats):
@@ -63,109 +49,66 @@ def _check_square_family(mats):
     return out, d
 
 
-class _SpanBuilder:
-    """Incremental orthonormal span of vectorized matrices."""
-
-    def __init__(self, d: int, tol: Tolerances):
-        self.d = d
-        self.tol = tol
-        self.vecs = []  # orthonormal d*d vectors
-        self.mats = []
-
-    def add(self, mat) -> bool:
-        v = np.asarray(mat, dtype=complex).reshape(-1)
-        scale = max(1.0, float(np.linalg.norm(v)))
-        # two rounds of Gram-Schmidt keep the basis orthonormal to ~1e-14
-        for _ in range(2):
-            for b in self.vecs:
-                v = v - b * np.vdot(b, v)
-        nrm = float(np.linalg.norm(v))
-        if nrm <= self.tol.tol_rank * scale:
-            return False
-        v = v / nrm
-        self.vecs.append(v)
-        self.mats.append(v.reshape(self.d, self.d))
-        return True
-
-
-def generate_algebra(generators, include_identity: bool = False, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
-    """Smallest *-closed, product-closed span containing the generators.
-
-    Seeds the span with the generators and their adjoints (plus the identity
-    when asked), then keeps multiplying new elements against everything found
-    so far until one full pass adds no span dimension at tol_rank. Raises
-    BasisOverflow if the dimension count ever exceeds d**2 (a numerical
-    breakdown; mathematically impossible).
-    """
-    mats, d = _check_square_family(generators)
-    span = _SpanBuilder(d, tol)
-    frontier = []
-    seeds = list(mats) + [m.conj().T for m in mats]
-    if include_identity:
-        seeds.append(np.eye(d, dtype=complex))
-    for m in seeds:
-        if span.add(m):
-            frontier.append(span.mats[-1])
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in list(span.mats):
-                for prod in (x @ y, y @ x):
-                    if span.add(prod):
-                        fresh.append(span.mats[-1])
-                        if len(span.mats) > d * d:
-                            raise BasisOverflow(
-                                f"algebra basis exceeded {d * d} elements at dim {d}"
-                            )
-        frontier = fresh
-    return AlgebraBasis(d, tuple(m.copy() for m in span.mats))
-
-
 def _null_space_floor(stacked: np.ndarray, cutoff: float) -> np.ndarray:
     """Nullspace with an absolute singular-value cutoff.
 
     Callers build their constraint rows from norm-1 matrices, so genuine
     constraints have singular values of order 1. A cutoff relative to the
-    largest singular value (scipy's null_space) misreads an all-noise
-    system, where every row vanishes up to roundoff, as full rank; the
-    absolute floor reads it correctly as rank zero. Requires at least as
-    many rows as columns, which every call site guarantees.
+    largest singular value misreads an all-noise system, where every row
+    vanishes up to roundoff, as full rank; the absolute floor reads it
+    correctly as rank zero. The SVD is taken of the square R factor of the
+    stack, which has the stack's singular values and right singular vectors
+    without forming a tall U. Requires at least as many rows as columns,
+    which every call site guarantees. A LAPACK failure raises NoConvergence.
     """
-    _, s, vh = scipy.linalg.svd(stacked, full_matrices=False)
+    try:
+        r = np.linalg.qr(stacked, mode="r")
+        _, s, vh = np.linalg.svd(r)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
     rank = int(np.sum(s > cutoff))
     return vh[rank:, :].conj().T
 
 
-def _commutant_basis(mats, d: int, tol: Tolerances):
-    """Orthonormal basis of {X : XB = BX for every B in mats}."""
-    eye = np.eye(d, dtype=complex)
-    rows = []
+def _intertwiners(xs, ys, tol: Tolerances) -> list:
+    """Basis of {L : L x_i = y_i L for every i}, as kb x ka matrices.
+
+    xs are ka x ka and ys kb x kb, paired by index; callers scale them, since
+    the rank floor tol_rank is absolute. The basis is orthonormal under the
+    Hilbert-Schmidt inner product.
+    """
+    ka, kb = xs[0].shape[0], ys[0].shape[0]
+    eye_a = np.eye(ka, dtype=complex)
+    eye_b = np.eye(kb, dtype=complex)
+    # row-major vec: vec(y L) = (y (x) I) vec L, vec(L x) = (I (x) x^T) vec L
+    rows = [np.kron(y, eye_a) - np.kron(eye_b, x.T) for x, y in zip(xs, ys)]
+    ns = _null_space_floor(np.vstack(rows), tol.tol_rank)
+    return list(ns.T.reshape(-1, kb, ka))
+
+
+def _commutant_basis(mats, tol: Tolerances) -> list:
+    """Orthonormal basis of {X : XB = BX for every B in mats}.
+
+    Matrices of norm at most tol_zero impose nothing and are dropped; the
+    rest are normalized.
+    """
+    unit = []
     for b in mats:
         nrm = float(np.linalg.norm(b))
-        if nrm <= tol.tol_zero:
-            continue
-        bn = b / nrm
-        # row-major vec: vec(BX) = (B (x) I) vec X, vec(XB) = (I (x) B^T) vec X
-        rows.append(np.kron(bn, eye) - np.kron(eye, bn.T))
-    if not rows:
-        rows.append(np.zeros((d * d, d * d), dtype=complex))
-    ns = _null_space_floor(np.vstack(rows), tol.tol_rank)
-    return [ns[:, k].reshape(d, d) for k in range(ns.shape[1])]
+        if nrm > tol.tol_zero:
+            unit.append(b / nrm)
+    if not unit:
+        unit.append(np.zeros_like(mats[0], dtype=complex))
+    return _intertwiners(unit, unit, tol)
 
 
-def commutant(algebra: AlgebraBasis, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
-    """Commutant of a spanned algebra, as an orthonormal AlgebraBasis.
+def commutant_of_family(generators, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """Orthonormal basis of the commutant of a generator set, as d x d matrices.
 
     Always contains the identity direction I/sqrt(d) in its span.
     """
-    mats = [as_complex_matrix(m) for m in algebra.basis]
-    return AlgebraBasis(algebra.dim, tuple(_commutant_basis(mats, algebra.dim, tol)))
-
-
-def commutant_of_family(generators, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
-    """Commutant of a plain generator set (equals the generated algebra's)."""
-    mats, d = _check_square_family(generators)
-    return AlgebraBasis(d, tuple(_commutant_basis(mats, d, tol)))
+    mats, _ = _check_square_family(generators)
+    return tuple(_commutant_basis(mats, tol))
 
 
 @dataclass(frozen=True)
@@ -254,7 +197,7 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
     def split(isometry: np.ndarray):
         k = isometry.shape[1]
         sub = _restricted(norm_mats, isometry)
-        comm = _commutant_basis(sub, k, tol)
+        comm = _commutant_basis(sub, tol)
         if len(comm) <= 1:
             simples.append(isometry)
             return
@@ -319,20 +262,13 @@ def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TO
             leak = m @ v - v @ (v.conj().T @ m @ v)
             if float(np.linalg.norm(leak)) > 1e-8 * scale:
                 raise NotInvariant(f"{name} is not invariant under generator family")
-    ka, kb = va.shape[1], vb.shape[1]
-    eye_a = np.eye(ka, dtype=complex)
-    eye_b = np.eye(kb, dtype=complex)
-    rows = []
+    xs, ys = [], []
     for m in mats:
         nrm = max(1.0, float(np.linalg.norm(m)))
-        a_i = va.conj().T @ m @ va / nrm
-        b_i = vb.conj().T @ m @ vb / nrm
-        # L is kb x ka; vec(L A) = (I (x) A^T) vec L, vec(B L) = (B (x) I) vec L
-        rows.append(np.kron(eye_b, a_i.T) - np.kron(b_i, eye_a))
-    ns = _null_space_floor(np.vstack(rows), tol.tol_rank)
+        xs.append(va.conj().T @ m @ va / nrm)
+        ys.append(vb.conj().T @ m @ vb / nrm)
     out = []
-    for k in range(ns.shape[1]):
-        lam = ns[:, k].reshape(kb, ka)
+    for lam in _intertwiners(xs, ys, tol):
         lam = lam / float(np.linalg.norm(lam))
         idx = np.unravel_index(int(np.argmax(np.abs(lam))), lam.shape)
         phase = lam[idx] / abs(lam[idx])

@@ -12,7 +12,6 @@ __all__ = [
     "ParseError",
     "EmptyFamily",
     "BadWeights",
-    "BasisOverflow",
     "SupportDeficient",
     "DegenerateSample",
     "NotInvariant",
@@ -67,10 +66,6 @@ class EmptyFamily(KidecompError):
 
 class BadWeights(KidecompError):
     """Probability weights must be strictly positive and sum to 1."""
-
-
-class BasisOverflow(KidecompError):
-    """Generated algebra basis exceeded the ambient d**2 bound."""
 
 
 class SupportDeficient(KidecompError):

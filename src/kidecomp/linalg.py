@@ -11,7 +11,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     BadWeights,
@@ -111,7 +110,7 @@ def frobenius(mat) -> float:
 
 def trace_norm(mat) -> float:
     """Sum of singular values."""
-    return float(scipy.linalg.svdvals(as_complex_matrix(mat)).sum())
+    return float(np.linalg.svd(as_complex_matrix(mat), compute_uv=False).sum())
 
 
 @dataclass(frozen=True)
@@ -211,8 +210,8 @@ def hermitian_eig(mat, tol: Tolerances = DEFAULT_TOL):
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol_sym={tol.tol_sym:.3e}")
     h = 0.5 * (a + a.conj().T)
     try:
-        w, v = scipy.linalg.eigh(h)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NoConvergence(str(exc)) from exc
     return w, v
 
@@ -248,7 +247,7 @@ def polar_offblock(mat, tol: Tolerances = DEFAULT_TOL):
     m = as_complex_matrix(mat)
     if float(np.linalg.norm(m)) <= tol.tol_zero:
         raise ZeroOffBlock("matrix is numerically zero")
-    u, s, vh = scipy.linalg.svd(m, full_matrices=False)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
     keep = s > tol.tol_rank * s[0]
     u_r, s_r, vh_r = u[:, keep], s[keep], vh[keep, :]
     w = u_r @ vh_r

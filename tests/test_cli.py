@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kidecomp import decompose
 from kidecomp.cli import main
+from kidecomp.exceptions import NoConvergence
 
 from helpers import (
     build_family,
@@ -155,6 +157,29 @@ def test_input_error_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["decompose", str(path)])
     assert code == 2
     assert "askew" in err
+
+
+def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NoConvergence):
+        decompose([np.diag([1.0, 0.0]), np.diag([0.5, 0.5])])
+    code, out, err = run_cli(capsys, ["decompose", str(DATA / "orthogonal_pair.json")])
+    assert code == 3 and out == ""
+    assert "SVD did not converge" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kidecomp; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_check_broadcast_negative(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from kidecomp import (
     DecomposedFamily,
     Structure,
+    Tolerances,
     check_maximal,
     coherence_pairing,
     decompose,
@@ -112,6 +113,30 @@ def test_decompose_with_support_deficient_family():
     assert np.allclose(dec.support.conj().T @ dec.support, np.eye(4), atol=1e-10)
     assert sorted(dec.structure.blocks) == [(1, 2), (2, 1)]
     assert dec.max_residual() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "seed, blocks, pad_to",
+    [
+        (8, [(6, 2), (2, 2), (1, 4), (1, 4)], 30),
+        (117, [(3, 3), (2, 4), (1, 4), (1, 3)], None),
+    ],
+)
+def test_decompose_recovers_families_whose_commutant_svd_failed(seed, blocks, pad_to):
+    # a thin SVD of the stacked commutant system did not converge on these
+    # families (d = 24 and a 24-dim support in d = 30) with two BLAS threads
+    built = build_family(np.random.default_rng(seed), blocks, 4, pad_to=pad_to)
+    dec = decompose(state_family(built["states"]))
+    assert sorted(dec.structure.blocks) == sorted(built["blocks"])
+    assert weights_match(dec.weights, built["weights"], atol=1e-7)
+    assert dec.max_residual() < 1e-7
+
+
+def test_decompose_rejects_state_leaking_out_of_average_support():
+    # with tol_rank = 0.1 the average diag(0.95, 0.05) has a 1-dim support
+    fam = [np.diag([1.0, 0.0]), np.diag([0.9, 0.1])]
+    with pytest.raises(ValidationError, match="state 1 leaks 1.000e-01"):
+        decompose(fam, tol=Tolerances(tol_rank=0.1))
 
 
 def test_decompose_handles_zero_weight_blocks():
