@@ -4,9 +4,13 @@ The decomposition engine needs two ingredients from this module: the
 commutant of a generator family, and the splitting of the ambient space into
 simple invariant subspaces grouped by isomorphism class (multiplicity
 spaces). Both rest on one linear solve, the null space of L x_i = y_i L
-(`_intertwiners`). Everything works on dense complex matrices; commutant
-bases are orthonormal under the Hilbert-Schmidt inner product
-<A, B> = Tr(A^dag B).
+(`_intertwiners`). For Hermitian families that solve runs in the eigenbases
+of a fixed random element G of the family's span (after Murota, Kanno,
+Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010): every solution
+also intertwines G_x with G_y, so it only links eigenvalues that agree, and
+a commutant with eigenvalue multiplicities m_c has sum m_c^2 unknowns
+instead of d^2. Everything works on dense complex matrices; commutant bases
+are orthonormal under the Hilbert-Schmidt inner product <A, B> = Tr(A^dag B).
 """
 
 from dataclasses import dataclass
@@ -31,9 +35,12 @@ __all__ = [
 ]
 
 _RETRY_BUDGET = 8
+_FRAME_SEED = 0  # coefficients of the random family element in `_spectral_frame`
+_BLOCK_ENTRIES = 1 << 21  # matrix entries per row block of a commutation system (32 MB)
 
 
 def _check_square_family(mats):
+    """Validate a generator family; returns it stacked as an n x d x d array."""
     out = []
     for k, m in enumerate(mats):
         a = as_complex_matrix(m)
@@ -46,23 +53,27 @@ def _check_square_family(mats):
     for k, a in enumerate(out):
         if a.shape[0] != d:
             raise DimensionMismatch(f"generator {k} has dim {a.shape[0]}, expected {d}")
-    return out, d
+    return np.stack(out), d
 
 
-def _null_space_floor(stacked: np.ndarray, cutoff: float) -> np.ndarray:
-    """Nullspace with an absolute singular-value cutoff.
+def _null_space_floor(row_blocks, cutoff: float) -> np.ndarray:
+    """Nullspace, with an absolute singular-value cutoff, of the matrix
+    whose rows come in the given blocks, each with the same columns.
 
     Callers build their constraint rows from norm-1 matrices, so genuine
     constraints have singular values of order 1. A cutoff relative to the
     largest singular value misreads an all-noise system, where every row
     vanishes up to roundoff, as full rank; the absolute floor reads it
-    correctly as rank zero. The SVD is taken of the square R factor of the
-    stack, which has the stack's singular values and right singular vectors
-    without forming a tall U. Requires at least as many rows as columns,
-    which every call site guarantees. A LAPACK failure raises NoConvergence.
+    correctly as rank zero. The SVD is taken of the R factor of the stack,
+    which has the stack's singular values and right singular vectors
+    without forming a tall U; it is accumulated block by block, as the R
+    factor of [R; block], so the whole stack is never held at once. A LAPACK
+    failure raises NoConvergence.
     """
     try:
-        r = np.linalg.qr(stacked, mode="r")
+        r = None
+        for block in row_blocks:
+            r = np.linalg.qr(block if r is None else np.vstack([r, block]), mode="r")
         _, s, vh = np.linalg.svd(r)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
@@ -70,20 +81,76 @@ def _null_space_floor(stacked: np.ndarray, cutoff: float) -> np.ndarray:
     return vh[rank:, :].conj().T
 
 
+def _spectral_frame(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
+    """Unitary frames (u_x, u_y) and the mask of entries an intertwiner may use.
+
+    For Hermitian families, every L with L x_i = y_i L also satisfies
+    L G_x = G_y L for G = sum_i c_i x_i (resp. y_i), so in the eigenbases of
+    G_x and G_y the entry (p, q) of L vanishes unless mu_p and lambda_q are
+    equal. Both spectra are clustered together with `_cluster_ascending`;
+    an entry is kept when its two eigenvalues share a cluster. Merging too
+    much only keeps extra unknowns, so the policy errs that way. Otherwise
+    (some matrix not Hermitian within tol_sym) the frame is the identity and
+    every entry is kept. A LAPACK failure raises NoConvergence.
+    """
+    n, ka, kb = xs.shape[0], xs.shape[1], ys.shape[1]
+    defect = max(
+        float(np.linalg.norm(m - m.conj().transpose(0, 2, 1), axis=(1, 2)).max()) for m in (xs, ys)
+    )
+    if defect > tol.tol_sym:
+        return np.eye(ka, dtype=complex), np.eye(kb, dtype=complex), np.ones((kb, ka), dtype=bool)
+    c = np.random.default_rng(_FRAME_SEED).standard_normal(n)
+    try:
+        lam, u_x = np.linalg.eigh(np.tensordot(c, xs, axes=1))
+        mu, u_y = np.linalg.eigh(np.tensordot(c, ys, axes=1))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    merged = np.concatenate([lam, mu])
+    order = np.argsort(merged, kind="stable")
+    label = np.empty(ka + kb, dtype=int)
+    # a gap g between lambda_q and mu_p only bounds |L'_pq| by ||c|| s / g,
+    # where s is the system's residual on L; gaps up to ||c|| tol_rank are
+    # within what the rank floor reads as zero, so they never split
+    floor = tol.tol_rank * float(np.linalg.norm(c))
+    for k, cl in enumerate(_cluster_ascending(merged[order], tol, floor)):
+        label[order[cl]] = k
+    return u_x, u_y, label[ka:, None] == label[None, :ka]
+
+
 def _intertwiners(xs, ys, tol: Tolerances) -> list:
     """Basis of {L : L x_i = y_i L for every i}, as kb x ka matrices.
 
     xs are ka x ka and ys kb x kb, paired by index; callers scale them, since
-    the rank floor tol_rank is absolute. The basis is orthonormal under the
-    Hilbert-Schmidt inner product.
+    the rank floor tol_rank is absolute. The system is solved for
+    L' = u_y^dag L u_x in `_spectral_frame`, over the kept entries only:
+    the column of entry (p, q) stacks E_pq x'_i - y'_i E_pq over i. The
+    basis is orthonormal under the Hilbert-Schmidt inner product.
     """
-    ka, kb = xs[0].shape[0], ys[0].shape[0]
-    eye_a = np.eye(ka, dtype=complex)
-    eye_b = np.eye(kb, dtype=complex)
-    # row-major vec: vec(y L) = (y (x) I) vec L, vec(L x) = (I (x) x^T) vec L
-    rows = [np.kron(y, eye_a) - np.kron(eye_b, x.T) for x, y in zip(xs, ys)]
-    ns = _null_space_floor(np.vstack(rows), tol.tol_rank)
-    return list(ns.T.reshape(-1, kb, ka))
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    ka, kb = xs.shape[1], ys.shape[1]
+    u_x, u_y, mask = _spectral_frame(xs, ys, tol)
+    ps, qs = np.nonzero(mask)
+    if ps.size == 0:
+        return []
+    xf = u_x.conj().T @ xs @ u_x
+    yf = u_y.conj().T @ ys @ u_y
+    k = np.arange(ps.size)
+
+    def row_blocks():
+        # the rows of `per` generators at a time, about _BLOCK_ENTRIES entries
+        per = max(1, _BLOCK_ENTRIES // (kb * ka * ps.size))
+        for start in range(0, xs.shape[0], per):
+            x, y = xf[start : start + per], yf[start : start + per]
+            cols = np.zeros((ps.size, x.shape[0], kb, ka), dtype=complex)
+            cols[k, :, ps, :] = x[:, qs, :].transpose(1, 0, 2)  # E_pq x': row p is x'[q, :]
+            cols[k, :, :, qs] -= y[:, :, ps].transpose(2, 0, 1)  # y' E_pq: column q is y'[:, p]
+            yield cols.reshape(ps.size, -1).T
+
+    ns = _null_space_floor(row_blocks(), tol.tol_rank)
+    lf = np.zeros((ns.shape[1], kb, ka), dtype=complex)
+    lf[:, ps, qs] = ns.T
+    return list(u_y @ lf @ u_x.conj().T)
 
 
 def _commutant_basis(mats, tol: Tolerances) -> list:
@@ -92,13 +159,13 @@ def _commutant_basis(mats, tol: Tolerances) -> list:
     Matrices of norm at most tol_zero impose nothing and are dropped; the
     rest are normalized.
     """
-    unit = []
-    for b in mats:
-        nrm = float(np.linalg.norm(b))
-        if nrm > tol.tol_zero:
-            unit.append(b / nrm)
-    if not unit:
-        unit.append(np.zeros_like(mats[0], dtype=complex))
+    stacked = np.asarray(mats, dtype=complex)
+    norms = np.linalg.norm(stacked, axis=(1, 2))
+    keep = norms > tol.tol_zero
+    if not keep.any():
+        unit = np.zeros_like(stacked[:1])
+    else:
+        unit = stacked[keep] / norms[keep, None, None]
     return _intertwiners(unit, unit, tol)
 
 
@@ -137,12 +204,15 @@ class IsotypicDecomposition:
     residual_check: float
 
 
-def _cluster_ascending(w: np.ndarray, tol: Tolerances):
-    """Split ascending eigenvalues into clusters separated by relative gaps."""
+def _cluster_ascending(w: np.ndarray, tol: Tolerances, floor: float = 0.0):
+    """Split ascending eigenvalues into clusters separated by relative gaps.
+
+    A gap splits when it reaches tol_cluster times the spread, and `floor`.
+    """
     spread = float(w[-1] - w[0])
     if spread <= tol.tol_zero * max(1.0, float(np.abs(w).max())):
         return [list(range(w.size))]
-    cut = tol.tol_cluster * spread
+    cut = max(tol.tol_cluster * spread, floor)
     clusters = [[0]]
     for i in range(1, w.size):
         if float(w[i] - w[i - 1]) < cut:
@@ -153,14 +223,16 @@ def _cluster_ascending(w: np.ndarray, tol: Tolerances):
 
 
 def _project_onto_span(mat, basis_mats):
-    out = np.zeros_like(mat)
-    for b in basis_mats:
-        out += b * np.vdot(b.reshape(-1), mat.reshape(-1))
-    return out
+    basis = np.asarray(basis_mats)
+    coeffs = basis.reshape(basis.shape[0], -1).conj() @ mat.reshape(-1)
+    return np.tensordot(coeffs, basis, axes=1)
 
 
-def _restricted(mats, isometry):
-    return [isometry.conj().T @ m @ isometry for m in mats]
+def _leaks(mats, v):
+    """Per generator: the compression v^dag m v and the norm of m v - v v^dag m v."""
+    mv = mats @ v
+    comp = v.conj().T @ mv
+    return comp, np.linalg.norm(mv - v @ comp, axis=(1, 2))
 
 
 def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> IsotypicDecomposition:
@@ -177,13 +249,12 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
     (SupportDeficient otherwise); restrict first if they do not.
     """
     mats, d = _check_square_family(generators)
-    stacked = np.vstack(mats)
-    ranks = np.linalg.matrix_rank(stacked, tol=None)
+    ranks = np.linalg.matrix_rank(mats.reshape(-1, d), tol=None)
     if ranks < d:
         raise SupportDeficient(
             f"generators span a {ranks}-dim subspace of the {d}-dim ambient space"
         )
-    norm_mats = [m / max(1.0, float(np.linalg.norm(m))) for m in mats]
+    norm_mats = mats / np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
 
     seed_box = [int(seed)]
 
@@ -196,8 +267,7 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
 
     def split(isometry: np.ndarray):
         k = isometry.shape[1]
-        sub = _restricted(norm_mats, isometry)
-        comm = _commutant_basis(sub, tol)
+        comm = _commutant_basis(isometry.conj().T @ norm_mats @ isometry, tol)
         if len(comm) <= 1:
             simples.append(isometry)
             return
@@ -224,18 +294,14 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
             rep = cls[0]
             if rep.shape[1] != v.shape[1]:
                 continue
-            if intertwiner_space(norm_mats, rep, v, tol):
+            if _intertwiner_maps(norm_mats, rep, v, tol):
                 cls.append(v)
                 placed = True
                 break
         if not placed:
             classes.append([v])
 
-    residual = 0.0
-    for m in norm_mats:
-        for v in simples:
-            leak = m @ v - v @ (v.conj().T @ m @ v)
-            residual = max(residual, float(np.linalg.norm(leak)))
+    residual = max(float(_leaks(norm_mats, v)[1].max()) for v in simples)
 
     components = tuple(
         IsotypicComponent(tuple(cls), cls[0].shape[1]) for cls in classes
@@ -256,19 +322,20 @@ def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TO
     vb = as_complex_matrix(basis_b)
     if va.shape[0] != d or vb.shape[0] != d:
         raise DimensionMismatch("subspace bases must live in the generators' ambient space")
+    return _intertwiner_maps(mats, va, vb, tol)
+
+
+def _intertwiner_maps(mats, va, vb, tol: Tolerances) -> list:
+    """`intertwiner_space` on a validated n x d x d stack of generators."""
+    scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
+    comps = []
     for name, v in (("basis_a", va), ("basis_b", vb)):
-        for m in mats:
-            scale = max(1.0, float(np.linalg.norm(m)))
-            leak = m @ v - v @ (v.conj().T @ m @ v)
-            if float(np.linalg.norm(leak)) > 1e-8 * scale:
-                raise NotInvariant(f"{name} is not invariant under generator family")
-    xs, ys = [], []
-    for m in mats:
-        nrm = max(1.0, float(np.linalg.norm(m)))
-        xs.append(va.conj().T @ m @ va / nrm)
-        ys.append(vb.conj().T @ m @ vb / nrm)
+        comp, leaks = _leaks(mats, v)
+        if np.any(leaks > 1e-8 * scale):
+            raise NotInvariant(f"{name} is not invariant under generator family")
+        comps.append(comp / scale[:, None, None])
     out = []
-    for lam in _intertwiners(xs, ys, tol):
+    for lam in _intertwiners(comps[0], comps[1], tol):
         lam = lam / float(np.linalg.norm(lam))
         idx = np.unravel_index(int(np.argmax(np.abs(lam))), lam.shape)
         phase = lam[idx] / abs(lam[idx])

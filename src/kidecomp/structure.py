@@ -451,19 +451,27 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     avg_r = hermitian_part(sup.conj().T @ avg.mat @ sup)
 
     iso1 = isotypic_decompose(gens, seed=seed, tol=tol)
-    rescaled = []
-    projectors = []
+    # rescale in the frame of the isotypic classes, keeping only each class's
+    # diagonal block: the cross-class parts are roundoff that 1/c_m would
+    # amplify toward the commutant solve's rank floor
+    frame = np.hstack([v for comp in iso1.components for v in comp.submodule_bases])
+    classes = []
+    start = 0
     for comp in iso1.components:
-        p_m = comp.projector()
-        c_m = float(np.trace(avg_r @ p_m).real) / comp.multiplicity
+        size = comp.multiplicity * comp.simple_dim
+        cls = slice(start, start + size)
+        start += size
+        c_m = float(np.trace(frame[:, cls].conj().T @ avg_r @ frame[:, cls]).real) / comp.multiplicity
         if c_m <= tol.tol_zero:
             raise MaximalityCheckFailed("an isotypic class carries no average weight")
-        projectors.append((p_m, c_m))
+        classes.append((cls, c_m))
+    rescaled = []
     for g in gens:
-        acc = np.zeros_like(g)
-        for p_m, c_m in projectors:
-            acc += g @ p_m / c_m
-        rescaled.append(hermitian_part(acc))
+        inner = frame.conj().T @ g @ frame
+        acc = np.zeros_like(inner)
+        for cls, c_m in classes:
+            acc[cls, cls] = inner[cls, cls] / c_m
+        rescaled.append(hermitian_part(frame @ acc @ frame.conj().T))
 
     iso2 = isotypic_decompose(rescaled, seed=seed + _ISO_SEED_STRIDE, tol=tol)
 
@@ -535,18 +543,43 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
 @dataclass(frozen=True)
 class MaximalityReport:
     ok: bool
-    violated: tuple  # entries ("i",), ("ii", l) or ("iii", l, l_prime)
+    violated: tuple  # entries ("i",), ("i", l), ("ii", l) or ("iii", l, l_prime)
     reassembly_residual: float
+
+
+def _block_accuracy(decomp: DecomposedFamily, p_all: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Per block l: how accurately the stored components hold block l's data,
+    relative to the block's own scale.
+
+    It is the larger of the reassembly error in the rows of block l (in
+    block coordinates, the (l, l') part of every member's error divided by
+    sqrt(p_l p_l'), with p the blocks' average weights) and the roundoff
+    floor eps * max ||rho_s|| / p_l, below which no computed block is exact.
+    """
+    g = decomp.structure.transform @ decomp.support.conj().T
+    states = np.array([s.mat for s in decomp.family.states])
+    err = g @ states @ g.conj().T - np.array([decomp.block_matrix(s) for s in range(len(states))])
+    offsets = [decomp.structure.block_offset(l) for l in range(len(decomp.structure.blocks))]
+    sq = np.add.reduceat(np.add.reduceat(np.abs(err) ** 2, offsets, axis=1), offsets, axis=2)
+    p = p_all.clip(tol.tol_zero)
+    measured = (np.sqrt(sq.max(axis=0)) / np.sqrt(np.outer(p, p))).max(axis=1)
+    roundoff = np.finfo(float).eps * float(np.linalg.norm(states, axis=(1, 2)).max()) / p
+    return np.maximum(measured, roundoff)
 
 
 def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> MaximalityReport:
     """Certify that a decomposition is the finest one.
 
     Checks (i) the family reassembles from the stored components within
-    1e-7, (ii) within every block the weighted information states have a
-    trivial commutant, and (iii) no two blocks of equal d_info admit a
-    nonzero intertwiner between their weight-normalized information
-    families. Violations are reported per condition with block indices.
+    1e-7, and every block l's data is accurate to tol_rank relative to the
+    block's own scale (`_block_accuracy`), (ii) within every block the
+    weighted information states have a trivial commutant, and (iii) no two
+    blocks of equal d_info admit a nonzero intertwiner between their
+    weight-normalized information families. (ii) and (iii) decide ranks at
+    the tol_rank floor on each block's normalized data, so a block too
+    light for that accuracy (average weight below about
+    eps * ||rho|| / tol_rank) fails (i) rather than being certified on
+    roundoff. Violations are reported per condition with block indices.
     """
     violated = []
     residual = decomp.max_residual()
@@ -556,6 +589,8 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     n = len(decomp.family)
     blocks = decomp.structure.blocks
     p_all = pw @ decomp.weights
+    accuracy = _block_accuracy(decomp, p_all, tol)
+    violated.extend(("i", l) for l in np.flatnonzero(accuracy > tol.tol_rank).tolist())
 
     def weighted_family(l, normalize):
         di = blocks[l][0]

@@ -7,9 +7,35 @@ from kidecomp import (
     isotypic_decompose,
     seeded_random_hermitian,
 )
+from kidecomp.algebra import _intertwiners, _spectral_frame
 from kidecomp.exceptions import NotInvariant
+from kidecomp.linalg import DEFAULT_TOL
 
-from helpers import haar_unitary, random_density
+from helpers import build_family, haar_unitary, random_density
+
+
+def dense_intertwiners(xs, ys):
+    """Reference: null space of the full kron system L x_i = y_i L, one SVD."""
+    ka, kb = xs[0].shape[0], ys[0].shape[0]
+    # row-major vec: vec(y L) = (y (x) I) vec L, vec(L x) = (I (x) x^T) vec L
+    rows = [np.kron(y, np.eye(ka)) - np.kron(np.eye(kb), x.T) for x, y in zip(xs, ys)]
+    _, s, vh = np.linalg.svd(np.vstack(rows))
+    rank = int(np.sum(s > DEFAULT_TOL.tol_rank))
+    return list(vh[rank:].conj().reshape(-1, kb, ka))
+
+
+def assert_same_span(got, want):
+    assert len(got) == len(want)
+    if not want:
+        return
+    g = np.array([m.reshape(-1) for m in got]).T
+    w = np.array([m.reshape(-1) for m in want]).T
+    assert np.allclose(g.conj().T @ g, np.eye(g.shape[1]), atol=1e-10)
+    assert np.linalg.norm(g @ g.conj().T - w @ w.conj().T) <= 1e-8
+
+
+def unit(mats):
+    return [m / np.linalg.norm(m) for m in mats]
 
 
 def test_commutant_dimensions():
@@ -204,3 +230,67 @@ def test_intertwiner_space_requires_invariance():
     v = np.zeros((4, 2)); v[:2, :2] = np.eye(2)
     with pytest.raises(NotInvariant):
         intertwiner_space(gens, v, v)
+
+
+@pytest.mark.parametrize("seed, blocks", [
+    (70, [(2, 2), (1, 3), (3, 1), (2, 1)]),  # d = 12
+    (71, [(3, 2), (2, 3), (1, 2)]),  # d = 14
+    (72, [(2, 2), (2, 2), (1, 4), (1, 2), (1, 2)]),  # d = 16
+])
+def test_intertwiners_match_dense_solve_on_planted_families(seed, blocks):
+    built = build_family(np.random.default_rng(seed), blocks, 4)
+    xs = unit(built["states"])
+    # the eigenframe of a random family element leaves few unknowns
+    _, _, mask = _spectral_frame(np.array(xs), np.array(xs), DEFAULT_TOL)
+    assert mask.sum() <= sum(a * b * b for a, b in blocks) < mask.size
+    assert_same_span(_intertwiners(xs, xs, DEFAULT_TOL), dense_intertwiners(xs, xs))
+
+
+def test_intertwiners_match_dense_solve_on_identity_and_redundant_copies():
+    eye = [np.eye(5, dtype=complex) / np.sqrt(5)] * 2
+    assert len(_intertwiners(eye, eye, DEFAULT_TOL)) == 25
+    assert_same_span(_intertwiners(eye, eye, DEFAULT_TOL), dense_intertwiners(eye, eye))
+    # info factor tensored with a redundant copy space, each generator listed three times
+    u = haar_unitary(np.random.default_rng(73), 8)
+    gens = [u @ np.kron(seeded_random_hermitian(2, 74 + s), np.eye(4)) @ u.conj().T for s in range(2)]
+    xs = unit(gens * 3)
+    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    assert len(got) == 16
+    assert_same_span(got, dense_intertwiners(xs, xs))
+
+
+def test_intertwiners_match_dense_solve_on_noisy_identity():
+    # identity plus Hermitian noise far below the rank floor: the dense solve
+    # keeps every matrix, so the frame must not split the noise-level spread
+    # of the random combination's eigenvalues
+    eye = np.eye(4, dtype=complex)
+    xs = unit([eye + 1e-12 * seeded_random_hermitian(4, 90 + s) for s in range(3)])
+    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    assert len(got) == 16
+    assert_same_span(got, dense_intertwiners(xs, xs))
+
+
+def test_intertwiners_match_dense_solve_between_blocks():
+    rng = np.random.default_rng(75)
+    v = haar_unitary(rng, 3)
+    xs = unit([seeded_random_hermitian(3, 76 + s) for s in range(3)])
+    equivalent = [v @ x @ v.conj().T for x in xs]
+    got = _intertwiners(xs, equivalent, DEFAULT_TOL)
+    assert len(got) == 1
+    assert_same_span(got, dense_intertwiners(xs, equivalent))
+    inequivalent = unit([seeded_random_hermitian(3, 80 + s) for s in range(3)])
+    assert _intertwiners(xs, inequivalent, DEFAULT_TOL) == []
+    assert dense_intertwiners(xs, inequivalent) == []
+
+
+def test_commutant_of_non_normal_generator():
+    # a Jordan block is not Hermitian, so the solve keeps every entry; its
+    # commutant is the polynomials in it, of dimension 3
+    jordan = np.diag([1.0, 1.0], k=1) + 2.0 * np.eye(3)
+    xs = unit([jordan])
+    _, _, mask = _spectral_frame(np.array(xs), np.array(xs), DEFAULT_TOL)
+    assert mask.all()
+    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    assert len(got) == 3
+    assert_same_span(got, dense_intertwiners(xs, xs))
+    assert len(commutant_of_family([jordan])) == 3

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kidecomp import decompose
+from kidecomp import commutant_of_family, decompose
 from kidecomp.cli import main
 from kidecomp.exceptions import NoConvergence
 
@@ -169,6 +169,26 @@ def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
     code, out, err = run_cli(capsys, ["decompose", str(DATA / "orthogonal_pair.json")])
     assert code == 3 and out == ""
     assert "SVD did not converge" in err
+
+
+def test_frame_eigh_failure_raises_no_convergence(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(NoConvergence, match="Eigenvalues did not converge"):
+        commutant_of_family([np.diag([1.0, 0.0]), np.diag([0.5, 0.5])])
+
+
+def test_python_m_kidecomp_matches_golden():
+    proc = subprocess.run(
+        [sys.executable, "-m", "kidecomp", "decompose", str(DATA / "orthogonal_pair.json")],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "decompose_orthogonal_pair.json").read_text()
 
 
 def test_import_leaves_scipy_unloaded():

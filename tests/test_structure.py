@@ -20,6 +20,7 @@ from kidecomp import (
 )
 from kidecomp.exceptions import (
     DimensionMismatch,
+    MaximalityCheckFailed,
     StatesIdentical,
     ValidationError,
     ZeroOffBlock,
@@ -130,6 +131,64 @@ def test_decompose_recovers_families_whose_commutant_svd_failed(seed, blocks, pa
     assert sorted(dec.structure.blocks) == sorted(built["blocks"])
     assert weights_match(dec.weights, built["weights"], atol=1e-7)
     assert dec.max_residual() < 1e-7
+
+
+@pytest.mark.parametrize(
+    "seed, blocks, n_states, pad_to",
+    [
+        (90, [(4, 2), (3, 3), (2, 4), (1, 3), (1, 2), (1, 2)], 4, None),  # d = 32
+        (91, [(5, 2), (4, 3), (2, 4), (3, 1), (1, 3), (3, 3), (1, 3)], 4, None),  # d = 48
+        (92, [(6, 3), (4, 4), (3, 4), (2, 3), (1, 4), (1, 2), (2, 2), (1, 2)], 4, None),  # d = 64
+        (93, [(4, 3), (3, 2), (2, 3), (1, 4), (2, 2), (1, 2), (3, 2)], 4, 48),  # 40 of 48 dims
+        (94, [(3, 2), (2, 3), (2, 2), (1, 2), (1, 4), (1, 2)], 60, None),  # d = 24, 60 states
+    ],
+)
+def test_decompose_envelope(seed, blocks, n_states, pad_to):
+    built = build_family(np.random.default_rng(seed), blocks, n_states, pad_to=pad_to)
+    dec = decompose(state_family(built["states"]))
+    assert dec.support.shape == (built["dim"], built["planted_dim"])
+    assert sorted(dec.structure.blocks) == sorted(built["blocks"])
+    assert weights_match(dec.weights, built["weights"], atol=1e-7)
+    assert dec.max_residual() <= 1e-7
+    assert check_maximal(dec).ok
+
+
+def test_decompose_classical_sectors_with_small_red_eigenvalues():
+    # eight d_info = 1 blocks: after the first pass every class is rescaled
+    # by 1 / c_m; roundoff between classes, amplified that way, once left
+    # the second pass's commutant solve near its rank floor, and this family
+    # failed its certificate
+    blocks = [(1, 4), (1, 4), (1, 4), (1, 3), (1, 3), (1, 2), (1, 2), (1, 2)]
+    built = build_family(np.random.default_rng(13), blocks, 4)
+    dec = decompose(state_family(built["states"]))
+    assert sorted(dec.structure.blocks) == sorted(blocks)
+    assert dec.max_residual() <= 1e-7
+
+
+def light_block_family(rng, weight, n_states=3):
+    """A (3, 2) block plus a (2, 2) block whose weight in state s is weight * (s + 1) / n."""
+    u = haar_unitary(rng, 10)
+    red_heavy, red_light = random_density(rng, 2), random_density(rng, 2)
+    states = []
+    for s in range(n_states):
+        w = weight * (s + 1) / n_states
+        m = np.zeros((10, 10), dtype=complex)
+        m[:6, :6] = (1.0 - w) * np.kron(random_density(rng, 3), red_heavy)
+        m[6:, 6:] = w * np.kron(random_density(rng, 2), red_light)
+        states.append(u @ m @ u.conj().T)
+    return states
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_weight_boundary(seed):
+    # a block of weight 1e-4 is recovered; one of weight 1e-8 holds data
+    # accurate only to about eps / 1e-8, far coarser than tol_rank, and is
+    # refused rather than certified with a wrong shape
+    dec = decompose(light_block_family(np.random.default_rng(seed), 1e-4))
+    assert sorted(dec.structure.blocks) == [(2, 2), (3, 2)]
+    assert check_maximal(dec).ok
+    with pytest.raises(MaximalityCheckFailed, match=r"\('i', 1\)"):
+        decompose(light_block_family(np.random.default_rng(seed), 1e-8))
 
 
 def test_decompose_rejects_state_leaking_out_of_average_support():
