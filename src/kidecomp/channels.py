@@ -6,8 +6,16 @@ acts as the identity on each information factor and as some redundant-factor
 channel fixing the block's redundant state. `has_block_form` tests that
 shape, `block_channel` constructs channels of that shape, and the two
 confinement predicates expose the subspace-leakage arguments behind the
-characterization. Gauge independence is obtained by re-deriving canonical
-Kraus operators from the Choi matrix before testing anything.
+characterization.
+
+Each predicate tests a linear condition X(K) = 0 (a commutator with a matrix
+unit, or a leakage (I - P) K P). Such a condition holds on the span of the
+Kraus operators exactly when it holds on each given operator, and the stacked
+magnitude sqrt(sum_i ||X(K_i)||_F^2) is unchanged by any isometric remix
+K'_a = sum_i V[a, i] K_i. The predicates therefore work on the channel's own
+operators, and their verdicts and magnitudes do not depend on how the channel
+was presented. No Choi matrix is formed; `choi_matrix`, `kraus_from_choi` and
+`canonical_kraus` remain for callers that want a gauge-fixed representation.
 """
 
 from dataclasses import dataclass
@@ -163,28 +171,40 @@ def preserves_family(channel: KrausChannel, family, tol: Tolerances = DEFAULT_TO
 @dataclass(frozen=True)
 class BlockFormReport:
     ok: bool
-    max_violation: float
-    violations: tuple  # (block, row, col) triples whose matrix unit fails
+    max_violation: float  # largest stacked defect over all matrix units
+    violations: tuple  # (block, row, col) triples whose defect exceeds tol_commute
 
 
 def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: float = 1e-8, tol: Tolerances = DEFAULT_TOL, support=None) -> BlockFormReport:
     """Whether the channel is identity (x) redundant-channel on every block.
 
-    Equivalent test: every canonical Kraus operator commutes with every
-    matrix unit of the structure, within tol_commute per operator pair. The
-    canonical representation makes the outcome independent of how the
-    channel's Kraus operators were originally presented.
+    Equivalent test: the channel's Kraus operators commute with every matrix
+    unit E = structure.matrix_unit(l, row, col). The defect of unit
+    (l, row, col) is the stacked commutator sqrt(sum_i ||[K_i, E]||_F^2)
+    over the given operators, which every isometric remix of the operators
+    leaves unchanged, so verdicts and magnitudes do not depend on how the
+    channel was presented. The triple (l, row, col) is reported in
+    `violations` when its defect exceeds tol_commute; `max_violation` is the
+    largest defect over all units. `tol` is accepted for a uniform
+    signature and does not affect the result.
 
     When the structure lives on a proper subspace of the channel's space,
     pass `support` (an isometry from structure coordinates into the
-    channel's coordinates): matrix units are lifted through it and the
-    defect additionally counts leakage out of the supported subspace.
+    channel's coordinates): matrix units are lifted through it, and every
+    unit's defect is at least the stacked leakage
+    sqrt(sum_i ||(I - S S^dag) K_i S||_F^2) out of the supported subspace.
+
+    Each operator is mapped once into the block frame, K' = W^dag K W with
+    W = support @ transform^dag, and each defect is read off slices of K',
+    so no d x d matrix unit is built and the cost is O(k d^3) for k Kraus
+    operators. Every squared norm is summed from non-negative parts, with
+    no difference of squares, so an exact block-form channel reads at
+    roundoff level.
     """
+    frame = structure.transform.conj().T
     if support is None:
         if channel.input_dim != structure.dim or channel.output_dim != structure.dim:
             raise DimensionMismatch("channel dimensions do not match the structure")
-        lift = None
-        leak = None
     else:
         emb = np.asarray(support, dtype=complex)
         if emb.shape != (channel.input_dim, structure.dim):
@@ -192,32 +212,43 @@ def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: flo
                 f"support embedding has shape {emb.shape}, expected "
                 f"({channel.input_dim}, {structure.dim})"
             )
-        lift = emb
-        leak = np.eye(channel.input_dim) - emb @ emb.conj().T
-    ops = canonical_kraus(channel, tol).kraus_ops
+        frame = emb @ frame
+    ops = np.stack(channel.kraus_ops)
+    row_part = frame.conj().T @ ops  # W^dag K
+    k_frame = row_part @ frame  # K' = W^dag K W
+    power = (np.abs(k_frame) ** 2).sum(axis=0)
+    ends = np.cumsum([di * dr for di, dr in structure.blocks])
+    slices = [slice(end - di * dr, end) for end, (di, dr) in zip(ends, structure.blocks)]
+    outside = power.copy()
+    for sl in slices:
+        outside[sl, sl] = 0.0
+    # column j collects |K'_ij|^2 from rows outside j's block, row i from
+    # columns outside i's block
+    col_ext = outside.sum(axis=0)
+    row_ext = outside.sum(axis=1)
+    leak = 0.0
+    if support is not None:
+        # Q K W and W^dag K Q, with Q = I - W W^dag
+        col_leak = (np.abs(ops @ frame - frame @ k_frame) ** 2).sum(axis=(0, 1))
+        row_leak = (np.abs(row_part - k_frame @ frame.conj().T) ** 2).sum(axis=(0, 2))
+        col_ext = col_ext + col_leak
+        row_ext = row_ext + row_leak
+        leak = float(np.sqrt(col_leak.sum()))
     worst = 0.0
     violations = []
-    for l, (di, _) in enumerate(structure.blocks):
-        for row in range(di):
-            for col in range(di):
-                unit = structure.matrix_unit(l, row, col)
-                if lift is not None:
-                    unit = lift @ unit @ lift.conj().T
-                defect = 0.0
-                for k in ops:
-                    scale = max(1.0, float(np.linalg.norm(k)))
-                    defect = max(
-                        defect, float(np.linalg.norm(k @ unit - unit @ k)) / scale
-                    )
-                    if leak is not None:
-                        defect = max(
-                            defect,
-                            float(np.linalg.norm(leak @ k @ (lift @ lift.conj().T)))
-                            / scale,
-                        )
-                worst = max(worst, defect)
-                if defect > tol_commute:
-                    violations.append((l, row, col))
+    for l, ((di, dr), sl) in enumerate(zip(structure.blocks, slices)):
+        # ||K'_ab||^2 between info groups a and b of block l, off the diagonal
+        inner = power[sl, sl].reshape(di, dr, di, dr).sum(axis=(1, 3))
+        np.fill_diagonal(inner, 0.0)
+        # [K', E_rc] keeps column group r off row group r, row group c off
+        # column group c, and R_rr - R_cc on the diagonal sub-blocks
+        col_r = col_ext[sl].reshape(di, dr).sum(axis=1) + inner.sum(axis=0)
+        row_c = row_ext[sl].reshape(di, dr).sum(axis=1) + inner.sum(axis=1)
+        diag = np.einsum("kaiaj->kaij", k_frame[:, sl, sl].reshape(-1, di, dr, di, dr))
+        gap = (np.abs(diag[:, :, None] - diag[:, None, :]) ** 2).sum(axis=(0, 3, 4))
+        defect = np.maximum(np.sqrt(col_r[:, None] + row_c[None, :] + gap), leak)
+        worst = max(worst, float(defect.max()))
+        violations.extend((l, int(r), int(c)) for r, c in np.argwhere(defect > tol_commute))
     return BlockFormReport(not violations, worst, tuple(violations))
 
 
@@ -268,14 +299,21 @@ def block_channel(structure: Structure, per_block, fix_red_state: bool = False, 
     return kraus_channel(ops, tol)
 
 
+def _stacked_leak(channel: KrausChannel, p: np.ndarray) -> float:
+    """Stacked leakage sqrt(sum_i ||(I - P) K_i P||_F^2) out of projector P."""
+    kp = np.stack(channel.kraus_ops) @ p
+    return float(np.linalg.norm(kp - p @ kp))
+
+
 def confines_positive_part(channel: KrausChannel, obs, tol: Tolerances = DEFAULT_TOL) -> bool:
     """No leakage out of the positive eigenspace of a preserved observable.
 
     Requires T(obs) = obs within 1e-8 (NotPreserved otherwise). Returns True
-    iff (I - P) K P = 0 within 1e-8 for every canonical Kraus operator K,
-    with P the projector onto the strictly positive eigenspace of obs. For a
-    preserved observable this always holds; the predicate exists so the
-    leakage argument is directly checkable.
+    iff the stacked leakage sqrt(sum_i ||(I - P) K_i P||_F^2) over the given
+    Kraus operators is at most 1e-8, with P the projector onto the strictly
+    positive eigenspace of obs. For a preserved observable this always
+    holds; the predicate exists so the leakage argument is directly
+    checkable.
     """
     o = hermitian_part(obs)
     dev = float(np.linalg.norm(apply_to_matrix(channel, o) - o))
@@ -286,15 +324,7 @@ def confines_positive_part(channel: KrausChannel, obs, tol: Tolerances = DEFAULT
     if lmax <= tol.tol_zero:
         raise NotPreserved("observable is numerically zero")
     pos = v[:, w > tol.tol_rank * lmax]
-    p = pos @ pos.conj().T
-    comp = np.eye(channel.input_dim) - p
-    worst = 0.0
-    for k in canonical_kraus(channel, tol).kraus_ops:
-        worst = max(
-            worst,
-            float(np.linalg.norm(comp @ k @ p)) / max(1.0, float(np.linalg.norm(k))),
-        )
-    return worst <= 1e-8
+    return _stacked_leak(channel, pos @ pos.conj().T) <= 1e-8
 
 
 def confines_paired_subspace(channel: KrausChannel, rho, p1, p2, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -302,9 +332,10 @@ def confines_paired_subspace(channel: KrausChannel, rho, p1, p2, tol: Tolerances
 
     Hypotheses (HypothesisFailed if any is violated): P1 and P2 are
     orthogonal projectors summing to the support projector of rho, the
-    channel fixes rho, and no canonical Kraus operator leaks out of P1.
-    Returns True iff no canonical Kraus operator leaks out of P2 either,
-    within 1e-8.
+    channel fixes rho, and the Kraus operators do not leak out of P1.
+    Returns True iff they do not leak out of P2 either. Leakage out of P is
+    the stacked sqrt(sum_i ||(I - P) K_i P||_F^2) over the given operators,
+    compared with 1e-8.
     """
     r = hermitian_part(rho)
     q1 = hermitian_part(p1)
@@ -326,19 +357,10 @@ def confines_paired_subspace(channel: KrausChannel, rho, p1, p2, tol: Tolerances
     dev = trace_norm(apply_to_matrix(channel, r) - r)
     if dev > 1e-8:
         raise HypothesisFailed(f"channel moves the state by {dev:.3e}")
-    eye = np.eye(d)
-    ops = canonical_kraus(channel, tol).kraus_ops
-    leak1 = max(
-        float(np.linalg.norm((eye - q1) @ k @ q1)) / max(1.0, float(np.linalg.norm(k)))
-        for k in ops
-    )
+    leak1 = _stacked_leak(channel, q1)
     if leak1 > 1e-8:
         raise HypothesisFailed(f"channel already leaks out of p1 by {leak1:.3e}")
-    leak2 = max(
-        float(np.linalg.norm((eye - q2) @ k @ q2)) / max(1.0, float(np.linalg.norm(k)))
-        for k in ops
-    )
-    return leak2 <= 1e-8
+    return _stacked_leak(channel, q2) <= 1e-8
 
 
 def environment_state(channel: KrausChannel, rho) -> np.ndarray:

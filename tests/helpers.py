@@ -156,26 +156,100 @@ def preserving_block_channel(rng, decomp, strength=None):
 
 def rotated_info_channel(rng, decomp, angle):
     """Unitary channel rotating one info factor by `angle`; breaks block form."""
+    return rotation_channel(decomp.structure, decomp.support, angle)
+
+
+def rotation_channel(structure, support, angle):
+    """Unitary rotating the first info factor with d_info >= 2 by `angle`,
+    lifted through `support` (None: the structure's own space) with the
+    identity off the support."""
     target = None
-    for l, (di, _) in enumerate(decomp.structure.blocks):
+    for l, (di, _) in enumerate(structure.blocks):
         if di >= 2:
             target = l
             break
     assert target is not None, "needs a block with d_info >= 2"
-    di, dr = decomp.structure.blocks[target]
+    di, dr = structure.blocks[target]
     g = np.eye(di, dtype=complex)
     c, s = np.cos(angle), np.sin(angle)
     g[0, 0], g[0, 1], g[1, 0], g[1, 1] = c, -s, s, c
-    inner = np.eye(decomp.structure.dim, dtype=complex)
-    off = decomp.structure.block_offset(target)
+    inner = np.eye(structure.dim, dtype=complex)
+    off = structure.block_offset(target)
     sz = di * dr
     inner[off : off + sz, off : off + sz] = np.kron(g, np.eye(dr))
-    tr = decomp.structure.transform
-    emb = decomp.support
+    tr = structure.transform
+    emb = np.eye(structure.dim) if support is None else support
     d0 = emb.shape[0]
     rot = emb @ tr.conj().T @ inner @ tr @ emb.conj().T
     rot = rot + (np.eye(d0) - emb @ emb.conj().T)
     return kraus_channel([rot])
+
+
+def planted_frame(rng, built):
+    """(structure, support) of the planted blocks of `built`, read off the
+    construction instead of computed. Support is None at full support;
+    otherwise the structure carries a random gauge on the planted subspace."""
+    u, n = built["unitary"], built["planted_dim"]
+    blocks = tuple(built["blocks"])
+    if n == built["dim"]:
+        return Structure(n, blocks, u.conj().T), None
+    w = haar_unitary(rng, n)
+    return Structure(n, blocks, w), u[:, :n] @ w
+
+
+def lifted_preserving_channel(rng, structure, reds, support=None):
+    """Identity on every info factor and a `reds[l]`-fixing channel on each
+    redundant factor, lifted through `support` with the identity off it."""
+    per = [red_fixing_channel(rng, r, rng.uniform(0.2, 0.8)) for r in reds]
+    ch = block_channel(structure, per)
+    if support is None:
+        return ch
+    ops = [support @ k @ support.conj().T for k in ch.kraus_ops]
+    ops[0] = ops[0] + np.eye(support.shape[0]) - support @ support.conj().T
+    return kraus_channel(ops)
+
+
+def leaking_channel(rng, channel, support, angle):
+    """`channel` followed by a rotation by `angle` between the first support
+    direction and a random direction orthogonal to the support."""
+    a = support[:, 0]
+    o = random_pure(rng, support.shape[0])
+    o = o - support @ (support.conj().T @ o)
+    o = o / np.linalg.norm(o)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = (
+        np.eye(support.shape[0], dtype=complex)
+        + (c - 1.0) * (np.outer(a, a.conj()) + np.outer(o, o.conj()))
+        + s * (np.outer(o, a.conj()) - np.outer(a, o.conj()))
+    )
+    return kraus_channel([rot @ k for k in channel.kraus_ops])
+
+
+def remixed_channel(rng, channel, extra=3):
+    """Same channel in another Kraus gauge: K'_a = sum_i V[a, i] K_i, with V a
+    random (n + extra) x n isometry."""
+    n = len(channel.kraus_ops)
+    v = haar_unitary(rng, n + extra)[:, :n]
+    return kraus_channel(list(np.tensordot(v, np.stack(channel.kraus_ops), axes=1)))
+
+
+def dense_block_form(channel, structure, tol_commute=1e-8, support=None):
+    """Reference for `has_block_form`: (max_violation, violations) from dense
+    lifted matrix units and the stacked norms over the given Kraus operators."""
+    ops = np.stack(channel.kraus_ops)
+    emb = np.eye(structure.dim) if support is None else np.asarray(support, dtype=complex)
+    proj = emb @ emb.conj().T
+    leak = float(np.linalg.norm((np.eye(ops.shape[1]) - proj) @ ops @ proj))
+    worst, violations = 0.0, []
+    for l, (di, _) in enumerate(structure.blocks):
+        for row in range(di):
+            for col in range(di):
+                unit = emb @ structure.matrix_unit(l, row, col) @ emb.conj().T
+                defect = max(float(np.linalg.norm(ops @ unit - unit @ ops)), leak)
+                worst = max(worst, defect)
+                if defect > tol_commute:
+                    violations.append((l, row, col))
+    return worst, tuple(violations)
 
 
 def preservation_constraints(states, d):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kidecomp import channels
 from kidecomp.channels import (
     apply_channel,
     apply_to_matrix,
@@ -19,6 +20,7 @@ from kidecomp.channels import (
 from kidecomp.exceptions import (
     DimensionMismatch,
     HypothesisFailed,
+    KidecompError,
     KStateNotFixed,
     NotPreserved,
     ValidationError,
@@ -28,12 +30,18 @@ from kidecomp.structure import decompose, family_average
 
 from helpers import (
     build_family,
+    dense_block_form,
+    leaking_channel,
+    lifted_preserving_channel,
+    planted_frame,
     preserving_block_channel,
     projected_preserving_channel,
     random_blocks,
     random_cptp,
     random_density,
+    remixed_channel,
     rotated_info_channel,
+    rotation_channel,
 )
 
 
@@ -227,6 +235,130 @@ def test_has_block_form_presentation_independent():
     assert np.isclose(a.max_violation, b.max_violation, atol=1e-9)
 
 
+def _outcome(fn, *args):
+    """A predicate's verdict, or the name of the typed error it raised."""
+    try:
+        return fn(*args)
+    except KidecompError as exc:
+        return type(exc).__name__
+
+
+def _confinement_inputs(built, structure, support):
+    """A preserved difference observable, the family average, and the split
+    of the support into block 0 and the rest."""
+    emb = np.eye(structure.dim) if support is None else support
+    rho, sig = built["states"][:2]
+    obs = rho / np.trace(rho).real - sig / np.trace(sig).real
+    p1 = emb @ structure.block_projector(0) @ emb.conj().T
+    return obs, family_average(built["states"]).mat, p1, emb @ emb.conj().T - p1
+
+
+def _planted_channels(rng, built, structure, support):
+    chans = {
+        "preserving": lifted_preserving_channel(rng, structure, built["red"], support),
+        "rotate-1e-3": rotation_channel(structure, support, 1e-3),
+        "rotate-0.3": rotation_channel(structure, support, 0.3),
+        "random": random_cptp(rng, built["dim"], built["dim"], 3),
+    }
+    if support is not None:
+        chans["leaking"] = leaking_channel(rng, chans["preserving"], support, 1e-3)
+    return chans
+
+
+@pytest.mark.parametrize("pad_to", [None, 12])
+def test_channel_predicates_invariant_under_kraus_remix(pad_to):
+    # an isometric remix with 3 extra operators is the same channel: every
+    # verdict, every violation triple and the stacked magnitude must agree
+    rng = np.random.default_rng(20 if pad_to is None else 21)
+    built = build_family(rng, [(2, 2), (3, 1), (1, 2)], 3, pad_to=pad_to)
+    st, sup = planted_frame(rng, built)
+    obs, avg, p1, p2 = _confinement_inputs(built, st, sup)
+    seen = set()
+    for kind, ch in _planted_channels(rng, built, st, sup).items():
+        mixed = remixed_channel(rng, ch, extra=3)
+        assert len(mixed.kraus_ops) == len(ch.kraus_ops) + 3
+        a = has_block_form(ch, st, support=sup)
+        b = has_block_form(mixed, st, support=sup)
+        assert a.ok == b.ok and a.violations == b.violations, kind
+        assert abs(a.max_violation - b.max_violation) <= 1e-12 * max(1.0, a.max_violation), kind
+        assert a.ok == (kind == "preserving"), kind
+        for fn, args in (
+            (confines_positive_part, (obs,)),
+            (confines_paired_subspace, (avg, p1, p2)),
+        ):
+            got = _outcome(fn, ch, *args)
+            assert got == _outcome(fn, mixed, *args), (kind, fn.__name__)
+            seen.add((fn.__name__, got))
+    # both confinement predicates accepted the preserving channel and
+    # refused a disturbing one
+    assert ("confines_positive_part", True) in seen
+    assert ("confines_paired_subspace", True) in seen
+    assert ("confines_positive_part", "NotPreserved") in seen
+    assert ("confines_paired_subspace", "HypothesisFailed") in seen
+
+
+def test_has_block_form_matches_dense_reference():
+    # the block-frame slices must reproduce the stacked commutator with the
+    # dense lifted matrix units, triple for triple
+    rng = np.random.default_rng(22)
+    cases = []
+    for blocks, pad in (([(2, 2), (3, 1), (1, 2)], None), ([(3, 2), (2, 1), (1, 1)], 12)):
+        built = build_family(rng, blocks, 3, pad_to=pad)
+        st, sup = planted_frame(rng, built)
+        cases += [(name, ch, st, sup) for name, ch in _planted_channels(rng, built, st, sup).items()]
+        # the same channels against the computed, not planted, frame
+        decomp = decompose(built["states"])
+        cases.append(("decomposed rotate-0.3", rotated_info_channel(rng, decomp, 0.3), decomp.structure, decomp.support))
+        if pad is not None:
+            leaky = leaking_channel(rng, identity_channel(built["dim"]), decomp.support, 0.3)
+            cases.append(("decomposed leaking", leaky, decomp.structure, decomp.support))
+    n_failing = 0
+    for name, ch, st, sup in cases:
+        ch = remixed_channel(rng, ch, extra=2)
+        got = has_block_form(ch, st, support=sup)
+        worst, violations = dense_block_form(ch, st, support=sup)
+        assert got.violations == violations, name
+        assert abs(got.max_violation - worst) <= 1e-10, name
+        n_failing += not got.ok
+    assert n_failing == len(cases) - 2
+
+
+@pytest.mark.parametrize(
+    "blocks, pad_to",
+    [
+        (((4, 3), (3, 4), (2, 4), (2, 2), (1, 4), (1, 3), (1, 5)), None),  # d = 48
+        (((8, 2), (4, 4), (3, 3), (2, 4), (2, 2), (1, 6), (1, 5)), None),  # d = 64
+        (((8, 2), (4, 4), (3, 3), (2, 2), (1, 6), (1, 5)), 64),  # 56 planted dims in d = 64
+    ],
+)
+def test_channel_predicates_envelope(blocks, pad_to, monkeypatch):
+    # the top of the claimed envelope, on the given Kraus operators: no Choi
+    # matrix (d^2 x d^2) is formed on the way
+    def no_choi(*args, **kwargs):
+        raise AssertionError("channel predicates must not form the Choi matrix")
+
+    monkeypatch.setattr(channels, "choi_matrix", no_choi)
+    monkeypatch.setattr(channels, "canonical_kraus", no_choi)
+    rng = np.random.default_rng(23 + len(blocks) + (pad_to or 0))
+    built = build_family(rng, blocks, 3, pad_to=pad_to)
+    assert built["dim"] in (48, 64)
+    st, sup = planted_frame(rng, built)
+    obs, avg, p1, p2 = _confinement_inputs(built, st, sup)
+    good = remixed_channel(rng, lifted_preserving_channel(rng, st, built["red"], sup), extra=3)
+    form = has_block_form(good, st, support=sup)
+    assert form.ok, f"violation {form.max_violation:.3e}"
+    assert form.max_violation <= 1e-12
+    assert confines_positive_part(good, obs)
+    assert confines_paired_subspace(good, avg, p1, p2)
+    rot = has_block_form(rotation_channel(st, sup, 1e-3), st, support=sup)
+    assert not rot.ok and rot.max_violation > 1e-4
+    bad = random_cptp(rng, built["dim"], built["dim"], 4)
+    rand = has_block_form(bad, st, support=sup)
+    assert not rand.ok and rand.max_violation > 0.1
+    with pytest.raises(NotPreserved):
+        confines_positive_part(bad, obs)
+
+
 def test_has_block_form_dimension_checks():
     rng = np.random.default_rng(12)
     built = build_family(rng, [(2, 1)], 2)
@@ -377,3 +509,17 @@ def test_confinement_transfers_with_coherent_fixed_state():
     p2 = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
     with pytest.raises(HypothesisFailed):
         confines_paired_subspace(leaky, flat, p1, p2)
+
+
+def test_confines_paired_subspace_sees_leak_in_any_operator():
+    # half identity, half swap of the two slots fixes the flat state but
+    # leaks out of p1 through one operator only, wherever it is listed
+    swap = np.zeros((4, 4), dtype=complex)
+    swap[0, 2] = swap[1, 3] = swap[2, 0] = swap[3, 1] = 1.0
+    flat = np.eye(4, dtype=complex) / 4.0
+    p1 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    p2 = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
+    half = np.sqrt(0.5)
+    for ops in ([half * np.eye(4), half * swap], [half * swap, half * np.eye(4)]):
+        with pytest.raises(HypothesisFailed, match="leaks out of p1 by 1.000e"):
+            confines_paired_subspace(kraus_channel(ops), flat, p1, p2)

@@ -17,7 +17,10 @@ from helpers import (
     build_family,
     cli_env,
     haar_unitary,
+    lifted_preserving_channel,
     random_density,
+    remixed_channel,
+    rotated_info_channel,
     write_family_file,
     write_kraus_file,
 )
@@ -276,6 +279,30 @@ def test_check_channel(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, ["check", "broadcast", fam, fam])
     assert code == 2
+
+
+def test_check_channel_independent_of_kraus_presentation(tmp_path, capsys):
+    # a remixed copy with extra operators is the same channel, so the report
+    # must give the same verdicts, violations and exit code
+    rng = np.random.default_rng(55)
+    built = build_family(rng, [(2, 2), (1, 2)], 3, pad_to=8)
+    fam = str(write_family_file(tmp_path / "fam.json", built["states"]))
+    decomp = decompose(built["states"])
+    reds = [r.mat for r in decomp.red_states]
+    channels = {
+        "preserving": lifted_preserving_channel(rng, decomp.structure, reds, decomp.support),
+        "rotated": rotated_info_channel(rng, decomp, 0.3),
+    }
+    for name, ch in channels.items():
+        reports = []
+        for tag, ops in (("given", ch.kraus_ops), ("remixed", remixed_channel(rng, ch, extra=3).kraus_ops)):
+            path = write_kraus_file(tmp_path / f"{name}-{tag}.json", ops)
+            code, out, _ = run_cli(capsys, ["check", "channel", fam, str(path)])
+            payload = json.loads(out)
+            reports.append((code, payload["ok"], payload["block_form"]["ok"], payload["block_form"]["violations"]))
+        assert reports[0] == reports[1], name
+        assert reports[0][:3] == ((0, True, True) if name == "preserving" else (1, False, False)), name
+        assert (reports[0][3] == []) == (name == "preserving"), name
 
 
 def test_entropy_tensor_additive(tmp_path, capsys):
