@@ -75,10 +75,11 @@ def is_broadcastable(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Br
             witness = l
             break
     defect = 0.0
-    mats = fam.mats()
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            defect = max(defect, float(np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])))
+    mats = np.stack(fam.mats())
+    for i in range(len(mats) - 1):
+        rest = mats[i + 1 :]
+        comm = np.linalg.norm(mats[i] @ rest - rest @ mats[i], axis=(1, 2))
+        defect = max(defect, float(comm.max()))
     return BroadcastReport(witness is None, witness, defect, decomp)
 
 
@@ -160,17 +161,21 @@ def no_imprinting_holds(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) ->
     """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     decomp = decompose(fam, seed=seed, tol=tol)
-    w = decomp.weights
-    offending = None
-    worst = 0.0
-    for s in range(w.shape[0]):
-        for t in range(s + 1, w.shape[0]):
-            for l in range(w.shape[1]):
-                gap = abs(float(w[s, l] - w[t, l]))
-                worst = max(worst, gap)
-                if gap > 1e-8 and offending is None:
-                    offending = (s, t, l)
+    offending, worst = _weight_gaps(decomp.weights)
     return ImprintReport(offending is None, offending, worst, decomp)
+
+
+def _weight_gaps(w: np.ndarray):
+    """The first (s, s', block), in lexicographic order, whose two weights
+    differ by more than 1e-8 (None if there is none), and the largest gap."""
+    # the largest pairwise gap in a column is its range
+    worst = float((w.max(axis=0) - w.min(axis=0)).max())
+    for s in range(w.shape[0] - 1):
+        over = np.abs(w[s + 1 :] - w[s]) > 1e-8
+        if over.any():
+            t, l = divmod(int(np.argmax(over)), w.shape[1])
+            return (s, s + 1 + t, l), worst
+    return None, worst
 
 
 @dataclass(frozen=True)

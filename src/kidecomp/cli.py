@@ -205,7 +205,7 @@ def _run_decompose(args, seed: int, cli_tol: dict) -> dict:
         [None if m is None else matrix_to_pairs(m.mat) for m in per_state]
         for per_state in decomp.info_states
     ]
-    payload["reassembly_residual"] = float(decomp.max_residual())
+    payload["reassembly_residual"] = float(cert.reassembly_residual)
     payload["maximality"] = {
         "ok": bool(cert.ok),
         "violated": [list(v) for v in cert.violated],

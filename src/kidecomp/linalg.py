@@ -9,6 +9,7 @@ metadata on top. The supported envelope is ambient dimension <= 64.
 
 import numbers
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -127,6 +128,41 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
+def _density_matrices(a: np.ndarray, tol: Tolerances, normalized: bool = True) -> list:
+    """Run the checks of `density_matrix` on an m x d x d stack at once.
+
+    Returns a DensityMatrix per member. A failing stack raises, for its
+    first failing member, the error that `density_matrix` raises on that
+    member alone.
+    """
+    finite = np.isfinite(a).all(axis=(1, 2))
+    m = a.shape[0] if finite.all() else int(np.argmin(finite))
+    a = a[:m]
+    defects = np.linalg.norm(a - a.conj().transpose(0, 2, 1), axis=(1, 2))
+    h = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    w = np.linalg.eigvalsh(h)
+    traces = np.trace(h, axis1=1, axis2=2).real
+    floors = -tol.tol_psd * np.maximum(1.0, np.abs(w[:, -1]))
+    not_herm = defects > tol.tol_sym
+    not_psd = w[:, 0] < floors
+    bad_trace = np.abs(traces - 1.0) > tol.tol_trace if normalized else traces <= tol.tol_zero
+    bad = not_herm | not_psd | bad_trace
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not_herm[k]:
+            raise NotHermitian(f"hermiticity defect {defects[k]:.3e} exceeds tol_sym={tol.tol_sym:.3e}")
+        if not_psd[k]:
+            raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[k, 0]:.3e})")
+        tr = float(traces[k])
+        if normalized:
+            raise NotNormalized(f"trace {tr!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}")
+        raise ValidationError(f"unnormalized density matrix must have positive trace, got {tr!r}")
+    if m < finite.size:
+        raise ValidationError("matrix contains non-finite entries")
+    h.setflags(write=False)
+    return [DensityMatrix(x, float(t), float(e), normalized) for x, t, e in zip(h, traces, defects)]
+
+
 def density_matrix(mat, tol: Tolerances = DEFAULT_TOL, normalized: bool = True) -> DensityMatrix:
     """Validate a matrix as a (possibly unnormalized) density matrix.
 
@@ -135,23 +171,7 @@ def density_matrix(mat, tol: Tolerances = DEFAULT_TOL, normalized: bool = True) 
     max(1, largest eigenvalue)), and NotNormalized when the trace strays from
     1 while `normalized` is set.
     """
-    a = _square(mat)
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > tol.tol_sym:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol_sym={tol.tol_sym:.3e}")
-    h = 0.5 * (a + a.conj().T)
-    w = np.linalg.eigvalsh(h)
-    floor = -tol.tol_psd * max(1.0, abs(float(w[-1])))
-    if float(w[0]) < floor:
-        raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    tr = float(np.trace(h).real)
-    if normalized:
-        if abs(tr - 1.0) > tol.tol_trace:
-            raise NotNormalized(f"trace {tr!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}")
-    elif tr <= tol.tol_zero:
-        raise ValidationError(f"unnormalized density matrix must have positive trace, got {tr!r}")
-    h.setflags(write=False)
-    return DensityMatrix(h, tr, defect, normalized)
+    return _density_matrices(_square(mat)[None], tol, normalized)[0]
 
 
 @dataclass(frozen=True)
@@ -176,11 +196,28 @@ class StateFamily:
 
 
 def state_family(states, weights=None, tol: Tolerances = DEFAULT_TOL) -> StateFamily:
-    """Build a StateFamily; weights are normalized to sum to 1."""
+    """Build a StateFamily; weights are normalized to sum to 1.
+
+    Members already given as DensityMatrix are kept as they are. The raw
+    members are validated as one stack per run of equal shapes, with the
+    checks of `density_matrix`: the first failing member raises the error
+    that `density_matrix` raises on it alone. Members of different
+    dimensions raise DimensionMismatch naming the first one off.
+    """
     states = list(states)
     if not states:
         raise EmptyFamily("a state family needs at least one state")
-    out = tuple(s if isinstance(s, DensityMatrix) else density_matrix(s, tol) for s in states)
+    raw = [s if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex) for s in states]
+    out = []
+    for shape, run in groupby(raw, key=lambda s: None if isinstance(s, DensityMatrix) else s.shape):
+        run = list(run)
+        if shape is None:
+            out.extend(run)
+            continue
+        if len(shape) != 2 or 0 in shape or shape[0] != shape[1]:
+            _square(run[0])  # raises what density_matrix raises on this member
+        out.extend(_density_matrices(np.stack(run), tol))
+    out = tuple(out)
     dim = out[0].dim
     for k, s in enumerate(out):
         if s.dim != dim:

@@ -39,6 +39,7 @@ from .exceptions import (
     ZeroOperator,
 )
 from .linalg import (
+    _density_matrices,
     DEFAULT_TOL,
     DensityMatrix,
     StateFamily,
@@ -182,12 +183,13 @@ def family_average(family, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
         acc += ws * s.mat
     avg = density_matrix(acc, tol)
     proj = support_projector(avg.mat, tol)
-    for k, s in enumerate(fam.states):
-        leak = float(np.linalg.norm(s.mat - proj @ s.mat @ proj))
-        if leak > 1e-8:
-            raise ValidationError(
-                f"state {k} leaks {leak:.3e} outside the family average's support"
-            )
+    mats = np.stack(fam.mats())
+    leaks = np.linalg.norm(mats - proj @ mats @ proj, axis=(1, 2))
+    if np.any(leaks > 1e-8):
+        k = int(np.argmax(leaks > 1e-8))
+        raise ValidationError(
+            f"state {k} leaks {leaks[k]:.3e} outside the family average's support"
+        )
     return avg
 
 
@@ -336,11 +338,45 @@ class DecomposedFamily:
         return self.support @ inner @ self.support.conj().T
 
     def max_residual(self) -> float:
-        worst = 0.0
-        for s in range(len(self.family)):
-            diff = self.family.states[s].mat - self.reassemble(s)
-            worst = max(worst, float(np.linalg.norm(diff)))
-        return worst
+        """Largest Frobenius distance between a member and its `reassemble`,
+        over all members; the block matrices are built as one stack."""
+        states = np.stack(self.family.mats())
+        return _reassembly_residual(self, states, _stacked_components(self)[1])
+
+
+def _hermitian_stack(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _stacked_components(decomp: DecomposedFamily):
+    """The stored components of all members as stacks.
+
+    Returns, per block l, the weight column and the information states
+    stacked n x d_info x d_info, both zero for a member whose weight
+    vanishes or whose information state is None; and the n block matrices
+    of `block_matrix`, built with one einsum kron per block.
+    """
+    n, d = len(decomp.family), decomp.structure.dim
+    comps = []
+    blocks = np.zeros((n, d, d), dtype=complex)
+    for l, (di, dr) in enumerate(decomp.structure.blocks):
+        w = np.array(decomp.weights[:, l], dtype=float)
+        infos = np.zeros((n, di, di), dtype=complex)
+        for s, row in enumerate(decomp.info_states):
+            if row[l] is None or w[s] <= 0.0:
+                w[s] = 0.0
+            else:
+                infos[s] = row[l].mat
+        comps.append((w, infos))
+        off, sz = decomp.structure.block_offset(l), di * dr
+        kron = np.einsum("sac,bd->sabcd", infos, decomp.red_states[l].mat).reshape(n, sz, sz)
+        blocks[:, off : off + sz, off : off + sz] = w[:, None, None] * kron
+    return comps, blocks
+
+
+def _reassembly_residual(decomp: DecomposedFamily, states: np.ndarray, blocks: np.ndarray) -> float:
+    emb = decomp.support @ decomp.structure.transform.conj().T
+    return float(np.linalg.norm(states - emb @ blocks @ emb.conj().T, axis=(1, 2)).max())
 
 
 def _fix_column_phases(u: np.ndarray) -> np.ndarray:
@@ -359,16 +395,21 @@ def _descending_eigbasis(mat: np.ndarray, tol: Tolerances) -> np.ndarray:
     return _fix_column_phases(u[:, order])
 
 
-def _nearest_density(mat: np.ndarray, tol: Tolerances) -> DensityMatrix:
-    """Snap a numerically noisy component to an exact density matrix."""
-    h = hermitian_part(mat)
-    w, v = np.linalg.eigh(h)
+def _nearest_density(mats: np.ndarray, tol: Tolerances) -> list:
+    """Snap a stack of numerically noisy components to exact density matrices.
+
+    One stacked eigh: each member's Hermitian part loses its negative
+    eigenvalues and is scaled to trace 1, and the results are validated as
+    one stack. Returns a DensityMatrix per member; ZeroOperator when a
+    member has no weight left to normalize.
+    """
+    w, v = np.linalg.eigh(_hermitian_stack(mats))
     w = np.clip(w, 0.0, None)
-    total = float(w.sum())
-    if total <= tol.tol_zero:
+    total = w.sum(axis=1)
+    if np.any(total <= tol.tol_zero):
         raise ZeroOperator("component has no weight to normalize")
-    out = (v * (w / total)) @ v.conj().T
-    return density_matrix(out, tol)
+    out = (v * (w / total[:, None])[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return _density_matrices(out, tol)
 
 
 def _unitary_polish(mat: np.ndarray) -> np.ndarray:
@@ -447,7 +488,7 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     d0, da = fam.dim, sup.shape[1]
     if da == d0:
         sup = np.eye(d0, dtype=complex)
-    gens = [hermitian_part(sup.conj().T @ s.mat @ sup) for s in fam.states]
+    gens = _hermitian_stack(sup.conj().T @ np.stack(fam.mats()) @ sup)
     avg_r = hermitian_part(sup.conj().T @ avg.mat @ sup)
 
     iso1 = isotypic_decompose(gens, seed=seed, tol=tol)
@@ -455,23 +496,17 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     # diagonal block: the cross-class parts are roundoff that 1/c_m would
     # amplify toward the commutant solve's rank floor
     frame = np.hstack([v for comp in iso1.components for v in comp.submodule_bases])
-    classes = []
+    rescaled = np.zeros_like(gens)
     start = 0
     for comp in iso1.components:
         size = comp.multiplicity * comp.simple_dim
-        cls = slice(start, start + size)
+        f_m = frame[:, start : start + size]
         start += size
-        c_m = float(np.trace(frame[:, cls].conj().T @ avg_r @ frame[:, cls]).real) / comp.multiplicity
+        c_m = float(np.trace(f_m.conj().T @ avg_r @ f_m).real) / comp.multiplicity
         if c_m <= tol.tol_zero:
             raise MaximalityCheckFailed("an isotypic class carries no average weight")
-        classes.append((cls, c_m))
-    rescaled = []
-    for g in gens:
-        inner = frame.conj().T @ g @ frame
-        acc = np.zeros_like(inner)
-        for cls, c_m in classes:
-            acc[cls, cls] = inner[cls, cls] / c_m
-        rescaled.append(hermitian_part(frame @ acc @ frame.conj().T))
+        rescaled += f_m @ ((f_m.conj().T @ gens @ f_m) / c_m) @ f_m.conj().T
+    rescaled = _hermitian_stack(rescaled)
 
     iso2 = isotypic_decompose(rescaled, seed=seed + _ISO_SEED_STRIDE, tol=tol)
 
@@ -500,23 +535,19 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
         e_l = e_l @ np.kron(u_info, u_red)
 
         b_all = hermitian_part(e_l.conj().T @ avg_r @ e_l)
-        red = _nearest_density(partial_trace(b_all, d_info, d_red, keep="right"), tol)
+        red = _nearest_density(partial_trace(b_all, d_info, d_red, keep="right")[None], tol)[0]
         spectrum = np.sort(np.linalg.eigvalsh(red.mat))[::-1]
         spectrum = np.clip(spectrum, 0.0, None)
 
-        w_col = np.zeros(len(fam))
-        infos = []
-        for s, g in enumerate(gens):
-            b_s = hermitian_part(e_l.conj().T @ g @ e_l)
-            p_sl = float(np.trace(b_s).real)
-            if p_sl <= tol.tol_zero:
-                w_col[s] = 0.0
-                infos.append(None)
-                continue
-            w_col[s] = p_sl
-            infos.append(
-                _nearest_density(partial_trace(b_s, d_info, d_red, keep="left") / p_sl, tol)
-            )
+        # every member's block: weight, then information marginal
+        b = _hermitian_stack(e_l.conj().T @ gens @ e_l)
+        p = np.trace(b, axis1=1, axis2=2).real
+        live = p > tol.tol_zero
+        w_col = np.where(live, p, 0.0)
+        marg = np.einsum("sabcb->sac", b[live].reshape(-1, d_info, d_red, d_info, d_red))
+        infos = [None] * len(fam)
+        for s, info in zip(np.flatnonzero(live), _nearest_density(marg / p[live, None, None], tol)):
+            infos[s] = info
         entries.append(
             {
                 "d_info": d_info,
@@ -547,7 +578,7 @@ class MaximalityReport:
     reassembly_residual: float
 
 
-def _block_accuracy(decomp: DecomposedFamily, p_all: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _block_accuracy(decomp: DecomposedFamily, states: np.ndarray, blocks: np.ndarray, p_all: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Per block l: how accurately the stored components hold block l's data,
     relative to the block's own scale.
 
@@ -555,10 +586,11 @@ def _block_accuracy(decomp: DecomposedFamily, p_all: np.ndarray, tol: Tolerances
     block coordinates, the (l, l') part of every member's error divided by
     sqrt(p_l p_l'), with p the blocks' average weights) and the roundoff
     floor eps * max ||rho_s|| / p_l, below which no computed block is exact.
+    `states` stacks the members and `blocks` their block matrices
+    (`_stacked_components`).
     """
     g = decomp.structure.transform @ decomp.support.conj().T
-    states = np.array([s.mat for s in decomp.family.states])
-    err = g @ states @ g.conj().T - np.array([decomp.block_matrix(s) for s in range(len(states))])
+    err = g @ states @ g.conj().T - blocks
     offsets = [decomp.structure.block_offset(l) for l in range(len(decomp.structure.blocks))]
     sq = np.add.reduceat(np.add.reduceat(np.abs(err) ** 2, offsets, axis=1), offsets, axis=2)
     p = p_all.clip(tol.tol_zero)
@@ -582,44 +614,32 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     roundoff. Violations are reported per condition with block indices.
     """
     violated = []
-    residual = decomp.max_residual()
+    states = np.stack(decomp.family.mats())
+    comps, stacked = _stacked_components(decomp)
+    residual = _reassembly_residual(decomp, states, stacked)
     if residual > 1e-7:
         violated.append(("i",))
     pw = decomp.family.effective_weights()
-    n = len(decomp.family)
     blocks = decomp.structure.blocks
     p_all = pw @ decomp.weights
-    accuracy = _block_accuracy(decomp, p_all, tol)
+    accuracy = _block_accuracy(decomp, states, stacked, p_all, tol)
     violated.extend(("i", l) for l in np.flatnonzero(accuracy > tol.tol_rank).tolist())
 
-    def weighted_family(l, normalize):
-        di = blocks[l][0]
-        mats = []
-        for s in range(n):
-            info = decomp.info_states[s][l]
-            w = float(decomp.weights[s, l])
-            if info is None or w <= 0.0:
-                mats.append(np.zeros((di, di), dtype=complex))
-            else:
-                scale = w / p_all[l] if normalize else w
-                mats.append(scale * info.mat)
-        return mats
-
-    for l in range(len(blocks)):
-        comm = commutant_of_family(weighted_family(l, normalize=False), tol)
-        if len(comm) != 1:
+    for l, (w, infos) in enumerate(comps):
+        if len(commutant_of_family(w[:, None, None] * infos, tol)) != 1:
             violated.append(("ii", l))
+    normalized = [(w / p_all[l])[:, None, None] * infos for l, (w, infos) in enumerate(comps)]
     for l in range(len(blocks)):
         for lp in range(l + 1, len(blocks)):
             if blocks[l][0] != blocks[lp][0]:
                 continue
             # one scale per pair leaves L x = y L unchanged
-            xs, ys = [], []
-            for x, y in zip(weighted_family(l, normalize=True), weighted_family(lp, normalize=True)):
-                scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)), tol.tol_zero)
-                xs.append(x / scale)
-                ys.append(y / scale)
-            if _intertwiners(xs, ys, tol):
+            xs, ys = normalized[l], normalized[lp]
+            scale = np.maximum(
+                np.maximum(np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=(1, 2))),
+                tol.tol_zero,
+            )[:, None, None]
+            if _intertwiners(xs / scale, ys / scale, tol):
                 violated.append(("iii", l, lp))
     return MaximalityReport(not violated, tuple(violated), residual)
 

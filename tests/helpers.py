@@ -461,3 +461,36 @@ def weights_match(got, want, atol=1e-6):
         if np.allclose(got[:, list(perm)], want, atol=atol):
             return True
     return False
+
+
+def loop_max_residual(decomp):
+    """Reference for `DecomposedFamily.max_residual`: one `reassemble` per
+    member."""
+    worst = 0.0
+    for s, state in enumerate(decomp.family.states):
+        worst = max(worst, float(np.linalg.norm(state.mat - decomp.reassemble(s))))
+    return worst
+
+
+def loop_commutator_defect(mats):
+    """Reference for `is_broadcastable(...).commutator_defect`: the largest
+    commutator norm, one pair at a time."""
+    defect = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            defect = max(defect, float(np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])))
+    return defect
+
+
+def loop_weight_gaps(w):
+    """Reference for `no_imprinting_holds`: (offending, max_weight_gap) from
+    the loop over every (s, s', block)."""
+    offending, worst = None, 0.0
+    for s in range(w.shape[0]):
+        for t in range(s + 1, w.shape[0]):
+            for l in range(w.shape[1]):
+                gap = abs(float(w[s, l] - w[t, l]))
+                worst = max(worst, gap)
+                if gap > 1e-8 and offending is None:
+                    offending = (s, t, l)
+    return offending, worst

@@ -8,7 +8,7 @@ from kidecomp import (
     seeded_random_hermitian,
 )
 from kidecomp.algebra import _intertwiners, _spectral_frame
-from kidecomp.exceptions import NotInvariant
+from kidecomp.exceptions import DimensionMismatch, NotInvariant, ValidationError
 from kidecomp.linalg import DEFAULT_TOL
 
 from helpers import build_family, haar_unitary, random_density
@@ -294,3 +294,22 @@ def test_commutant_of_non_normal_generator():
     assert len(got) == 3
     assert_same_span(got, dense_intertwiners(xs, xs))
     assert len(commutant_of_family([jordan])) == 3
+
+
+def test_stacked_generators_match_a_list_and_raise_its_errors():
+    rng = np.random.default_rng(71)
+    built = build_family(rng, [(2, 2), (1, 3)], 5)
+    stacked = np.stack(built["states"])
+    got, want = commutant_of_family(stacked), commutant_of_family(built["states"])
+    assert len(got) == len(want) == 5  # diagonal on each redundant factor: 2 + 3
+    assert_same_span(got, want)
+    bad = stacked.copy()
+    bad[3, 0, 1] = np.inf
+    for mats in (bad, list(bad)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            commutant_of_family(mats)
+    for mats in (np.ones((2, 3, 2)), list(np.ones((2, 3, 2)))):
+        with pytest.raises(DimensionMismatch, match="generator 0 is not square"):
+            commutant_of_family(mats)
+    with pytest.raises(DimensionMismatch, match="at least one generator"):
+        commutant_of_family(np.zeros((0, 3, 3)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kidecomp.applications import (
+    _weight_gaps,
     broadcast_states,
     entropy_report,
     generalized_no_imprinting,
@@ -23,6 +24,8 @@ from kidecomp.structure import decompose, tensor_structure
 from helpers import (
     build_family,
     haar_unitary,
+    loop_commutator_defect,
+    loop_weight_gaps,
     preserving_block_channel,
     random_blocks,
     random_density,
@@ -35,17 +38,6 @@ def commuting_family(rng, d, n_states):
     return [u @ np.diag(rng.dirichlet([1.0] * d)) @ u.conj().T for _ in range(n_states)]
 
 
-def commutator_defect(states):
-    worst = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            worst = max(
-                worst,
-                float(np.linalg.norm(states[i] @ states[j] - states[j] @ states[i])),
-            )
-    return worst
-
-
 def test_is_broadcastable_matches_commutator_oracle():
     rng = np.random.default_rng(20)
     for trial in range(15):
@@ -55,15 +47,28 @@ def test_is_broadcastable_matches_commutator_oracle():
             built = build_family(rng, [(2, int(rng.integers(1, 3)))], int(rng.integers(2, 4)))
             states = built["states"]
         rep = is_broadcastable(states)
-        commuting = commutator_defect(states) <= 1e-8
+        commuting = loop_commutator_defect(states) <= 1e-8
         assert rep.ok == commuting, f"trial {trial}"
-        assert np.isclose(rep.commutator_defect, commutator_defect(states))
+        assert np.isclose(rep.commutator_defect, loop_commutator_defect(states))
         if rep.ok:
             assert rep.witness_block is None
             assert all(di == 1 for di, _ in rep.decomposition.structure.blocks)
         else:
             di, _ = rep.decomposition.structure.blocks[rep.witness_block]
             assert di > 1
+
+
+@pytest.mark.parametrize("commuting", [False, True])
+def test_commutator_defect_matches_pairwise_loop(commuting):
+    rng = np.random.default_rng(400 + commuting)
+    if commuting:
+        states = commuting_family(rng, 8, 60)
+    else:
+        states = build_family(rng, [(2, 2), (1, 3), (1, 1)], 60)["states"]
+    rep = is_broadcastable(states)
+    want = loop_commutator_defect(rep.decomposition.family.mats())
+    assert rep.ok == commuting
+    assert abs(rep.commutator_defect - want) <= 1e-12 * want
 
 
 def test_broadcast_states_all_modes():
@@ -172,6 +177,28 @@ def test_no_imprinting_fails_for_varying_weights():
         gap = abs(rep.decomposition.weights[s, l] - rep.decomposition.weights[t, l])
         assert gap > 1e-8
         assert rep.max_weight_gap > 1e-3
+
+
+def test_weight_gaps_match_pairwise_loop():
+    rng = np.random.default_rng(401)
+    cases = [np.full((6, 3), 0.25), np.full((1, 4), 0.5), rng.dirichlet([1.0] * 4, size=5)]
+    for n, blocks in ((2, 1), (7, 3), (30, 5), (60, 4)):
+        # quarters give exact ties; the offsets put gaps on both sides of 1e-8
+        quarters = rng.integers(0, 4, size=(n, blocks)) / 4.0
+        cases.append(quarters + rng.choice([0.0, 5e-9, 1e-8, 1.5e-8], size=(n, blocks)))
+        cases.append(np.tile(quarters[:1], (n, 1)) + rng.choice([0.0, 1e-8], size=(n, blocks)))
+    for w in cases:
+        assert _weight_gaps(w) == loop_weight_gaps(w)
+    assert _weight_gaps(np.full((6, 3), 0.25)) == (None, 0.0)
+
+
+def test_no_imprinting_matches_pairwise_loop_on_many_states():
+    rng = np.random.default_rng(402)
+    for equal in (False, True):
+        built = build_family(rng, [(2, 1), (1, 2), (1, 1)], 60, equal_weights=equal)
+        rep = no_imprinting_holds(built["states"])
+        assert (rep.offending, rep.max_weight_gap) == loop_weight_gaps(rep.decomposition.weights)
+        assert rep.ok == equal
 
 
 def test_no_imprinting_orthogonal_supports():

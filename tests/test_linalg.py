@@ -89,6 +89,63 @@ def test_state_family_validation():
     assert np.allclose(uniform.effective_weights(), [0.5, 0.5])
 
 
+GOOD = np.diag([0.5, 0.3, 0.2]).astype(complex)
+BAD_MEMBERS = {
+    "non-hermitian": np.array([[0.5, 0.1, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]),
+    "non-psd": np.diag([1.2, -0.1, -0.1]),
+    "wrong-trace": np.diag([0.5, 0.5, 0.5]),
+    "non-finite": np.diag([np.nan, 0.5, 0.5]),
+    "non-square": np.ones((3, 2)) / 3.0,
+}
+
+
+def scalar_error(mat):
+    with pytest.raises(Exception) as err:
+        density_matrix(mat)
+    return err.value
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_MEMBERS))
+@pytest.mark.parametrize("k", [0, 4, 9])
+def test_state_family_raises_the_scalar_error_of_a_bad_member(kind, k):
+    members = [GOOD] * 10
+    members[k] = BAD_MEMBERS[kind]
+    want = scalar_error(BAD_MEMBERS[kind])
+    with pytest.raises(type(want)) as got:
+        state_family(members)
+    assert type(got.value) is type(want)
+    assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("first, second", [("non-psd", "non-hermitian"), ("non-hermitian", "non-finite"), ("non-finite", "wrong-trace")])
+def test_state_family_reports_the_first_bad_member(first, second):
+    members = [GOOD, GOOD, BAD_MEMBERS[first], GOOD, BAD_MEMBERS[second], GOOD]
+    want = scalar_error(BAD_MEMBERS[first])
+    with pytest.raises(type(want)) as got:
+        state_family(members)
+    assert str(got.value) == str(want)
+
+
+def test_state_family_mixed_density_and_raw_members():
+    other = np.diag([0.2, 0.2, 0.6]).astype(complex)
+    given = density_matrix(other)
+    fam = state_family([given, GOOD, GOOD, given, other])
+    assert fam.states[0] is given and fam.states[3] is given
+    for s, m in zip(fam.states, [other, GOOD, GOOD, other, other]):
+        ref = density_matrix(m)
+        assert np.array_equal(s.mat, ref.mat)
+        assert (s.trace, s.hermiticity_defect, s.normalized) == (ref.trace, ref.hermiticity_defect, True)
+        assert not s.mat.flags.writeable
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_state_family_names_the_member_of_wrong_dimension(k):
+    members = [density_matrix(GOOD), GOOD, GOOD, GOOD]
+    members[k] = np.eye(2) / 2.0
+    with pytest.raises(DimensionMismatch, match=f"state {k} has dim 2, expected 3"):
+        state_family(members)
+
+
 def test_hermitian_eig_orders_ascending():
     rng = np.random.default_rng(1)
     for _ in range(10):

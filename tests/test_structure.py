@@ -30,6 +30,7 @@ from kidecomp.exceptions import (
 from helpers import (
     build_family,
     haar_unitary,
+    loop_max_residual,
     random_density,
     random_pure,
     split_decomp_identical_pair,
@@ -151,6 +152,51 @@ def test_decompose_envelope(seed, blocks, n_states, pad_to):
     assert weights_match(dec.weights, built["weights"], atol=1e-7)
     assert dec.max_residual() <= 1e-7
     assert check_maximal(dec).ok
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_decompose_classical_sixty_states(seed):
+    # all-classical shape of a family that once failed its certificate with
+    # 60 states (reassembly residual 2.3e-6)
+    built = build_family(np.random.default_rng(seed), [(1, 2), (1, 3), (1, 1), (1, 2)], 60)
+    dec = decompose(state_family(built["states"]))
+    assert sorted(dec.structure.blocks) == sorted(built["blocks"])
+    assert weights_match(dec.weights, built["weights"], atol=1e-7)
+    assert check_maximal(dec).ok
+
+
+def test_decompose_lapack_calls_do_not_grow_with_family_size(monkeypatch):
+    # per-member work is stacked, so 12 and 60 states make the same eigen calls
+    built = build_family(np.random.default_rng(95), [(3, 2), (2, 1), (1, 3), (1, 1)], 60, pad_to=16)
+    counts = {}
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def calls(states):
+        counts.update(eigh=0, eigvalsh=0)
+        decompose(states)
+        return dict(counts)
+
+    few = calls(built["states"][:12])
+    assert few["eigh"] > 0 and few["eigvalsh"] > 0
+    assert calls(built["states"]) == few
+
+
+def test_max_residual_matches_reassemble_loop():
+    rng = np.random.default_rng(96)
+    decs = [
+        trivial_decomp_of([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]),
+        split_decomp_identical_pair(),
+    ]
+    for blocks, n, pad in (([(2, 2), (1, 3)], 3, None), ([(2, 1), (1, 2)], 5, 7), ([(2, 2), (1, 2), (1, 1)], 60, 12)):
+        decs.append(decompose(build_family(rng, blocks, n, pad_to=pad)["states"]))
+    for dec in decs:
+        assert abs(dec.max_residual() - loop_max_residual(dec)) <= 1e-14
 
 
 def test_decompose_classical_sectors_with_small_red_eigenvalues():
@@ -392,13 +438,13 @@ def test_refinement_index_orders_known_chain():
 
 
 def test_check_maximal_flags_coarsened_structure():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
-    coarse = trivial_decomp_of([a, b])
-    assert coarse.max_residual() < 1e-12
-    rep = check_maximal(coarse)
-    assert not rep.ok
-    assert ("ii", 0) in rep.violated
+    for diagonals in (([1.0, 0.0], [0.0, 1.0]), ([0.7, 0.3], [0.2, 0.8])):
+        coarse = trivial_decomp_of([np.diag(x).astype(complex) for x in diagonals])
+        assert coarse.max_residual() < 1e-12
+        rep = check_maximal(coarse)
+        assert not rep.ok
+        assert rep.violated == (("ii", 0),)
+        assert rep.reassembly_residual == 0.0
 
 
 def test_check_maximal_flags_split_structure():
@@ -406,7 +452,8 @@ def test_check_maximal_flags_split_structure():
     assert split.max_residual() < 1e-12
     rep = check_maximal(split)
     assert not rep.ok
-    assert any(v[0] == "iii" for v in rep.violated)
+    assert rep.violated == (("iii", 0, 1),)
+    assert rep.reassembly_residual == 0.0
 
 
 def test_check_maximal_passes_on_decompose_output():
