@@ -40,15 +40,7 @@ _BLOCK_ENTRIES = 1 << 21  # matrix entries per row block of a commutation system
 
 
 def _check_square_family(mats):
-    """Validate a generator family; returns it stacked as an n x d x d array.
-
-    A finite n x d x d ndarray passes with one finiteness check. Anything
-    else is checked matrix by matrix, which also gives a bad stack its error.
-    """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3 and mats.shape[1] == mats.shape[2]:
-        stacked = np.asarray(mats, dtype=complex)
-        if stacked.size and np.isfinite(stacked).all():
-            return stacked, stacked.shape[1]
+    """Validate a generator family; returns it stacked as an n x d x d array."""
     out = []
     for k, m in enumerate(mats):
         a = as_complex_matrix(m)

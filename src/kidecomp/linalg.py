@@ -96,8 +96,12 @@ def _square(mat) -> np.ndarray:
 
 
 def hermitian_part(mat) -> np.ndarray:
-    a = _square(mat)
-    return 0.5 * (a + a.conj().T)
+    return _hermitian_stack(_square(mat))
+
+
+def _hermitian_stack(a: np.ndarray) -> np.ndarray:
+    """Hermitian part of each matrix in a ... x d x d stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def hermiticity_defect(mat) -> float:
@@ -138,8 +142,8 @@ def _density_matrices(a: np.ndarray, tol: Tolerances, normalized: bool = True) -
     finite = np.isfinite(a).all(axis=(1, 2))
     m = a.shape[0] if finite.all() else int(np.argmin(finite))
     a = a[:m]
-    defects = np.linalg.norm(a - a.conj().transpose(0, 2, 1), axis=(1, 2))
-    h = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    defects = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(1, 2))
+    h = _hermitian_stack(a)
     w = np.linalg.eigvalsh(h)
     traces = np.trace(h, axis1=1, axis2=2).real
     floors = -tol.tol_psd * np.maximum(1.0, np.abs(w[:, -1]))

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    _commutant_basis,
+    _intertwiner_maps,
     _intertwiners,
-    commutant_of_family,
-    intertwiner_space,
     isotypic_decompose,
 )
 from .exceptions import (
@@ -40,6 +40,7 @@ from .exceptions import (
 )
 from .linalg import (
     _density_matrices,
+    _hermitian_stack,
     DEFAULT_TOL,
     DensityMatrix,
     StateFamily,
@@ -344,10 +345,6 @@ class DecomposedFamily:
         return _reassembly_residual(self, states, _stacked_components(self)[1])
 
 
-def _hermitian_stack(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
-
-
 def _stacked_components(decomp: DecomposedFamily):
     """The stored components of all members as stacks.
 
@@ -517,7 +514,7 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
         d_red = len(copies)
         aligned = [copies[0]]
         for v in copies[1:]:
-            lams = intertwiner_space(rescaled, copies[0], v, tol)
+            lams = _intertwiner_maps(rescaled, copies[0], v, tol)
             if len(lams) != 1:
                 raise MaximalityCheckFailed(
                     f"intertwiner space between copies has dim {len(lams)}, expected 1"
@@ -626,7 +623,7 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     violated.extend(("i", l) for l in np.flatnonzero(accuracy > tol.tol_rank).tolist())
 
     for l, (w, infos) in enumerate(comps):
-        if len(commutant_of_family(w[:, None, None] * infos, tol)) != 1:
+        if len(_commutant_basis(w[:, None, None] * infos, tol)) != 1:
             violated.append(("ii", l))
     normalized = [(w / p_all[l])[:, None, None] * infos for l, (w, infos) in enumerate(comps)]
     for l in range(len(blocks)):
