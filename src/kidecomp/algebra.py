@@ -9,8 +9,13 @@ of a fixed random element G of the family's span (after Murota, Kanno,
 Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010): every solution
 also intertwines G_x with G_y, so it only links eigenvalues that agree, and
 a commutant with eigenvalue multiplicities m_c has sum m_c^2 unknowns
-instead of d^2. Everything works on dense complex matrices; commutant bases
-are orthonormal under the Hilbert-Schmidt inner product <A, B> = Tr(A^dag B).
+instead of d^2. The isotypic split makes that solve once, for the commutant
+of the whole family, and reads everything else off two random Hermitian
+commutant elements (after Maehara & Murota, SIAM J. Matrix Anal. Appl. 32,
+2011): the simple pieces from the eigenspaces of the first, and the classes
+and the alignment of their copies from the Schur blocks of the second.
+Everything works on dense complex matrices; commutant bases are orthonormal
+under the Hilbert-Schmidt inner product <A, B> = Tr(A^dag B).
 """
 
 from dataclasses import dataclass
@@ -235,15 +240,38 @@ def _leaks(mats, v):
     return comp, np.linalg.norm(mv - v @ comp, axis=(1, 2))
 
 
+def _unitary_polish(mat: np.ndarray) -> np.ndarray:
+    """The unitary factor of the polar decomposition of a square matrix."""
+    u, _, vh = np.linalg.svd(mat)
+    return u @ vh
+
+
 def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> IsotypicDecomposition:
     """Split the ambient space into simple invariant subspaces, grouped.
 
-    Works by sampling a random Hermitian element of the commutant of the
-    generator family, splitting along its eigenvalue clusters, and recursing
-    until every piece has a trivial restricted commutant. Simple pieces are
-    then grouped into isomorphism classes via intertwiner spaces. A sample
-    whose eigenvalues refuse to separate on a reducible subspace is redrawn
-    with seed+1, at most 8 times, before DegenerateSample is raised.
+    One commutant solve of the whole generator family, then two random
+    Hermitian elements X1, X2 of the commutant, each the projection of
+    `seeded_random_hermitian` onto it (after Murota, Kanno, Kojima & Kojima,
+    Japan J. Indust. Appl. Math. 27, 2010, and Maehara & Murota, SIAM J.
+    Matrix Anal. Appl. 32, 2011):
+
+    - the eigenvalue clusters of X1 (`_cluster_ascending`) are the simple
+      pieces V_a;
+    - by Schur's lemma, two pieces of equal dimension are equivalent exactly
+      when the block V_b^dag X2 V_a is nonzero, i.e. its Frobenius norm
+      exceeds tol_rank * ||X2||_F; a piece joins the first class whose first
+      piece V_0 it has a nonzero block with, and otherwise opens a class;
+    - the draw is accepted when the classes account for the whole
+      commutant, sum_c multiplicity_c^2 = dim commutant. Coinciding
+      eigenvalues of X1 or a vanishing block of X2 break that count; the
+      pair is then redrawn from the next two seeds (attempt k uses seed + 2k
+      and seed + 2k + 1), and after 8 attempts DegenerateSample is raised.
+
+    The copies of a class come out aligned: V_0 is kept and every other copy
+    V_j is rotated by the unitary factor of V_j^dag X2 V_0, an intertwiner
+    from V_0 to V_j, so V_j^dag A_i V_j = V_0^dag A_i V_0 for every
+    generator A_i. `residual_check` is the largest leak |A_i V - V V^dag A_i V|
+    of a piece under the norm-capped generators.
 
     Requires the generators to jointly span the ambient space
     (SupportDeficient otherwise); restrict first if they do not.
@@ -255,58 +283,46 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
             f"generators span a {ranks}-dim subspace of the {d}-dim ambient space"
         )
     norm_mats = mats / np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
+    comm = np.asarray(_commutant_basis(norm_mats, tol))
 
-    seed_box = [int(seed)]
+    def draw(s: int) -> np.ndarray:
+        x = _project_onto_span(seeded_random_hermitian(d, s), comm)
+        return 0.5 * (x + x.conj().T)
 
-    def next_seed() -> int:
-        s = seed_box[0]
-        seed_box[0] += 1
-        return s
-
-    simples = []
-
-    def split(isometry: np.ndarray):
-        k = isometry.shape[1]
-        comm = _commutant_basis(isometry.conj().T @ norm_mats @ isometry, tol)
-        if len(comm) <= 1:
-            simples.append(isometry)
-            return
-        for _ in range(_RETRY_BUDGET):
-            sample = _project_onto_span(seeded_random_hermitian(k, next_seed()), comm)
-            sample = 0.5 * (sample + sample.conj().T)
-            w, u = np.linalg.eigh(sample)
-            clusters = _cluster_ascending(w, tol)
-            if len(clusters) > 1:
-                for cl in clusters:
-                    split(isometry @ u[:, cl])
-                return
+    for attempt in range(_RETRY_BUDGET):
+        s = int(seed) + 2 * attempt
+        w, u = np.linalg.eigh(draw(s))
+        pieces = _cluster_ascending(w, tol)
+        x2 = u.conj().T @ draw(s + 1) @ u
+        # norms[b, a] = ||V_b^dag X2 V_a||_F; pieces are runs of consecutive columns
+        starts = [cl[0] for cl in pieces]
+        norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(x2) ** 2, starts, 0), starts, 1))
+        cut = tol.tol_rank * float(np.linalg.norm(x2))
+        classes = []
+        for a, cl in enumerate(pieces):
+            for cls in classes:
+                if len(pieces[cls[0]]) == len(cl) and norms[a, cls[0]] > cut:
+                    cls.append(a)
+                    break
+            else:
+                classes.append([a])
+        if sum(len(cls) ** 2 for cls in classes) == len(comm):
+            break
+    else:
         raise DegenerateSample(
-            f"commutant sample stayed degenerate after {_RETRY_BUDGET} reseeds"
+            f"commutant samples stayed degenerate after {_RETRY_BUDGET} attempts"
         )
 
-    split(np.eye(d, dtype=complex))
-
-    # group simple subspaces by isomorphism class (Schur: intertwiner dim 0 or 1)
-    classes = []
-    for v in simples:
-        placed = False
-        for cls in classes:
-            rep = cls[0]
-            if rep.shape[1] != v.shape[1]:
-                continue
-            if _intertwiner_maps(norm_mats, rep, v, tol):
-                cls.append(v)
-                placed = True
-                break
-        if not placed:
-            classes.append([v])
-
-    residual = max(float(_leaks(norm_mats, v)[1].max()) for v in simples)
-
-    components = tuple(
-        IsotypicComponent(tuple(cls), cls[0].shape[1]) for cls in classes
+    components = []
+    for cls in classes:
+        rep = pieces[cls[0]]
+        bases = [u[:, rep]]
+        bases += [u[:, pieces[a]] @ _unitary_polish(x2[np.ix_(pieces[a], rep)]) for a in cls[1:]]
+        components.append(IsotypicComponent(tuple(bases), len(rep)))
+    residual = max(
+        float(_leaks(norm_mats, v)[1].max()) for c in components for v in c.submodule_bases
     )
-    return IsotypicDecomposition(d, components, residual)
+    return IsotypicDecomposition(d, tuple(components), residual)
 
 
 def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TOL):
@@ -322,11 +338,6 @@ def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TO
     vb = as_complex_matrix(basis_b)
     if va.shape[0] != d or vb.shape[0] != d:
         raise DimensionMismatch("subspace bases must live in the generators' ambient space")
-    return _intertwiner_maps(mats, va, vb, tol)
-
-
-def _intertwiner_maps(mats, va, vb, tol: Tolerances) -> list:
-    """`intertwiner_space` on a validated n x d x d stack of generators."""
     scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
     comps = []
     for name, v in (("basis_a", va), ("basis_b", vb)):

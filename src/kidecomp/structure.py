@@ -26,7 +26,6 @@ import numpy as np
 
 from .algebra import (
     _commutant_basis,
-    _intertwiner_maps,
     _intertwiners,
     isotypic_decompose,
 )
@@ -178,13 +177,9 @@ def family_average(family, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     tolerances are numerically broken.
     """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
-    w = fam.effective_weights()
-    acc = np.zeros((fam.dim, fam.dim), dtype=complex)
-    for ws, s in zip(w, fam.states):
-        acc += ws * s.mat
-    avg = density_matrix(acc, tol)
-    proj = support_projector(avg.mat, tol)
     mats = np.stack(fam.mats())
+    avg = density_matrix(np.tensordot(fam.effective_weights(), mats, axes=1), tol)
+    proj = support_projector(avg.mat, tol)
     leaks = np.linalg.norm(mats - proj @ mats @ proj, axis=(1, 2))
     if np.any(leaks > 1e-8):
         k = int(np.argmax(leaks > 1e-8))
@@ -409,11 +404,6 @@ def _nearest_density(mats: np.ndarray, tol: Tolerances) -> list:
     return _density_matrices(out, tol)
 
 
-def _unitary_polish(mat: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(mat)
-    return u @ vh
-
-
 def _canonical_sort(entries):
     def key(e):
         return (
@@ -467,8 +457,8 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     states; rescale each state by the inverse average weight on every
     isomorphism class; split again for the rescaled family, whose classes
     are exactly the final blocks (class simple dimension = d_info,
-    multiplicity = d_red); align the multiplicity copies with unit
-    intertwiners and fix the gauge (information basis diagonalizes the
+    multiplicity = d_red), with the multiplicity copies already aligned by
+    `isotypic_decompose`; fix the gauge (information basis diagonalizes the
     weighted average information state, redundant basis diagonalizes the
     redundant state, both descending, column phases pinned). Blocks are
     ordered by descending average weight, then d_info, d_red, and the
@@ -510,18 +500,9 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     entries = []
     for comp in iso2.components:
         d_info = comp.simple_dim
-        copies = list(comp.submodule_bases)
-        d_red = len(copies)
-        aligned = [copies[0]]
-        for v in copies[1:]:
-            lams = _intertwiner_maps(rescaled, copies[0], v, tol)
-            if len(lams) != 1:
-                raise MaximalityCheckFailed(
-                    f"intertwiner space between copies has dim {len(lams)}, expected 1"
-                )
-            aligned.append(v @ _unitary_polish(lams[0]))
-        cols = [aligned[k][:, j] for j in range(d_info) for k in range(d_red)]
-        e_l = np.stack(cols, axis=1)
+        d_red = comp.multiplicity
+        # the copies come aligned; column j * d_red + k is column j of copy k
+        e_l = np.stack(comp.submodule_bases, axis=2).reshape(da, d_info * d_red)
 
         b_all = hermitian_part(e_l.conj().T @ avg_r @ e_l)
         p_all = float(np.trace(b_all).real)

@@ -4,6 +4,7 @@ Everything here is seeded through numpy Generators passed in by the caller,
 so individual tests stay reproducible in isolation.
 """
 
+import itertools
 import json
 import os
 from pathlib import Path
@@ -17,7 +18,15 @@ from kidecomp import (
     kraus_from_choi,
     state_family,
 )
-from kidecomp.linalg import density_matrix
+from kidecomp.algebra import (
+    _RETRY_BUDGET,
+    _cluster_ascending,
+    _commutant_basis,
+    _project_onto_span,
+    intertwiner_space,
+)
+from kidecomp.exceptions import DegenerateSample
+from kidecomp.linalg import DEFAULT_TOL, density_matrix, seeded_random_hermitian
 from kidecomp.structure import DecomposedFamily, Structure
 
 
@@ -455,8 +464,6 @@ def weights_match(got, want, atol=1e-6):
     want = np.asarray(want, dtype=float)
     if got.shape != want.shape:
         return False
-    import itertools
-
     for perm in itertools.permutations(range(want.shape[1])):
         if np.allclose(got[:, list(perm)], want, atol=atol):
             return True
@@ -494,3 +501,63 @@ def loop_weight_gaps(w):
                 if gap > 1e-8 and offending is None:
                     offending = (s, t, l)
     return offending, worst
+
+
+def planted_generators(rng, blocks, n_gens):
+    """Hermitian generators u ((+)_l A_l (x) I_m(l)) u^dag for blocks
+    [(simple_dim, multiplicity), ...]: class l has simple dimension
+    simple_dim and multiplicity m(l), and a simple dimension of 1 gives a
+    scalar multiple of I_m(l)."""
+    d = sum(k * m for k, m in blocks)
+    u = haar_unitary(rng, d)
+    gens = []
+    for _ in range(n_gens):
+        m = np.zeros((d, d), dtype=complex)
+        off = 0
+        for k, mult in blocks:
+            a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            m[off : off + k * mult, off : off + k * mult] = np.kron(a + a.conj().T, np.eye(mult))
+            off += k * mult
+        gens.append(u @ m @ u.conj().T)
+    return gens
+
+
+def recursive_isotypic_split(generators, seed=0, tol=DEFAULT_TOL):
+    """Reference for `isotypic_decompose`: the recursive split it replaced.
+
+    Splits each piece along the eigenvalue clusters of a random Hermitian
+    element of the piece's own commutant until every piece has a trivial
+    commutant, then puts a piece into the first class whose first piece it
+    has a nonzero intertwiner with. Returns the classes as lists of
+    d x simple_dim isometries; copies are not aligned.
+    """
+    mats = np.asarray(generators, dtype=complex)
+    mats = mats / np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
+    seeds = itertools.count(seed)
+    simples = []
+
+    def split(iso):
+        comm = _commutant_basis(iso.conj().T @ mats @ iso, tol)
+        if len(comm) <= 1:
+            simples.append(iso)
+            return
+        for _ in range(_RETRY_BUDGET):
+            x = _project_onto_span(seeded_random_hermitian(iso.shape[1], next(seeds)), comm)
+            w, u = np.linalg.eigh(0.5 * (x + x.conj().T))
+            clusters = _cluster_ascending(w, tol)
+            if len(clusters) > 1:
+                for cl in clusters:
+                    split(iso @ u[:, cl])
+                return
+        raise DegenerateSample("reference split stayed degenerate")
+
+    split(np.eye(mats.shape[1], dtype=complex))
+    classes = []
+    for v in simples:
+        for cls in classes:
+            if cls[0].shape[1] == v.shape[1] and intertwiner_space(mats, cls[0], v, tol):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes

@@ -7,11 +7,18 @@ from kidecomp import (
     isotypic_decompose,
     seeded_random_hermitian,
 )
+from kidecomp import algebra
 from kidecomp.algebra import _intertwiners, _spectral_frame
-from kidecomp.exceptions import DimensionMismatch, NotInvariant, ValidationError
+from kidecomp.exceptions import DegenerateSample, DimensionMismatch, NotInvariant, ValidationError
 from kidecomp.linalg import DEFAULT_TOL
 
-from helpers import build_family, haar_unitary, random_density
+from helpers import (
+    build_family,
+    haar_unitary,
+    planted_generators,
+    random_density,
+    recursive_isotypic_split,
+)
 
 
 def dense_intertwiners(xs, ys):
@@ -90,9 +97,70 @@ def test_double_commutant_recovers_algebra_dimension():
         assert len(bicom) == 4
 
 
+def trivial_gens():
+    return [np.eye(4, dtype=complex)]
+
+
+def tensor_block_gens():
+    # u (A_s (x) I_3) u^dag: one class of simple dimension 2, multiplicity 3
+    u = haar_unitary(np.random.default_rng(40), 6)
+    return [u @ np.kron(seeded_random_hermitian(2, 300 + s), np.eye(3)) @ u.conj().T for s in range(2)]
+
+
+def mixed_block_gens():
+    # (A_s (x) I_2) (+) B_s with dim-2 A and dim-3 B: classes (2, mult 2), (3, mult 1)
+    u = haar_unitary(np.random.default_rng(41), 7)
+    gens = []
+    for s in range(2):
+        m = np.zeros((7, 7), dtype=complex)
+        m[:4, :4] = np.kron(seeded_random_hermitian(2, 400 + s), np.eye(2))
+        m[4:, 4:] = seeded_random_hermitian(3, 500 + s)
+        gens.append(u @ m @ u.conj().T)
+    return gens
+
+
+def inequivalent_pair_gens():
+    # two generic inequivalent dim-2 actions
+    u = haar_unitary(np.random.default_rng(42), 4)
+    gens = []
+    for s in range(2):
+        m = np.zeros((4, 4), dtype=complex)
+        m[:2, :2] = seeded_random_hermitian(2, 600 + s)
+        m[2:, 2:] = seeded_random_hermitian(2, 700 + s)
+        gens.append(u @ m @ u.conj().T)
+    return gens
+
+
+def equivalent_pair_gens():
+    # the same action conjugated differently in the two slots
+    rng = np.random.default_rng(43)
+    u = haar_unitary(rng, 4)
+    v = haar_unitary(rng, 2)
+    gens = []
+    for s in range(2):
+        a = seeded_random_hermitian(2, 800 + s)
+        m = np.zeros((4, 4), dtype=complex)
+        m[:2, :2] = a
+        m[2:, 2:] = v @ a @ v.conj().T
+        gens.append(u @ m @ u.conj().T)
+    return gens
+
+
+def two_class_gens():
+    # (A_s (x) I_2) (+) B_s with dim-2 A and B: classes (2, mult 2), (2, mult 1)
+    u = haar_unitary(np.random.default_rng(44), 6)
+    gens = []
+    for s in range(3):
+        m = np.zeros((6, 6), dtype=complex)
+        m[:4, :4] = np.kron(seeded_random_hermitian(2, 900 + s), np.eye(2))
+        m[4:, 4:] = seeded_random_hermitian(2, 950 + s)
+        gens.append(u @ m @ u.conj().T)
+    return gens
+
+
 def test_isotypic_trivial_family():
     # identity only: one class, simple dimension 1, multiplicity d
-    dec = isotypic_decompose([np.eye(4, dtype=complex)])
+    dec = isotypic_decompose(trivial_gens())
     assert dec.dim == 4
     assert len(dec.components) == 1
     comp = dec.components[0]
@@ -102,13 +170,7 @@ def test_isotypic_trivial_family():
 
 
 def test_isotypic_planted_tensor_block():
-    # u (A_s (x) I_3) u^dag: one class of simple dimension 2, multiplicity 3
-    rng = np.random.default_rng(40)
-    u = haar_unitary(rng, 6)
-    gens = []
-    for s in range(2):
-        a = seeded_random_hermitian(2, 300 + s)
-        gens.append(u @ np.kron(a, np.eye(3)) @ u.conj().T)
+    gens = tensor_block_gens()
     dec = isotypic_decompose(gens, seed=0)
     assert [(c.simple_dim, c.multiplicity) for c in dec.components] == [(2, 3)]
     comp = dec.components[0]
@@ -121,18 +183,7 @@ def test_isotypic_planted_tensor_block():
 
 
 def test_isotypic_mixed_blocks():
-    # (A_s (x) I_2) (+) B_s with dim-2 A and dim-3 B: classes (2, mult 2), (3, mult 1)
-    rng = np.random.default_rng(41)
-    u = haar_unitary(rng, 7)
-    gens = []
-    for s in range(2):
-        a = seeded_random_hermitian(2, 400 + s)
-        b = seeded_random_hermitian(3, 500 + s)
-        m = np.zeros((7, 7), dtype=complex)
-        m[:4, :4] = np.kron(a, np.eye(2))
-        m[4:, 4:] = b
-        gens.append(u @ m @ u.conj().T)
-    dec = isotypic_decompose(gens, seed=0)
+    dec = isotypic_decompose(mixed_block_gens(), seed=0)
     shapes = sorted((c.simple_dim, c.multiplicity) for c in dec.components)
     assert shapes == [(2, 2), (3, 1)]
     # component projectors are orthogonal and resolve the identity
@@ -145,49 +196,18 @@ def test_isotypic_mixed_blocks():
 
 
 def test_isotypic_separates_inequivalent_equal_dims():
-    # two generic inequivalent dim-2 actions stay in separate classes
-    rng = np.random.default_rng(42)
-    u = haar_unitary(rng, 4)
-    gens = []
-    for s in range(2):
-        a = seeded_random_hermitian(2, 600 + s)
-        b = seeded_random_hermitian(2, 700 + s)
-        m = np.zeros((4, 4), dtype=complex)
-        m[:2, :2] = a
-        m[2:, 2:] = b
-        gens.append(u @ m @ u.conj().T)
-    dec = isotypic_decompose(gens, seed=0)
+    dec = isotypic_decompose(inequivalent_pair_gens(), seed=0)
     shapes = sorted((c.simple_dim, c.multiplicity) for c in dec.components)
     assert shapes == [(2, 1), (2, 1)]
 
 
 def test_isotypic_merges_equivalent_copies():
-    # same action conjugated differently in the two slots is one class
-    rng = np.random.default_rng(43)
-    u = haar_unitary(rng, 4)
-    v = haar_unitary(rng, 2)
-    gens = []
-    for s in range(2):
-        a = seeded_random_hermitian(2, 800 + s)
-        m = np.zeros((4, 4), dtype=complex)
-        m[:2, :2] = a
-        m[2:, 2:] = v @ a @ v.conj().T
-        gens.append(u @ m @ u.conj().T)
-    dec = isotypic_decompose(gens, seed=0)
+    dec = isotypic_decompose(equivalent_pair_gens(), seed=0)
     assert [(c.simple_dim, c.multiplicity) for c in dec.components] == [(2, 2)]
 
 
 def test_isotypic_seed_invariance_of_shapes():
-    rng = np.random.default_rng(44)
-    u = haar_unitary(rng, 6)
-    gens = []
-    for s in range(3):
-        a = seeded_random_hermitian(2, 900 + s)
-        b = seeded_random_hermitian(2, 950 + s)
-        m = np.zeros((6, 6), dtype=complex)
-        m[:4, :4] = np.kron(a, np.eye(2))
-        m[4:, 4:] = b
-        gens.append(u @ m @ u.conj().T)
+    gens = two_class_gens()
     shapes = None
     for seed in (0, 1, 2, 7):
         dec = isotypic_decompose(gens, seed=seed)
@@ -195,6 +215,88 @@ def test_isotypic_seed_invariance_of_shapes():
         if shapes is None:
             shapes = got
         assert got == shapes == [(2, 1), (2, 2)]
+
+
+ISOTYPIC_FIXTURES = [
+    trivial_gens,
+    tensor_block_gens,
+    mixed_block_gens,
+    inequivalent_pair_gens,
+    equivalent_pair_gens,
+    two_class_gens,
+]
+CLASSICAL_24 = [(1, 4)] * 3 + [(1, 3)] * 2 + [(1, 2)] * 3  # 24 one-dim pieces in 8 classes
+MIXED_32 = [(4, 2), (3, 3), (2, 4), (2, 2), (1, 3)]  # d = 32
+
+
+def planted_cases():
+    cases = [(f.__name__, f()) for f in ISOTYPIC_FIXTURES]
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng([110, seed])
+        cases.append((f"classical-24 seed {seed}", planted_generators(rng, CLASSICAL_24, 3)))
+        cases.append((f"mixed-32 seed {seed}", planted_generators(rng, MIXED_32, 3)))
+        # raw states of a classical family: 24 pairwise inequivalent one-dim pieces
+        built = build_family(rng, [(1, 4), (1, 4), (1, 3), (1, 3), (1, 2), (1, 2), (1, 6)], 4)
+        cases.append((f"classical states seed {seed}", built["states"]))
+        built = build_family(rng, [(3, 2), (2, 3), (2, 2), (2, 1), (1, 4), (1, 2)], 4)
+        cases.append((f"mixed states seed {seed}", built["states"]))
+    return cases
+
+
+@pytest.mark.parametrize("name, gens", planted_cases(), ids=lambda x: x if isinstance(x, str) else "")
+def test_isotypic_matches_recursive_split(name, gens):
+    want = recursive_isotypic_split(gens)
+    for seed in (0, 5):
+        got = isotypic_decompose(gens, seed=seed).components
+        assert sorted((c.simple_dim, c.multiplicity) for c in got) == sorted(
+            (cls[0].shape[1], len(cls)) for cls in want
+        )
+        # the same class projectors, matched one to one
+        p_want = [sum(v @ v.conj().T for v in cls) for cls in want]
+        dist = np.array([[np.linalg.norm(c.projector() - p) for p in p_want] for c in got])
+        assert dist.min(axis=1).max() <= 1e-8
+        assert len(set(dist.argmin(axis=1).tolist())) == len(got)
+        # copies are aligned: every copy carries the first copy's compression
+        for c in got:
+            v0 = c.submodule_bases[0]
+            for v in c.submodule_bases[1:]:
+                for a in gens:
+                    assert np.linalg.norm(v.conj().T @ a @ v - v0.conj().T @ a @ v0) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [f() for f in ISOTYPIC_FIXTURES] + [planted_generators(np.random.default_rng(111), CLASSICAL_24, 3)],
+)
+def test_isotypic_makes_one_commutant_solve(monkeypatch, gens):
+    # one solve whatever the number of simple pieces (2 to 24 here)
+    calls = []
+    real = algebra._commutant_basis
+    monkeypatch.setattr(algebra, "_commutant_basis", lambda mats, tol: calls.append(1) or real(mats, tol))
+    isotypic_decompose(gens)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("failing", [2, algebra._RETRY_BUDGET - 1, algebra._RETRY_BUDGET])
+def test_isotypic_reseeds_then_raises_degenerate_sample(monkeypatch, failing):
+    # an identity draw leaves the reducible space in one piece, which fails
+    # the count sum_c m_c^2 = dim commutant; each attempt takes two fresh seeds
+    seeds = []
+    real = algebra.seeded_random_hermitian
+
+    def draw(d, seed):
+        seeds.append(seed)
+        return np.eye(d, dtype=complex) if len(seeds) <= 2 * failing else real(d, seed)
+
+    monkeypatch.setattr(algebra, "seeded_random_hermitian", draw)
+    if failing == algebra._RETRY_BUDGET:
+        with pytest.raises(DegenerateSample):
+            isotypic_decompose(two_class_gens(), seed=5)
+    else:
+        dec = isotypic_decompose(two_class_gens(), seed=5)
+        assert sorted((c.simple_dim, c.multiplicity) for c in dec.components) == [(2, 1), (2, 2)]
+    attempts = min(failing + 1, algebra._RETRY_BUDGET)
+    assert seeds == list(range(5, 5 + 2 * attempts))
 
 
 def test_intertwiner_space_schur():

@@ -18,6 +18,7 @@ from kidecomp import (
     structures_equivalent,
     tensor_structure,
 )
+from kidecomp import algebra, structure
 from kidecomp.exceptions import (
     DimensionMismatch,
     MaximalityCheckFailed,
@@ -37,6 +38,9 @@ from helpers import (
     trivial_decomp_of,
     weights_match,
 )
+
+
+ENVELOPE_64 = [(6, 3), (4, 4), (3, 4), (2, 3), (1, 4), (1, 2), (2, 2), (1, 2)]
 
 
 def plus_minus():
@@ -139,7 +143,7 @@ def test_decompose_recovers_families_whose_commutant_svd_failed(seed, blocks, pa
     [
         (90, [(4, 2), (3, 3), (2, 4), (1, 3), (1, 2), (1, 2)], 4, None),  # d = 32
         (91, [(5, 2), (4, 3), (2, 4), (3, 1), (1, 3), (3, 3), (1, 3)], 4, None),  # d = 48
-        (92, [(6, 3), (4, 4), (3, 4), (2, 3), (1, 4), (1, 2), (2, 2), (1, 2)], 4, None),  # d = 64
+        (92, ENVELOPE_64, 4, None),  # d = 64
         (93, [(4, 3), (3, 2), (2, 3), (1, 4), (2, 2), (1, 2), (3, 2)], 4, 48),  # 40 of 48 dims
         (94, [(3, 2), (2, 3), (2, 2), (1, 2), (1, 4), (1, 2)], 60, None),  # d = 24, 60 states
     ],
@@ -185,6 +189,25 @@ def test_decompose_lapack_calls_do_not_grow_with_family_size(monkeypatch):
     few = calls(built["states"][:12])
     assert few["eigh"] > 0 and few["eigvalsh"] > 0
     assert calls(built["states"]) == few
+
+
+def test_decompose_makes_one_commutant_solve_per_isotypic_pass(monkeypatch):
+    # the d = 64 envelope family; the copies come aligned out of
+    # isotypic_decompose, so no intertwiner solve aligns or groups them
+    built = build_family(np.random.default_rng(92), ENVELOPE_64, 4)
+    calls = dict.fromkeys(("_commutant_basis", "_intertwiner_maps", "intertwiner_space"), 0)
+    for name in calls:
+
+        def counted(*args, _real=getattr(algebra, name, None), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(algebra, name, counted, raising=False)
+        if name != "_commutant_basis":  # check_maximal's own solves stay uncounted
+            monkeypatch.setattr(structure, name, counted, raising=False)
+    dec = decompose(built["states"])
+    assert sorted(dec.structure.blocks) == sorted(built["blocks"])
+    assert calls == {"_commutant_basis": 2, "_intertwiner_maps": 0, "intertwiner_space": 0}
 
 
 def test_max_residual_matches_reassemble_loop():
