@@ -25,11 +25,10 @@ import numpy as np
 from .exceptions import (
     DegenerateSample,
     DimensionMismatch,
-    NoConvergence,
     NotInvariant,
     SupportDeficient,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, seeded_random_hermitian
+from .linalg import DEFAULT_TOL, Tolerances, _lapack, as_complex_matrix, seeded_random_hermitian
 
 __all__ = [
     "IsotypicComponent",
@@ -75,13 +74,11 @@ def _null_space_floor(row_blocks, cutoff: float) -> np.ndarray:
     factor of [R; block], so the whole stack is never held at once. A LAPACK
     failure raises NoConvergence.
     """
-    try:
+    with _lapack():
         r = None
         for block in row_blocks:
             r = np.linalg.qr(block if r is None else np.vstack([r, block]), mode="r")
         _, s, vh = np.linalg.svd(r)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
     rank = int(np.sum(s > cutoff))
     return vh[rank:, :].conj().T
 
@@ -105,11 +102,9 @@ def _spectral_frame(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
     if defect > tol.tol_sym:
         return np.eye(ka, dtype=complex), np.eye(kb, dtype=complex), np.ones((kb, ka), dtype=bool)
     c = np.random.default_rng(_FRAME_SEED).standard_normal(n)
-    try:
+    with _lapack():
         lam, u_x = np.linalg.eigh(np.tensordot(c, xs, axes=1))
         mu, u_y = np.linalg.eigh(np.tensordot(c, ys, axes=1))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
     merged = np.concatenate([lam, mu])
     order = np.argsort(merged, kind="stable")
     label = np.empty(ka + kb, dtype=int)
@@ -242,7 +237,8 @@ def _leaks(mats, v):
 
 def _unitary_polish(mat: np.ndarray) -> np.ndarray:
     """The unitary factor of the polar decomposition of a square matrix."""
-    u, _, vh = np.linalg.svd(mat)
+    with _lapack():
+        u, _, vh = np.linalg.svd(mat)
     return u @ vh
 
 
@@ -277,7 +273,8 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
     (SupportDeficient otherwise); restrict first if they do not.
     """
     mats, d = _check_square_family(generators)
-    ranks = np.linalg.matrix_rank(mats.reshape(-1, d), tol=None)
+    with _lapack():
+        ranks = np.linalg.matrix_rank(mats.reshape(-1, d), tol=None)
     if ranks < d:
         raise SupportDeficient(
             f"generators span a {ranks}-dim subspace of the {d}-dim ambient space"
@@ -291,7 +288,8 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
 
     for attempt in range(_RETRY_BUDGET):
         s = int(seed) + 2 * attempt
-        w, u = np.linalg.eigh(draw(s))
+        with _lapack():
+            w, u = np.linalg.eigh(draw(s))
         pieces = _cluster_ascending(w, tol)
         x2 = u.conj().T @ draw(s + 1) @ u
         # norms[b, a] = ||V_b^dag X2 V_a||_F; pieces are runs of consecutive columns

@@ -19,18 +19,20 @@ from .exceptions import (
     ValidationError,
 )
 from .linalg import (
+    _density_matrices,
+    _hermitian_stack,
+    _lapack,
     DEFAULT_TOL,
     StateFamily,
     Tolerances,
     as_complex_matrix,
-    density_matrix,
     entropy_of_spectrum,
     hermitian_part,
     partial_trace,
     state_family,
     von_neumann_entropy,
 )
-from .structure import DecomposedFamily, decompose
+from .structure import DecomposedFamily, _component_stacks, decompose
 
 __all__ = [
     "BroadcastReport",
@@ -105,43 +107,27 @@ def broadcast_states(decomp: DecomposedFamily, mode: str = "product", tol: Toler
         if di > 1:
             raise NotBroadcastable(f"block {l} has information dimension {di}")
     d0 = decomp.family.dim
-    n = len(decomp.family)
-    embeds = []  # per block: ambient-coordinates isometry onto the block
-    for l in range(decomp.n_blocks):
-        embeds.append(decomp.support @ decomp.structure.block_basis(l))
-    chis = []
-    worst = 0.0
-    for s in range(n):
-        chi = np.zeros((d0 * d0, d0 * d0), dtype=complex)
-        for l, (di, dr) in enumerate(decomp.structure.blocks):
-            w = float(decomp.weights[s, l])
-            if w <= 0.0:
-                continue
-            red = decomp.red_states[l].mat
-            q = decomp.red_spectra[l]
-            if mode == "product":
-                zeta = np.kron(red, red)
-            elif mode == "classical":
-                zeta = np.zeros((dr * dr, dr * dr), dtype=complex)
-                for k in range(dr):
-                    zeta[k * dr + k, k * dr + k] = q[k]
-            else:  # quantum
-                vec = np.zeros(dr * dr, dtype=complex)
-                for k in range(dr):
-                    vec[k * dr + k] = np.sqrt(q[k])
-                zeta = np.outer(vec, vec.conj())
-            lift = np.kron(embeds[l], embeds[l])
-            chi += w * (lift @ zeta @ lift.conj().T)
-        rho = decomp.family.states[s].mat
-        left = partial_trace(chi, d0, d0, keep="left")
-        right = partial_trace(chi, d0, d0, keep="right")
-        worst = max(
-            worst,
-            float(np.linalg.norm(left - rho)),
-            float(np.linalg.norm(right - rho)),
-        )
-        chis.append(density_matrix(hermitian_part(chi), tol))
-    return BroadcastOutput(mode, tuple(chis), worst)
+    lifted = []  # per block: its two-party state in ambient coordinates
+    for l, (_, dr) in enumerate(decomp.structure.blocks):
+        # q_k at entry (k, k) of red (x) red, in the eigenbasis of red
+        diag = (np.eye(dr) * np.asarray(decomp.red_spectra[l])[:, None]).reshape(-1)
+        if mode == "product":
+            zeta = np.kron(decomp.red_states[l].mat, decomp.red_states[l].mat)
+        elif mode == "classical":
+            zeta = np.diag(diag)
+        else:  # quantum
+            zeta = np.outer(np.sqrt(diag), np.sqrt(diag))
+        embed = decomp.support @ decomp.structure.block_basis(l)
+        lift = np.kron(embed, embed)
+        lifted.append(lift @ zeta @ lift.conj().T)
+    chis = np.tensordot(decomp.weights.clip(0.0), np.stack(lifted), axes=1)
+    rhos = np.stack(decomp.family.mats())
+    pairs = chis.reshape(-1, d0, d0, d0, d0)
+    worst = max(
+        float(np.linalg.norm(np.einsum("sabcb->sac", pairs) - rhos, axis=(1, 2)).max()),
+        float(np.linalg.norm(np.einsum("sabac->sbc", pairs) - rhos, axis=(1, 2)).max()),
+    )
+    return BroadcastOutput(mode, tuple(_density_matrices(_hermitian_stack(chis), tol)), worst)
 
 
 @dataclass(frozen=True)
@@ -193,7 +179,7 @@ class ImprintingParts:
     block_parts: tuple
 
 
-def imprinting_parts(sigma, decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> ImprintingParts:
+def imprinting_parts(sigma, decomp: DecomposedFamily) -> ImprintingParts:
     """Split a probe operator along the family's preserved decomposition."""
     m = as_complex_matrix(sigma)
     d0 = decomp.family.dim
@@ -223,7 +209,7 @@ class GeneralizedImprintReport:
     max_gap: float
 
 
-def generalized_no_imprinting(sigmas, decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> GeneralizedImprintReport:
+def generalized_no_imprinting(sigmas, decomp: DecomposedFamily) -> GeneralizedImprintReport:
     """Whether probe operators agree on everything a preserving channel keeps.
 
     Feeds each probe through `imprinting_parts` and compares all four parts
@@ -234,7 +220,7 @@ def generalized_no_imprinting(sigmas, decomp: DecomposedFamily, tol: Tolerances 
     sigmas = list(sigmas)
     if len(sigmas) < 2:
         raise ValidationError("need at least two probe operators to compare")
-    parts = [imprinting_parts(s, decomp, tol) for s in sigmas]
+    parts = [imprinting_parts(s, decomp) for s in sigmas]
     offending = None
     worst = 0.0
 
@@ -289,18 +275,18 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
             raise DimensionMismatch(
                 f"state {i} has shape {m.shape}, expected ({d}, {d})"
             )
-    marginals = [partial_trace(m, d_first, d_second, keep="left") for m in mats]
+    stacked = np.stack(mats)
+    marginals = np.einsum("sabcb->sac", stacked.reshape(-1, d_first, d_second, d_first, d_second))
     decomp = decompose(state_family(marginals, tol=tol), seed=seed, tol=tol)
 
-    residues = []
-    for m in mats:
-        per_block = []
-        for l, (di, dr) in enumerate(decomp.structure.blocks):
-            embed = decomp.support @ decomp.structure.block_basis(l)  # d_first x di*dr
-            lift = np.kron(embed, np.eye(d_second, dtype=complex))
-            compressed = lift.conj().T @ m @ lift  # on info (x) red (x) second
-            per_block.append(partial_trace(compressed, di, dr * d_second, keep="right"))
-        residues.append(tuple(per_block))
+    per_block = []
+    for l, (di, dr) in enumerate(decomp.structure.blocks):
+        embed = decomp.support @ decomp.structure.block_basis(l)  # d_first x di*dr
+        lift = np.kron(embed, np.eye(d_second, dtype=complex))
+        compressed = lift.conj().T @ stacked @ lift  # on info (x) red (x) second
+        k = dr * d_second
+        per_block.append(np.einsum("sabac->sbc", compressed.reshape(-1, di, k, di, k)))
+    residues = tuple(zip(*per_block))
 
     worst = 0.0
     for l in range(decomp.n_blocks):
@@ -314,11 +300,13 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
                 worst = max(worst, overlap)
     clonable = worst <= 1e-8
 
-    ranks = [np.linalg.matrix_rank(m, tol=1e-9 * max(1.0, float(np.linalg.norm(m)))) for m in mats]
+    with _lapack():
+        ranks = [np.linalg.matrix_rank(m, tol=1e-9 * max(1.0, float(np.linalg.norm(m)))) for m in mats]
     if all(r == 1 for r in ranks):
         vecs = []
         for m in mats:
-            w, v = np.linalg.eigh(hermitian_part(m))
+            with _lapack():
+                w, v = np.linalg.eigh(hermitian_part(m))
             vecs.append(v[:, -1] * np.sqrt(max(float(w[-1]), 0.0)))
         clonable = True
         for s in range(len(vecs)):
@@ -395,13 +383,9 @@ def entropy_report(decomp: DecomposedFamily, weights=None, tol: Tolerances = DEF
     per_block = []
     nonclassical = 0.0
     redundant = 0.0
-    for l, (di, _) in enumerate(decomp.structure.blocks):
+    for l, (w, infos) in enumerate(_component_stacks(decomp)):
         p_l = float(p_blocks[l])
-        acc = np.zeros((di, di), dtype=complex)
-        for s in range(n):
-            info = decomp.info_states[s][l]
-            if info is not None:
-                acc += pw[s] * float(decomp.weights[s, l]) * info.mat
+        acc = np.tensordot(pw * w, infos, axes=1)
         if p_l > tol.tol_zero:
             info_bits = von_neumann_entropy(acc / p_l, tol)
         else:

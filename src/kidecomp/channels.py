@@ -175,7 +175,7 @@ class BlockFormReport:
     violations: tuple  # (block, row, col) triples whose defect exceeds tol_commute
 
 
-def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: float = 1e-8, tol: Tolerances = DEFAULT_TOL, support=None) -> BlockFormReport:
+def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: float = 1e-8, support=None) -> BlockFormReport:
     """Whether the channel is identity (x) redundant-channel on every block.
 
     Equivalent test: the channel's Kraus operators commute with every matrix
@@ -185,8 +185,7 @@ def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: flo
     leaves unchanged, so verdicts and magnitudes do not depend on how the
     channel was presented. The triple (l, row, col) is reported in
     `violations` when its defect exceeds tol_commute; `max_violation` is the
-    largest defect over all units. `tol` is accepted for a uniform
-    signature and does not affect the result.
+    largest defect over all units.
 
     When the structure lives on a proper subspace of the channel's space,
     pass `support` (an isometry from structure coordinates into the
@@ -252,16 +251,17 @@ def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: flo
     return BlockFormReport(not violations, worst, tuple(violations))
 
 
-def block_channel(structure: Structure, per_block, fix_red_state: bool = False, red_states=None, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
+def block_channel(structure: Structure, per_block, red_states=None, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     """Assemble the channel acting as identity (x) per_block[l] on block l.
 
     Global Kraus operator i is the direct sum over blocks of each block
     channel's i-th Kraus operator (shorter lists are padded with zeros), so
     cross-block coherences are handled consistently and the result is trace
-    preserving whenever every block channel is. With `fix_red_state`, each
-    block channel must fix the corresponding state in `red_states` within
-    1e-8 trace norm (KStateNotFixed otherwise) -- exactly the condition for
-    the assembled channel to preserve every family with this structure.
+    preserving whenever every block channel is. When `red_states` is given
+    (one state per block, ValidationError otherwise), each block channel
+    must fix its state within 1e-8 trace norm (KStateNotFixed otherwise) --
+    exactly the condition for the assembled channel to preserve every
+    family with this structure.
     """
     if len(per_block) != len(structure.blocks):
         raise DimensionMismatch(
@@ -272,9 +272,11 @@ def block_channel(structure: Structure, per_block, fix_red_state: bool = False, 
             raise DimensionMismatch(
                 f"block {l} channel acts on dim {ch.input_dim}, expected {dr}"
             )
-    if fix_red_state:
-        if red_states is None or len(red_states) != len(per_block):
-            raise ValidationError("fix_red_state requires one redundant state per block")
+    if red_states is not None:
+        if len(red_states) != len(per_block):
+            raise ValidationError(
+                f"need {len(per_block)} redundant states, one per block, got {len(red_states)}"
+            )
         for l, (ch, red) in enumerate(zip(per_block, red_states)):
             red_mat = as_complex_matrix(red)
             dev = trace_norm(apply_to_matrix(ch, red_mat) - red_mat)

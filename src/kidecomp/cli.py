@@ -262,7 +262,7 @@ def _run_check(args, seed: int, cli_tol: dict) -> dict:
     channel = load_kraus_file(args.inputs[1], tol)
     decomp = decompose(loaded.family, seed=seed, tol=tol)
     pres = preserves_family(channel, loaded.family, tol)
-    form = has_block_form(channel, decomp.structure, tol=tol, support=decomp.support)
+    form = has_block_form(channel, decomp.structure, support=decomp.support)
     payload = _meta("check channel", seed, tol)
     payload.update(_structure_summary(decomp, loaded.labels))
     payload["ok"] = bool(pres.ok and form.ok)

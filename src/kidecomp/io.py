@@ -19,6 +19,7 @@ from .exceptions import (
     DimensionMismatch,
     EmptyFamily,
     KidecompError,
+    NoConvergence,
     ParseError,
     ValidationError,
 )
@@ -201,7 +202,7 @@ def load_family_file(path, tol_overrides=None) -> LoadedFamily:
         family = state_family(
             mats, weights=weights if weights else None, tol=active_tol
         )
-    except (BadWeights, EmptyFamily, DimensionMismatch):
+    except (BadWeights, EmptyFamily, DimensionMismatch, NoConvergence):
         raise
     except KidecompError as err:
         # name the first offending state for the error message

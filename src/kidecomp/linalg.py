@@ -8,6 +8,7 @@ metadata on top. The supported envelope is ambient dimension <= 64.
 """
 
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -76,6 +77,15 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+@contextmanager
+def _lapack():
+    """Raise a LAPACK failure inside the block as NoConvergence."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def as_complex_matrix(mat) -> np.ndarray:
     """Coerce to a finite complex 2-d ndarray (accepts DensityMatrix)."""
     if isinstance(mat, DensityMatrix):
@@ -115,7 +125,8 @@ def frobenius(mat) -> float:
 
 def trace_norm(mat) -> float:
     """Sum of singular values."""
-    return float(np.linalg.svd(as_complex_matrix(mat), compute_uv=False).sum())
+    with _lapack():
+        return float(np.linalg.svd(as_complex_matrix(mat), compute_uv=False).sum())
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,8 @@ def _density_matrices(a: np.ndarray, tol: Tolerances, normalized: bool = True) -
     a = a[:m]
     defects = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(1, 2))
     h = _hermitian_stack(a)
-    w = np.linalg.eigvalsh(h)
+    with _lapack():
+        w = np.linalg.eigvalsh(h)
     traces = np.trace(h, axis1=1, axis2=2).real
     floors = -tol.tol_psd * np.maximum(1.0, np.abs(w[:, -1]))
     not_herm = defects > tol.tol_sym
@@ -250,10 +262,8 @@ def hermitian_eig(mat, tol: Tolerances = DEFAULT_TOL):
     if defect > tol.tol_sym:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol_sym={tol.tol_sym:.3e}")
     h = 0.5 * (a + a.conj().T)
-    try:
+    with _lapack():
         w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergence(str(exc)) from exc
     return w, v
 
 

@@ -40,6 +40,7 @@ from .exceptions import (
 from .linalg import (
     _density_matrices,
     _hermitian_stack,
+    _lapack,
     DEFAULT_TOL,
     DensityMatrix,
     StateFamily,
@@ -313,19 +314,7 @@ class DecomposedFamily:
 
     def block_matrix(self, s: int) -> np.ndarray:
         """Direct sum (+)_l w[s,l] info (x) red, in block coordinates."""
-        d = self.structure.dim
-        out = np.zeros((d, d), dtype=complex)
-        for l, (di, dr) in enumerate(self.structure.blocks):
-            w = float(self.weights[s, l])
-            info = self.info_states[s][l]
-            if w <= 0.0 or info is None:
-                continue
-            off = self.structure.block_offset(l)
-            sz = di * dr
-            out[off : off + sz, off : off + sz] = w * np.kron(
-                info.mat, self.red_states[l].mat
-            )
-        return out
+        return _block_matrices(self, _component_stacks(self))[s]
 
     def reassemble(self, s: int) -> np.ndarray:
         """Rebuild family member s in the original ambient coordinates."""
@@ -337,21 +326,16 @@ class DecomposedFamily:
         """Largest Frobenius distance between a member and its `reassemble`,
         over all members; the block matrices are built as one stack."""
         states = np.stack(self.family.mats())
-        return _reassembly_residual(self, states, _stacked_components(self)[1])
+        return _reassembly_residual(self, states, _block_matrices(self, _component_stacks(self)))
 
 
-def _stacked_components(decomp: DecomposedFamily):
-    """The stored components of all members as stacks.
-
-    Returns, per block l, the weight column and the information states
-    stacked n x d_info x d_info, both zero for a member whose weight
-    vanishes or whose information state is None; and the n block matrices
-    of `block_matrix`, built with one einsum kron per block.
-    """
-    n, d = len(decomp.family), decomp.structure.dim
+def _component_stacks(decomp: DecomposedFamily) -> list:
+    """The stored components of all members, per block l: the weight column
+    and the information states stacked n x d_info x d_info, both zero for a
+    member whose weight vanishes or whose information state is None."""
+    n = len(decomp.family)
     comps = []
-    blocks = np.zeros((n, d, d), dtype=complex)
-    for l, (di, dr) in enumerate(decomp.structure.blocks):
+    for l, (di, _) in enumerate(decomp.structure.blocks):
         w = np.array(decomp.weights[:, l], dtype=float)
         infos = np.zeros((n, di, di), dtype=complex)
         for s, row in enumerate(decomp.info_states):
@@ -360,10 +344,25 @@ def _stacked_components(decomp: DecomposedFamily):
             else:
                 infos[s] = row[l].mat
         comps.append((w, infos))
-        off, sz = decomp.structure.block_offset(l), di * dr
-        kron = np.einsum("sac,bd->sabcd", infos, decomp.red_states[l].mat).reshape(n, sz, sz)
+    return comps
+
+
+def _kron_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """kron(x_s, y_t) for every pair of two stacks, first index major."""
+    m = xs.shape[1] * ys.shape[1]
+    return np.einsum("sac,tbd->stabcd", xs, ys).reshape(-1, m, m)
+
+
+def _block_matrices(decomp: DecomposedFamily, comps: list) -> np.ndarray:
+    """The n block matrices of `block_matrix`, one kron per block, from the
+    component stacks of `_component_stacks`."""
+    st = decomp.structure
+    blocks = np.zeros((len(decomp.family), st.dim, st.dim), dtype=complex)
+    for l, ((w, infos), red) in enumerate(zip(comps, decomp.red_states)):
+        off, sz = st.block_offset(l), st.block_size(l)
+        kron = _kron_pairs(infos, red.mat[None])
         blocks[:, off : off + sz, off : off + sz] = w[:, None, None] * kron
-    return comps, blocks
+    return blocks
 
 
 def _reassembly_residual(decomp: DecomposedFamily, states: np.ndarray, blocks: np.ndarray) -> float:
@@ -395,7 +394,8 @@ def _nearest_density(mats: np.ndarray, tol: Tolerances) -> list:
     one stack. Returns a DensityMatrix per member; ZeroOperator when a
     member has no weight left to normalize.
     """
-    w, v = np.linalg.eigh(_hermitian_stack(mats))
+    with _lapack():
+        w, v = np.linalg.eigh(_hermitian_stack(mats))
     w = np.clip(w, 0.0, None)
     total = w.sum(axis=1)
     if np.any(total <= tol.tol_zero):
@@ -417,6 +417,15 @@ def _canonical_sort(entries):
 
 
 def _build_decomposition(fam: StateFamily, support: np.ndarray, entries, tol: Tolerances) -> DecomposedFamily:
+    """Assemble blocks given as entries with the keys d_info, d_red, iso
+    (the block's isometry), weights (its raw weight column), live (the mask
+    of members with a state on the block), info (their information states,
+    in member order), red and spectrum. Weights off the live mask are
+    zeroed, and their information states are None."""
+    pw = fam.effective_weights()
+    for e in entries:
+        e["weights"] = np.where(e["live"], e["weights"], 0.0)
+        e["p_all"] = float(pw @ e["weights"])
     entries = _canonical_sort(entries)
     dim = sum(e["d_info"] * e["d_red"] for e in entries)
     transform = np.vstack([e["iso"].conj().T for e in entries])
@@ -427,9 +436,13 @@ def _build_decomposition(fam: StateFamily, support: np.ndarray, entries, tol: To
     for l, e in enumerate(entries):
         weights[:, l] = e["weights"]
     weights.setflags(write=False)
-    info_states = tuple(
-        tuple(entries[l]["info"][s] for l in range(len(entries))) for s in range(n)
-    )
+    columns = []
+    for e in entries:
+        col = [None] * n
+        for s, info in zip(np.flatnonzero(e["live"]), e["info"]):
+            col[s] = info
+        columns.append(col)
+    info_states = tuple(zip(*columns))
     red_states = tuple(e["red"] for e in entries)
     spectra = []
     for e in entries:
@@ -469,7 +482,6 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     wrong answer.
     """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
-    pw = fam.effective_weights()
     avg = family_average(fam, tol)
     sup = support_basis(avg.mat, tol)
     d0, da = fam.dim, sup.shape[1]
@@ -514,26 +526,23 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
 
         b_all = hermitian_part(e_l.conj().T @ avg_r @ e_l)
         red = _nearest_density(partial_trace(b_all, d_info, d_red, keep="right")[None], tol)[0]
-        spectrum = np.sort(np.linalg.eigvalsh(red.mat))[::-1]
+        with _lapack():
+            spectrum = np.sort(np.linalg.eigvalsh(red.mat))[::-1]
         spectrum = np.clip(spectrum, 0.0, None)
 
         # every member's block: weight, then information marginal
         b = _hermitian_stack(e_l.conj().T @ gens @ e_l)
         p = np.trace(b, axis1=1, axis2=2).real
         live = p > tol.tol_zero
-        w_col = np.where(live, p, 0.0)
         marg = np.einsum("sabcb->sac", b[live].reshape(-1, d_info, d_red, d_info, d_red))
-        infos = [None] * len(fam)
-        for s, info in zip(np.flatnonzero(live), _nearest_density(marg / p[live, None, None], tol)):
-            infos[s] = info
         entries.append(
             {
                 "d_info": d_info,
                 "d_red": d_red,
                 "iso": e_l,
-                "p_all": float(pw @ w_col),
-                "weights": w_col,
-                "info": infos,
+                "weights": p,
+                "live": live,
+                "info": _nearest_density(marg / p[live, None, None], tol),
                 "red": red,
                 "spectrum": spectrum,
             }
@@ -565,7 +574,7 @@ def _block_accuracy(decomp: DecomposedFamily, states: np.ndarray, blocks: np.nda
     sqrt(p_l p_l'), with p the blocks' average weights) and the roundoff
     floor eps * max ||rho_s|| / p_l, below which no computed block is exact.
     `states` stacks the members and `blocks` their block matrices
-    (`_stacked_components`).
+    (`_block_matrices`).
     """
     g = decomp.structure.transform @ decomp.support.conj().T
     err = g @ states @ g.conj().T - blocks
@@ -593,7 +602,8 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     """
     violated = []
     states = np.stack(decomp.family.mats())
-    comps, stacked = _stacked_components(decomp)
+    comps = _component_stacks(decomp)
+    stacked = _block_matrices(decomp, comps)
     residual = _reassembly_residual(decomp, states, stacked)
     if residual > 1e-7:
         violated.append(("i",))
@@ -688,64 +698,32 @@ def tensor_structure(a: DecomposedFamily, b: DecomposedFamily, tol: Tolerances =
     Pair states are ordered with the first family's index major; blocks are
     re-sorted into the canonical order.
     """
-    na, nb = len(a.family), len(b.family)
-    pwa, pwb = a.family.effective_weights(), b.family.effective_weights()
-    states = []
-    for s in range(na):
-        for t in range(nb):
-            states.append(np.kron(a.family.states[s].mat, b.family.states[t].mat))
-    pw = np.outer(pwa, pwb).reshape(-1)
-    fam = state_family(
-        states,
-        weights=pw if (a.family.weights is not None or b.family.weights is not None) else None,
-        tol=tol,
-    )
-    sup = np.kron(a.support, b.support)
-    dim_b = b.structure.dim
+    weighted = a.family.weights is not None or b.family.weights is not None
+    pw = np.outer(a.family.effective_weights(), b.family.effective_weights()).reshape(-1)
+    states = _kron_pairs(np.stack(a.family.mats()), np.stack(b.family.mats()))
+    fam = state_family(states, weights=pw if weighted else None, tol=tol)
+    comps_b = _component_stacks(b)
     entries = []
-    for l1, (d1, r1) in enumerate(a.structure.blocks):
-        ea = a.structure.block_basis(l1)
-        for l2, (d2, r2) in enumerate(b.structure.blocks):
-            eb = b.structure.block_basis(l2)
-            kron_e = np.kron(ea, eb)
-            local = np.empty(d1 * d2 * r1 * r2, dtype=int)
-            for j1 in range(d1):
-                for j2 in range(d2):
-                    for q1 in range(r1):
-                        for q2 in range(r2):
-                            dst = (j1 * d2 + j2) * (r1 * r2) + (q1 * r2 + q2)
-                            local[dst] = (j1 * r1 + q1) * (d2 * r2) + (j2 * r2 + q2)
-            e_l = kron_e[:, local]
-            w_col = np.zeros(na * nb)
-            infos = []
-            for s in range(na):
-                for t in range(nb):
-                    idx = s * nb + t
-                    w = float(a.weights[s, l1] * b.weights[t, l2])
-                    ia = a.info_states[s][l1]
-                    ib = b.info_states[t][l2]
-                    if w <= tol.tol_zero or ia is None or ib is None:
-                        w_col[idx] = 0.0
-                        infos.append(None)
-                    else:
-                        w_col[idx] = w
-                        infos.append(density_matrix(np.kron(ia.mat, ib.mat), tol))
-            red = density_matrix(
-                np.kron(a.red_states[l1].mat, b.red_states[l2].mat), tol
-            )
+    for l1, ((d1, r1), (wa, ia)) in enumerate(zip(a.structure.blocks, _component_stacks(a))):
+        for l2, ((d2, r2), (wb, ib)) in enumerate(zip(b.structure.blocks, comps_b)):
+            # kron orders the pair's columns (j1, q1, j2, q2); the block wants (j1, j2, q1, q2)
+            order = np.arange(d1 * r1 * d2 * r2).reshape(d1, r1, d2, r2).transpose(0, 2, 1, 3)
+            iso = np.kron(a.structure.block_basis(l1), b.structure.block_basis(l2))
+            w_col = np.outer(wa, wb).reshape(-1)
+            live = w_col > tol.tol_zero
             entries.append(
                 {
                     "d_info": d1 * d2,
                     "d_red": r1 * r2,
-                    "iso": e_l,
-                    "p_all": float(pw @ w_col),
+                    "iso": iso[:, order.reshape(-1)],
                     "weights": w_col,
-                    "info": infos,
-                    "red": red,
+                    "live": live,
+                    "info": _density_matrices(_kron_pairs(ia, ib)[live], tol),
+                    "red": density_matrix(np.kron(a.red_states[l1].mat, b.red_states[l2].mat), tol),
                     "spectrum": np.kron(a.red_spectra[l1], b.red_spectra[l2]),
                 }
             )
-    return _build_decomposition(fam, sup, entries, tol)
+    return _build_decomposition(fam, np.kron(a.support, b.support), entries, tol)
 
 
 @dataclass(frozen=True)

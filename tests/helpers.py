@@ -18,6 +18,7 @@ from kidecomp import (
     kraus_from_choi,
     state_family,
 )
+from kidecomp.applications import BlockEntropy, BroadcastOutput, EntropyReport
 from kidecomp.algebra import (
     _RETRY_BUDGET,
     _cluster_ascending,
@@ -26,8 +27,16 @@ from kidecomp.algebra import (
     intertwiner_space,
 )
 from kidecomp.exceptions import DegenerateSample
-from kidecomp.linalg import DEFAULT_TOL, density_matrix, seeded_random_hermitian
-from kidecomp.structure import DecomposedFamily, Structure
+from kidecomp.linalg import (
+    DEFAULT_TOL,
+    density_matrix,
+    entropy_of_spectrum,
+    hermitian_part,
+    partial_trace,
+    seeded_random_hermitian,
+    von_neumann_entropy,
+)
+from kidecomp.structure import DecomposedFamily, Structure, _build_decomposition
 
 
 def cli_env():
@@ -158,7 +167,6 @@ def preserving_block_channel(rng, decomp, strength=None):
     return block_channel(
         decomp.structure,
         per,
-        fix_red_state=True,
         red_states=[r.mat for r in decomp.red_states],
     )
 
@@ -477,6 +485,122 @@ def loop_max_residual(decomp):
     for s, state in enumerate(decomp.family.states):
         worst = max(worst, float(np.linalg.norm(state.mat - decomp.reassemble(s))))
     return worst
+
+
+def zero_weight_block_states(rng):
+    """Two states on C^4 = C^2 (+) C^2; the first has no weight on the
+    second block, so its information state there is None."""
+    r1, r2 = random_density(rng, 2), random_density(rng, 2)
+    z = np.zeros((2, 2))
+    return [np.block([[r1, z], [z, z]]), np.block([[0.5 * r1, z], [z, 0.5 * r2]])]
+
+
+def loop_block_matrix(decomp, s):
+    """Reference for `DecomposedFamily.block_matrix`: member s assembled
+    block by block."""
+    st = decomp.structure
+    out = np.zeros((st.dim, st.dim), dtype=complex)
+    for l, (di, dr) in enumerate(st.blocks):
+        w = float(decomp.weights[s, l])
+        info = decomp.info_states[s][l]
+        if w <= 0.0 or info is None:
+            continue
+        off = st.block_offset(l)
+        out[off : off + di * dr, off : off + di * dr] = w * np.kron(info.mat, decomp.red_states[l].mat)
+    return out
+
+
+def loop_tensor_structure(a, b, tol=DEFAULT_TOL):
+    """Reference for `tensor_structure`: one Kronecker product and one
+    `density_matrix` per pair of states, and each block pair's column order
+    from an index loop."""
+    na, nb = len(a.family), len(b.family)
+    pw = np.outer(a.family.effective_weights(), b.family.effective_weights()).reshape(-1)
+    states = [np.kron(x.mat, y.mat) for x in a.family.states for y in b.family.states]
+    weighted = a.family.weights is not None or b.family.weights is not None
+    fam = state_family(states, weights=pw if weighted else None, tol=tol)
+    entries = []
+    for l1, (d1, r1) in enumerate(a.structure.blocks):
+        for l2, (d2, r2) in enumerate(b.structure.blocks):
+            local = np.empty(d1 * d2 * r1 * r2, dtype=int)
+            for j1, j2, q1, q2 in itertools.product(range(d1), range(d2), range(r1), range(r2)):
+                dst = (j1 * d2 + j2) * (r1 * r2) + (q1 * r2 + q2)
+                local[dst] = (j1 * r1 + q1) * (d2 * r2) + (j2 * r2 + q2)
+            w_col, infos = np.zeros(na * nb), []
+            for s, t in itertools.product(range(na), range(nb)):
+                w = float(a.weights[s, l1] * b.weights[t, l2])
+                ia, ib = a.info_states[s][l1], b.info_states[t][l2]
+                if w > tol.tol_zero and ia is not None and ib is not None:
+                    w_col[s * nb + t] = w
+                    infos.append(density_matrix(np.kron(ia.mat, ib.mat), tol))
+            entries.append(
+                {
+                    "d_info": d1 * d2,
+                    "d_red": r1 * r2,
+                    "iso": np.kron(a.structure.block_basis(l1), b.structure.block_basis(l2))[:, local],
+                    "weights": w_col,
+                    "live": w_col > 0.0,
+                    "info": infos,
+                    "red": density_matrix(np.kron(a.red_states[l1].mat, b.red_states[l2].mat), tol),
+                    "spectrum": np.kron(a.red_spectra[l1], b.red_spectra[l2]),
+                }
+            )
+    return _build_decomposition(fam, np.kron(a.support, b.support), entries, tol)
+
+
+def loop_entropy_report(decomp, weights=None, tol=DEFAULT_TOL):
+    """Reference for `entropy_report`: each block's weighted information
+    average summed one state at a time."""
+    pw = decomp.family.effective_weights() if weights is None else np.asarray(weights, dtype=float)
+    p_blocks = pw @ decomp.weights
+    per_block = []
+    for l, (di, _) in enumerate(decomp.structure.blocks):
+        p_l = float(p_blocks[l])
+        acc = np.zeros((di, di), dtype=complex)
+        for s in range(len(decomp.family)):
+            info = decomp.info_states[s][l]
+            if info is not None:
+                acc += pw[s] * float(decomp.weights[s, l]) * info.mat
+        info_bits = von_neumann_entropy(acc / p_l, tol) if p_l > tol.tol_zero else 0.0
+        per_block.append(BlockEntropy(p_l, info_bits, entropy_of_spectrum(decomp.red_spectra[l])))
+    return EntropyReport(
+        entropy_of_spectrum(p_blocks),
+        sum(b.weight * b.info_bits for b in per_block),
+        sum(b.weight * b.red_bits for b in per_block),
+        tuple(per_block),
+    )
+
+
+def loop_broadcast_states(decomp, mode, tol=DEFAULT_TOL):
+    """Reference for `broadcast_states`: every (state, block) pair builds
+    its lifted two-party state and adds it to the state's output."""
+    d0 = decomp.family.dim
+    chis, worst = [], 0.0
+    for s, state in enumerate(decomp.family.states):
+        chi = np.zeros((d0 * d0, d0 * d0), dtype=complex)
+        for l, (_, dr) in enumerate(decomp.structure.blocks):
+            w = float(decomp.weights[s, l])
+            if w <= 0.0:
+                continue
+            red, q = decomp.red_states[l].mat, decomp.red_spectra[l]
+            if mode == "product":
+                zeta = np.kron(red, red)
+            elif mode == "classical":
+                zeta = np.zeros((dr * dr, dr * dr), dtype=complex)
+                for k in range(dr):
+                    zeta[k * dr + k, k * dr + k] = q[k]
+            else:
+                vec = np.zeros(dr * dr, dtype=complex)
+                for k in range(dr):
+                    vec[k * dr + k] = np.sqrt(q[k])
+                zeta = np.outer(vec, vec.conj())
+            embed = decomp.support @ decomp.structure.block_basis(l)
+            lift = np.kron(embed, embed)
+            chi += w * (lift @ zeta @ lift.conj().T)
+        for keep in ("left", "right"):
+            worst = max(worst, float(np.linalg.norm(partial_trace(chi, d0, d0, keep=keep) - state.mat)))
+        chis.append(density_matrix(hermitian_part(chi), tol))
+    return BroadcastOutput(mode, tuple(chis), worst)
 
 
 def loop_commutator_defect(mats):

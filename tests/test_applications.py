@@ -24,12 +24,15 @@ from kidecomp.structure import decompose, tensor_structure
 from helpers import (
     build_family,
     haar_unitary,
+    loop_broadcast_states,
     loop_commutator_defect,
+    loop_entropy_report,
     loop_weight_gaps,
     preserving_block_channel,
     random_blocks,
     random_density,
     random_pure,
+    zero_weight_block_states,
 )
 
 
@@ -88,6 +91,22 @@ def test_broadcast_states_all_modes():
                 # marginals reproduce the input on both sides
                 assert np.allclose(partial_trace(m, d, d, keep="left"), states[s], atol=1e-7)
                 assert np.allclose(partial_trace(m, d, d, keep="right"), states[s], atol=1e-7)
+
+
+def test_broadcast_states_matches_per_state_loop():
+    rng = np.random.default_rng(23)
+    decs = [
+        decompose(build_family(rng, [(1, 3), (1, 2), (1, 1)], 4)["states"]),
+        decompose(build_family(rng, [(1, 2), (1, 1)], 3, pad_to=5)["states"]),
+        decompose(zero_weight_block_states(rng)),
+    ]
+    for decomp in decs:
+        for mode in ("product", "classical", "quantum"):
+            got, want = broadcast_states(decomp, mode=mode), loop_broadcast_states(decomp, mode)
+            assert abs(got.marginal_defect - want.marginal_defect) <= 1e-14
+            for x, y in zip(got.chi, want.chi, strict=True):
+                assert np.abs(x.mat - y.mat).max() <= 1e-14
+                assert abs(x.trace - y.trace) <= 1e-14
 
 
 def test_broadcast_states_block_diagonal():
@@ -395,6 +414,25 @@ def test_entropy_report_sums_to_average_entropy():
         avg = sum(p * s for p, s in zip(pw, built["states"]))
         assert abs(rep.total - von_neumann_entropy(avg)) <= 1e-7, f"trial {trial}"
         assert np.isclose(sum(b.weight for b in rep.per_block), 1.0, atol=1e-9)
+
+
+def test_entropy_report_matches_per_state_loop():
+    rng = np.random.default_rng(35)
+    decs = [
+        decompose(build_family(rng, [(2, 2), (1, 3)], 4)["states"]),
+        decompose(build_family(rng, [(3, 1), (1, 2), (1, 1)], 60, pad_to=9)["states"]),
+        decompose(zero_weight_block_states(rng)),
+    ]
+    decs.append(tensor_structure(decs[0], decs[2]))
+    for decomp in decs:
+        n = len(decomp.family)
+        for weights in (None, rng.dirichlet([2.0] * n)):
+            got, want = entropy_report(decomp, weights), loop_entropy_report(decomp, weights)
+            for name in ("classical", "nonclassical", "redundant"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14, name
+            for x, y in zip(got.per_block, want.per_block, strict=True):
+                assert x.weight == y.weight and x.red_bits == y.red_bits
+                assert abs(x.info_bits - y.info_bits) <= 1e-14
 
 
 def test_entropy_report_additive_under_tensor():

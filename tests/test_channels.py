@@ -153,16 +153,16 @@ def test_block_channel_validation():
     # wrong per-block dimension
     with pytest.raises(DimensionMismatch):
         block_channel(st, [identity_channel(st.blocks[0][1] + 1), good[1]])
-    # fix_red_state demands the list of states
-    with pytest.raises(ValidationError):
-        block_channel(st, good, fix_red_state=True)
-    # a channel that moves the redundant state is rejected
+    # red_states, when given, holds one state per block
     reds = [r.mat for r in decomp.red_states]
+    with pytest.raises(ValidationError, match="need 2 redundant states"):
+        block_channel(st, good, red_states=reds[:1])
+    # a channel that moves the redundant state is rejected
     mover = random_cptp(rng, st.blocks[0][1], st.blocks[0][1], 3)
     moved = trace_norm(apply_to_matrix(mover, reds[0]) - reds[0])
     assert moved > 1e-6
     with pytest.raises(KStateNotFixed):
-        block_channel(st, [mover] + good[1:], fix_red_state=True, red_states=reds)
+        block_channel(st, [mover] + good[1:], red_states=reds)
 
 
 def test_block_channel_preserves_and_has_block_form():

@@ -138,7 +138,11 @@ def test_tol_flag_paths(capsys):
     code, out, _ = run_cli(capsys, ["decompose", path, "--tol", "psd=1e-6"])
     assert code == 0
     assert json.loads(out)["tolerances"]["tol_psd"] == 1e-6
-    for bad in ("psd", "psd=abc", "wobble=1e-3", "zero=1.0"):
+    # overrides may be zero, but not negative
+    code, out, _ = run_cli(capsys, ["decompose", path, "--tol", "sym=0"])
+    assert code == 0
+    assert json.loads(out)["tolerances"]["tol_sym"] == 0.0
+    for bad in ("psd", "psd=abc", "wobble=1e-3", "zero=1.0", "sym=-1e-3"):
         code, _, err = run_cli(capsys, ["decompose", path, "--tol", bad])
         assert code == 2, bad
         assert "error" in err
@@ -172,6 +176,72 @@ def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
     code, out, err = run_cli(capsys, ["decompose", str(DATA / "orthogonal_pair.json")])
     assert code == 3 and out == ""
     assert "SVD did not converge" in err
+
+
+def fail_lapack_at(monkeypatch, site, routine):
+    """Make np.linalg.<routine> raise LinAlgError when called from the
+    function named `site` (directly or from a comprehension inside it);
+    returns the error message."""
+    real = getattr(np.linalg, routine)
+    message = f"{routine} failed in {site}"
+
+    def fail_at_site(*args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name.startswith("<"):
+            caller = caller.f_back
+        if caller.f_code.co_name == site:
+            raise np.linalg.LinAlgError(message)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, routine, fail_at_site)
+    return message
+
+
+@pytest.mark.parametrize(
+    "site, routine",
+    [
+        ("_density_matrices", "eigvalsh"),
+        ("hermitian_eig", "eigh"),
+        ("isotypic_decompose", "matrix_rank"),
+        ("isotypic_decompose", "eigh"),
+        ("_spectral_frame", "eigh"),
+        ("_null_space_floor", "svd"),
+        ("_unitary_polish", "svd"),
+        ("_nearest_density", "eigh"),
+        ("decompose", "eigvalsh"),
+    ],
+)
+def test_lapack_failure_at_each_call_site_is_no_convergence(site, routine, tmp_path, monkeypatch, capsys):
+    # a (2, 2) block makes the copy alignment in `_unitary_polish` run
+    states = build_family(np.random.default_rng(7), [(2, 2), (1, 1)], 3)["states"]
+    path = str(write_family_file(tmp_path / "fam.json", states))
+    message = fail_lapack_at(monkeypatch, site, routine)
+    with pytest.raises(NoConvergence, match=message):
+        decompose(states)
+    code, out, err = run_cli(capsys, ["decompose", path])
+    assert code == 3 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, site, routine",
+    [
+        ("clone", "sequential_clonability", "matrix_rank"),
+        ("clone", "sequential_clonability", "eigh"),
+        ("channel", "trace_norm", "svd"),
+    ],
+)
+def test_lapack_failure_in_check_commands_exits_3(command, site, routine, tmp_path, monkeypatch, capsys):
+    if command == "clone":
+        # pure inputs, so the pairwise-overlap shortcut runs too
+        pure = [np.diag(np.eye(4)[k]).astype(complex) for k in (0, 3)]
+        argv = [str(write_family_file(tmp_path / "pure.json", pure, factor_dims=[2, 2]))]
+    else:
+        argv = [str(DATA / "orthogonal_pair.json"), str(DATA / "identity_channel.json")]
+    message = fail_lapack_at(monkeypatch, site, routine)
+    code, out, err = run_cli(capsys, ["check", command] + argv)
+    assert code == 3 and out == ""
+    assert message in err
 
 
 def test_frame_eigh_failure_raises_no_convergence(monkeypatch):

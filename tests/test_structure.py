@@ -31,12 +31,15 @@ from kidecomp.exceptions import (
 from helpers import (
     build_family,
     haar_unitary,
+    loop_block_matrix,
     loop_max_residual,
+    loop_tensor_structure,
     random_density,
     random_pure,
     split_decomp_identical_pair,
     trivial_decomp_of,
     weights_match,
+    zero_weight_block_states,
 )
 
 
@@ -218,8 +221,12 @@ def test_max_residual_matches_reassemble_loop():
     ]
     for blocks, n, pad in (([(2, 2), (1, 3)], 3, None), ([(2, 1), (1, 2)], 5, 7), ([(2, 2), (1, 2), (1, 1)], 60, 12)):
         decs.append(decompose(build_family(rng, blocks, n, pad_to=pad)["states"]))
+    decs.append(decompose(zero_weight_block_states(rng)))
+    assert any(None in row for row in decs[-1].info_states)
     for dec in decs:
         assert abs(dec.max_residual() - loop_max_residual(dec)) <= 1e-14
+        for s in range(len(dec.family)):
+            assert np.abs(dec.block_matrix(s) - loop_block_matrix(dec, s)).max() <= 1e-14
 
 
 def test_decompose_classical_sectors_with_small_red_eigenvalues():
@@ -269,13 +276,7 @@ def test_decompose_rejects_state_leaking_out_of_average_support():
 
 def test_decompose_handles_zero_weight_blocks():
     # first state misses the second block entirely
-    rng = np.random.default_rng(53)
-    r1 = random_density(rng, 2)
-    r2 = random_density(rng, 2)
-    z = np.zeros((2, 2))
-    s0 = np.block([[r1, z], [z, z]])
-    s1 = np.block([[0.5 * r1, z], [z, 0.5 * r2]])
-    dec = decompose(state_family([s0, s1]))
+    dec = decompose(state_family(zero_weight_block_states(np.random.default_rng(53))))
     assert dec.max_residual() < 1e-8
     w = np.asarray(dec.weights)
     assert np.isclose(w[0].max(), 1.0, atol=1e-9)
@@ -553,6 +554,36 @@ def test_tensor_structure_matches_direct_decompose():
         assert sorted(combined.structure.blocks) == sorted(direct.structure.blocks)
         assert decompositions_equivalent(combined, direct)
         assert combined.max_residual() < 1e-8
+
+
+def test_tensor_structure_matches_pairwise_loop():
+    rng = np.random.default_rng(98)
+    planted = build_family(rng, [(2, 1), (1, 2)], 3)["states"]
+    padded = build_family(rng, [(1, 2), (1, 1)], 2, pad_to=5)["states"]
+    decs = [
+        decompose(planted),
+        decompose(state_family(build_family(rng, [(2, 2)], 2)["states"], weights=[0.3, 0.7])),
+        decompose(padded),
+        decompose(zero_weight_block_states(rng)),
+    ]
+    for a in decs:
+        for b in decs:
+            got, want = tensor_structure(a, b), loop_tensor_structure(a, b)
+            assert got.structure.blocks == want.structure.blocks
+            assert np.array_equal(got.structure.transform, want.structure.transform)
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.support, want.support)
+            assert np.array_equal(got.family.effective_weights(), want.family.effective_weights())
+            for x, y in zip(got.family.states, want.family.states):
+                assert np.abs(x.mat - y.mat).max() <= 1e-14
+            for x, y in zip(got.red_states, want.red_states):
+                assert np.abs(x.mat - y.mat).max() <= 1e-14
+            for row_got, row_want in zip(got.info_states, want.info_states):
+                assert [x is None for x in row_got] == [y is None for y in row_want]
+                for x, y in zip(row_got, row_want):
+                    assert x is None or np.abs(x.mat - y.mat).max() <= 1e-14
+    # the zero-weight block leaves None entries in the product
+    assert any(None in row for row in tensor_structure(decs[3], decs[0]).info_states)
 
 
 def test_tensor_structure_weights_multiply():
