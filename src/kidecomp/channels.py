@@ -14,8 +14,8 @@ Kraus operators exactly when it holds on each given operator, and the stacked
 magnitude sqrt(sum_i ||X(K_i)||_F^2) is unchanged by any isometric remix
 K'_a = sum_i V[a, i] K_i. The predicates therefore work on the channel's own
 operators, and their verdicts and magnitudes do not depend on how the channel
-was presented. No Choi matrix is formed; `choi_matrix`, `kraus_from_choi` and
-`canonical_kraus` remain for callers that want a gauge-fixed representation.
+was presented. No Choi matrix is formed; `canonical_kraus` remains for callers
+that want a gauge-fixed representation.
 """
 
 from dataclasses import dataclass
@@ -28,8 +28,10 @@ from .exceptions import (
     KStateNotFixed,
     NotPreserved,
     ValidationError,
+    ZeroOperator,
 )
 from .linalg import (
+    _lapack,
     DEFAULT_TOL,
     DensityMatrix,
     StateFamily,
@@ -37,6 +39,7 @@ from .linalg import (
     as_complex_matrix,
     hermitian_part,
     state_family,
+    support_projector,
     trace_norm,
 )
 from .structure import Structure
@@ -47,8 +50,6 @@ __all__ = [
     "identity_channel",
     "apply_channel",
     "apply_to_matrix",
-    "choi_matrix",
-    "kraus_from_choi",
     "canonical_kraus",
     "PreservationReport",
     "preserves_family",
@@ -74,7 +75,11 @@ class KrausChannel:
 
 
 def kraus_channel(ops, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
-    """Validate Kraus operators: shared shape, sum K^dag K = I within 1e-9."""
+    """Validate Kraus operators: shared shape, and trace preservation.
+
+    Raises ValidationError when ||sum K^dag K - I||_F exceeds
+    tol_psd * sqrt(d_in).
+    """
     mats = [as_complex_matrix(k) for k in ops]
     if not mats:
         raise ValidationError("a channel needs at least one Kraus operator")
@@ -118,37 +123,26 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix, tol: Tolerances = D
     )
 
 
-def choi_matrix(channel: KrausChannel) -> np.ndarray:
-    """Choi matrix sum_i vec(K_i) vec(K_i)^dag (row-major vec)."""
-    d = channel.input_dim * channel.output_dim
-    j = np.zeros((d, d), dtype=complex)
-    for k in channel.kraus_ops:
-        v = k.reshape(-1)
-        j += np.outer(v, v.conj())
-    return hermitian_part(j)
+def canonical_kraus(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
+    """Gauge-fixed Kraus representation from the Choi matrix's eigenvectors.
 
-
-def kraus_from_choi(choi, input_dim: int, output_dim: int, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
-    """Canonical Kraus operators from a Choi matrix (eigenvectors, scaled).
-
-    Eigenvalues below tol_zero times the largest are dropped; slightly
-    negative ones from numerical noise are clipped.
+    The Choi matrix is sum_i vec(K_i) vec(K_i)^dag (row-major vec). Each
+    eigenvector with eigenvalue above tol_zero times max(1, largest)
+    becomes a Kraus operator scaled by the eigenvalue's square root.
     """
-    j = hermitian_part(choi)
-    if j.shape != (input_dim * output_dim,) * 2:
-        raise DimensionMismatch("Choi matrix shape does not match the given dimensions")
-    w, v = np.linalg.eigh(j)
+    d_in, d_out = channel.input_dim, channel.output_dim
+    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    for k in channel.kraus_ops:
+        vec = k.reshape(-1)
+        choi += np.outer(vec, vec.conj())
+    with _lapack():
+        w, v = np.linalg.eigh(hermitian_part(choi))
     lmax = max(float(w[-1]), 0.0)
     ops = []
     for i in range(w.size):
         if w[i] > tol.tol_zero * max(1.0, lmax):
-            ops.append(np.sqrt(w[i]) * v[:, i].reshape(output_dim, input_dim))
+            ops.append(np.sqrt(w[i]) * v[:, i].reshape(d_out, d_in))
     return kraus_channel(ops, tol)
-
-
-def canonical_kraus(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
-    """Gauge-fixed Kraus representation derived from the Choi matrix."""
-    return kraus_from_choi(choi_matrix(channel), channel.input_dim, channel.output_dim, tol)
 
 
 @dataclass(frozen=True)
@@ -321,7 +315,8 @@ def confines_positive_part(channel: KrausChannel, obs, tol: Tolerances = DEFAULT
     dev = float(np.linalg.norm(apply_to_matrix(channel, o) - o))
     if dev > 1e-8 * max(1.0, float(np.linalg.norm(o))):
         raise NotPreserved(f"channel moves the observable by {dev:.3e}")
-    w, v = np.linalg.eigh(o)
+    with _lapack():
+        w, v = np.linalg.eigh(o)
     lmax = float(np.abs(w).max())
     if lmax <= tol.tol_zero:
         raise NotPreserved("observable is numerically zero")
@@ -348,12 +343,10 @@ def confines_paired_subspace(channel: KrausChannel, rho, p1, p2, tol: Tolerances
             raise HypothesisFailed(f"{name} is not an orthogonal projector")
     if float(np.linalg.norm(q1 @ q2)) > 1e-8 * d:
         raise HypothesisFailed("p1 and p2 are not orthogonal to each other")
-    w, v = np.linalg.eigh(r)
-    lmax = max(float(w[-1]), 0.0)
-    if lmax <= tol.tol_zero:
-        raise HypothesisFailed("state is numerically zero")
-    keep = v[:, w > tol.tol_rank * lmax]
-    p_sup = keep @ keep.conj().T
+    try:
+        p_sup = support_projector(r, tol)
+    except ZeroOperator:
+        raise HypothesisFailed("state is numerically zero") from None
     if float(np.linalg.norm(q1 + q2 - p_sup)) > 1e-8 * d:
         raise HypothesisFailed("p1 + p2 does not equal the support projector of rho")
     dev = trace_norm(apply_to_matrix(channel, r) - r)

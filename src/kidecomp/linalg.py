@@ -298,7 +298,8 @@ def polar_offblock(mat, tol: Tolerances = DEFAULT_TOL):
     m = as_complex_matrix(mat)
     if float(np.linalg.norm(m)) <= tol.tol_zero:
         raise ZeroOffBlock("matrix is numerically zero")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    with _lapack():
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
     keep = s > tol.tol_rank * s[0]
     u_r, s_r, vh_r = u[:, keep], s[keep], vh[keep, :]
     w = u_r @ vh_r

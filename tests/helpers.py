@@ -7,6 +7,7 @@ so individual tests stay reproducible in isolation.
 import itertools
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ import kidecomp
 from kidecomp import (
     block_channel,
     kraus_channel,
-    kraus_from_choi,
     state_family,
 )
 from kidecomp.applications import BlockEntropy, BroadcastOutput, EntropyReport
@@ -26,7 +26,7 @@ from kidecomp.algebra import (
     _project_onto_span,
     intertwiner_space,
 )
-from kidecomp.exceptions import DegenerateSample
+from kidecomp.exceptions import DegenerateSample, DimensionMismatch
 from kidecomp.linalg import (
     DEFAULT_TOL,
     density_matrix,
@@ -311,6 +311,46 @@ def commuting_face(blocks, u, d):
                 cols.append(k.reshape(-1) / np.sqrt(a))
         off += a * b
     return np.array(cols).T
+
+
+def choi_of(channel):
+    """Choi matrix sum_i vec(K_i) vec(K_i)^dag (row-major vec)."""
+    vecs = np.stack([k.reshape(-1) for k in channel.kraus_ops])
+    return vecs.T @ vecs.conj()
+
+
+def kraus_from_choi(choi, input_dim, output_dim, tol=DEFAULT_TOL):
+    """Kraus channel from a Choi matrix: its eigenvectors, scaled.
+
+    Eigenvalues at or below tol_zero times max(1, largest) are dropped.
+    """
+    j = hermitian_part(choi)
+    if j.shape != (input_dim * output_dim,) * 2:
+        raise DimensionMismatch("Choi matrix shape does not match the given dimensions")
+    w, v = np.linalg.eigh(j)
+    lmax = max(float(w[-1]), 0.0)
+    keep = w > tol.tol_zero * max(1.0, lmax)
+    ops = np.sqrt(w[keep]) * v[:, keep]
+    return kraus_channel(list(ops.T.reshape(-1, output_dim, input_dim)), tol)
+
+
+def fail_lapack_at(monkeypatch, site, routine):
+    """Make np.linalg.<routine> raise LinAlgError when called from the
+    function named `site` (directly or from a comprehension inside it);
+    returns the error message."""
+    real = getattr(np.linalg, routine)
+    message = f"{routine} failed in {site}"
+
+    def fail_at_site(*args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name.startswith("<"):
+            caller = caller.f_back
+        if caller.f_code.co_name == site:
+            raise np.linalg.LinAlgError(message)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, routine, fail_at_site)
+    return message
 
 
 def projected_preserving_channel(rng, built):

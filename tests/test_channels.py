@@ -7,14 +7,12 @@ from kidecomp.channels import (
     apply_to_matrix,
     block_channel,
     canonical_kraus,
-    choi_matrix,
     confines_paired_subspace,
     confines_positive_part,
     environment_state,
     has_block_form,
     identity_channel,
     kraus_channel,
-    kraus_from_choi,
     preserves_family,
 )
 from kidecomp.exceptions import (
@@ -30,7 +28,9 @@ from kidecomp.structure import decompose, family_average
 
 from helpers import (
     build_family,
+    choi_of,
     dense_block_form,
+    kraus_from_choi,
     leaking_channel,
     lifted_preserving_channel,
     planted_frame,
@@ -94,19 +94,12 @@ def test_apply_channel_returns_state():
     assert np.linalg.eigvalsh(out.mat).min() > -1e-9
 
 
-def test_choi_matrix_identity():
-    # Choi of the identity is the unnormalized maximally entangled projector
-    ch = identity_channel(3)
-    v = np.eye(3, dtype=complex).reshape(-1)
-    assert np.allclose(choi_matrix(ch), np.outer(v, v.conj()))
-
-
 def test_choi_kraus_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(6):
         d_in, d_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         ch = random_cptp(rng, d_in, d_out, int(rng.integers(1, 5)))
-        back = kraus_from_choi(choi_matrix(ch), d_in, d_out)
+        back = kraus_from_choi(choi_of(ch), d_in, d_out)
         for _ in range(3):
             rho = random_density(rng, d_in)
             assert np.allclose(apply_to_matrix(ch, rho), apply_to_matrix(back, rho), atol=1e-10)
@@ -337,7 +330,6 @@ def test_channel_predicates_envelope(blocks, pad_to, monkeypatch):
     def no_choi(*args, **kwargs):
         raise AssertionError("channel predicates must not form the Choi matrix")
 
-    monkeypatch.setattr(channels, "choi_matrix", no_choi)
     monkeypatch.setattr(channels, "canonical_kraus", no_choi)
     rng = np.random.default_rng(23 + len(blocks) + (pad_to or 0))
     built = build_family(rng, blocks, 3, pad_to=pad_to)
@@ -478,6 +470,9 @@ def test_confines_paired_subspace_hypothesis_checks():
     small = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(HypothesisFailed):
         confines_paired_subspace(ch, rho, small, p2)
+    # the state has no support to split
+    with pytest.raises(HypothesisFailed, match="state is numerically zero"):
+        confines_paired_subspace(ch, np.zeros((d, d)), p1, p2)
     # channel moves the state
     mover = random_cptp(rng, d, d, 3)
     with pytest.raises(HypothesisFailed):

@@ -16,6 +16,7 @@ from kidecomp.exceptions import NoConvergence
 from helpers import (
     build_family,
     cli_env,
+    fail_lapack_at,
     haar_unitary,
     lifted_preserving_channel,
     random_density,
@@ -176,25 +177,6 @@ def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
     code, out, err = run_cli(capsys, ["decompose", str(DATA / "orthogonal_pair.json")])
     assert code == 3 and out == ""
     assert "SVD did not converge" in err
-
-
-def fail_lapack_at(monkeypatch, site, routine):
-    """Make np.linalg.<routine> raise LinAlgError when called from the
-    function named `site` (directly or from a comprehension inside it);
-    returns the error message."""
-    real = getattr(np.linalg, routine)
-    message = f"{routine} failed in {site}"
-
-    def fail_at_site(*args, **kwargs):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name.startswith("<"):
-            caller = caller.f_back
-        if caller.f_code.co_name == site:
-            raise np.linalg.LinAlgError(message)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, routine, fail_at_site)
-    return message
 
 
 @pytest.mark.parametrize(

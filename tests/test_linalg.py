@@ -3,12 +3,19 @@ import pytest
 
 from kidecomp import (
     DEFAULT_TOL,
+    Structure,
     Tolerances,
+    canonical_kraus,
+    coherence_pairing,
+    confines_paired_subspace,
+    confines_positive_part,
     density_matrix,
     hermitian_eig,
+    identity_channel,
     partial_trace,
     seeded_random_hermitian,
     state_family,
+    structures_equivalent,
     support_basis,
     support_projector,
     trace_norm,
@@ -18,11 +25,20 @@ from kidecomp.exceptions import (
     BadWeights,
     DimensionMismatch,
     EmptyFamily,
+    NoConvergence,
     NotHermitian,
     NotNormalized,
     ValidationError,
 )
-from kidecomp.linalg import entropy_of_spectrum, frobenius, hermitian_part, hermiticity_defect
+from kidecomp.linalg import (
+    entropy_of_spectrum,
+    frobenius,
+    hermitian_part,
+    hermiticity_defect,
+    polar_offblock,
+)
+
+from helpers import fail_lapack_at
 
 
 def test_tolerances_defaults_and_validation():
@@ -240,3 +256,50 @@ def test_seeded_random_hermitian_reproducible():
     assert np.array_equal(h1, h2)
     assert not np.allclose(h1, h3)
     assert np.allclose(h1, h1.conj().T)
+
+
+def _pairing_with_complement():
+    # coherence between e0 and e2 only, so k1 = e0 leaves e1 as its complement
+    psi = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    eye = np.eye(3, dtype=complex)
+    return coherence_pairing(np.outer(psi, psi), eye[:, :2], eye[:, 2:])
+
+
+@pytest.mark.parametrize(
+    "site, routine, call",
+    [
+        ("polar_offblock", "svd", lambda: polar_offblock(np.array([[0.0, 1.0], [0.0, 0.0]]))),
+        ("_complement_within", "svd", _pairing_with_complement),
+        (
+            "structures_equivalent",
+            "svd",
+            lambda: structures_equivalent(*[Structure(2, ((2, 1),), np.eye(2, dtype=complex))] * 2),
+        ),
+        (
+            "confines_positive_part",
+            "eigh",
+            lambda: confines_positive_part(identity_channel(2), np.diag([1.0, -1.0])),
+        ),
+        (
+            "hermitian_eig",
+            "eigh",
+            lambda: confines_paired_subspace(
+                identity_channel(2), np.diag([0.5, 0.5]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+            ),
+        ),
+        ("canonical_kraus", "eigh", lambda: canonical_kraus(identity_channel(2))),
+    ],
+    ids=[
+        "polar_offblock",
+        "coherence_pairing",
+        "structures_equivalent",
+        "confines_positive_part",
+        "confines_paired_subspace",
+        "canonical_kraus",
+    ],
+)
+def test_lapack_failure_outside_the_pipeline_is_no_convergence(site, routine, call, monkeypatch):
+    call()  # reaches the site when LAPACK works
+    message = fail_lapack_at(monkeypatch, site, routine)
+    with pytest.raises(NoConvergence, match=message):
+        call()

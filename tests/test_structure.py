@@ -12,7 +12,6 @@ from kidecomp import (
     density_matrix,
     difference_split,
     family_average,
-    probe_refinement,
     refinement_index,
     state_family,
     structures_equivalent,
@@ -312,6 +311,22 @@ def test_structure_validate_and_matrix_units():
     assert np.allclose(u01.conj().T, u10, atol=1e-12)
 
 
+def test_structure_validate_rejects():
+    rng = np.random.default_rng(56)
+    built = build_family(rng, [(2, 2), (1, 3)], n_states=3)
+    st = decompose(state_family(built["states"])).structure
+    g = st.transform
+    with pytest.raises(ValidationError):
+        Structure(st.dim, st.blocks, (1 + 1e-6) * g).validate()
+    assert Structure(st.dim, st.blocks, (1 + 1e-12) * g).validate() < 1e-9
+    with pytest.raises(DimensionMismatch):
+        Structure(st.dim, st.blocks, g[:, :-1]).validate()
+    with pytest.raises(DimensionMismatch):
+        Structure(st.dim, st.blocks[:-1], g).validate()
+    with pytest.raises(DimensionMismatch):
+        Structure(st.dim, st.blocks + ((0, 2),), g).validate()
+
+
 def test_family_average_weights_and_support_guard():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
@@ -488,24 +503,6 @@ def test_check_maximal_passes_on_decompose_output():
         assert rep.ok
         assert rep.violated == ()
         assert rep.reassembly_residual < 1e-8
-
-
-def test_probe_refinement_confirms_maximality():
-    rng = np.random.default_rng(60)
-    built = build_family(rng, [(2, 1), (1, 2)], 2)
-    dec = decompose(state_family(built["states"]))
-    rep = probe_refinement(dec, probes=32, seed=3)
-    assert not rep.refined
-    assert rep.probes >= 1
-    assert rep.worst_defect < 1e-7
-
-
-def test_probe_refinement_detects_coarse_structure():
-    # commuting pair: the single-block reading misses a classical split
-    coarse = trivial_decomp_of([np.diag([0.7, 0.3]).astype(complex),
-                                np.diag([0.3, 0.7]).astype(complex)])
-    rep = probe_refinement(coarse, probes=48, seed=1)
-    assert rep.refined
 
 
 def test_structures_equivalent_block_permutation():
