@@ -327,9 +327,10 @@ def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TO
     """Basis of maps L with L A_i = B_i L on two invariant subspaces.
 
     A_i and B_i are the generators compressed to the two column spans. Both
-    spans must be invariant under every generator within 1e-8 (NotInvariant
-    otherwise). Each returned map has unit Frobenius norm with its
-    largest-modulus entry rotated to the positive real axis.
+    spans must be invariant under every generator within Tolerances.VERDICT
+    times max(1, ||A_i||_F) (NotInvariant otherwise). Each returned map has
+    unit Frobenius norm with its largest-modulus entry rotated to the
+    positive real axis.
     """
     mats, d = _check_square_family(generators)
     va = as_complex_matrix(basis_a)
@@ -340,7 +341,7 @@ def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TO
     comps = []
     for name, v in (("basis_a", va), ("basis_b", vb)):
         comp, leaks = _leaks(mats, v)
-        if np.any(leaks > 1e-8 * scale):
+        if np.any(leaks > Tolerances.VERDICT * scale):
             raise NotInvariant(f"{name} is not invariant under generator family")
         comps.append(comp / scale[:, None, None])
     out = []

@@ -122,10 +122,9 @@ def broadcast_states(decomp: DecomposedFamily, mode: str = "product", tol: Toler
         lifted.append(lift @ zeta @ lift.conj().T)
     chis = np.tensordot(decomp.weights.clip(0.0), np.stack(lifted), axes=1)
     rhos = np.stack(decomp.family.mats())
-    pairs = chis.reshape(-1, d0, d0, d0, d0)
     worst = max(
-        float(np.linalg.norm(np.einsum("sabcb->sac", pairs) - rhos, axis=(1, 2)).max()),
-        float(np.linalg.norm(np.einsum("sabac->sbc", pairs) - rhos, axis=(1, 2)).max()),
+        float(np.linalg.norm(partial_trace(chis, d0, d0, keep=keep) - rhos, axis=(1, 2)).max())
+        for keep in ("left", "right")
     )
     return BroadcastOutput(mode, tuple(_density_matrices(_hermitian_stack(chis), tol)), worst)
 
@@ -142,8 +141,8 @@ def no_imprinting_holds(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) ->
     """No channel fixing the family can leave the label in its environment.
 
     Holds iff the weight rows of the decomposition are identical across
-    states (within 1e-8); the first offending (s, s', block) is reported
-    otherwise.
+    states (within Tolerances.VERDICT); the first offending (s, s', block)
+    is reported otherwise.
     """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     decomp = decompose(fam, seed=seed, tol=tol)
@@ -153,11 +152,12 @@ def no_imprinting_holds(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) ->
 
 def _weight_gaps(w: np.ndarray):
     """The first (s, s', block), in lexicographic order, whose two weights
-    differ by more than 1e-8 (None if there is none), and the largest gap."""
+    differ by more than Tolerances.VERDICT (None if there is none), and the
+    largest gap."""
     # the largest pairwise gap in a column is its range
     worst = float((w.max(axis=0) - w.min(axis=0)).max())
     for s in range(w.shape[0] - 1):
-        over = np.abs(w[s + 1 :] - w[s]) > 1e-8
+        over = np.abs(w[s + 1 :] - w[s]) > Tolerances.VERDICT
         if over.any():
             t, l = divmod(int(np.argmax(over)), w.shape[1])
             return (s, s + 1 + t, l), worst
@@ -213,9 +213,9 @@ def generalized_no_imprinting(sigmas, decomp: DecomposedFamily) -> GeneralizedIm
     """Whether probe operators agree on everything a preserving channel keeps.
 
     Feeds each probe through `imprinting_parts` and compares all four parts
-    across probes; they must be independent of the probe index within 1e-8
-    for no channel fixing the family to distinguish the probes through its
-    environment.
+    across probes; they must be independent of the probe index within
+    Tolerances.VERDICT for no channel fixing the family to distinguish the
+    probes through its environment.
     """
     sigmas = list(sigmas)
     if len(sigmas) < 2:
@@ -240,7 +240,7 @@ def generalized_no_imprinting(sigmas, decomp: DecomposedFamily) -> GeneralizedIm
                 )
             for name, g in named:
                 worst = max(worst, g)
-                if g > 1e-8 and offending is None:
+                if g > Tolerances.VERDICT and offending is None:
                     offending = (s, t, name)
     return GeneralizedImprintReport(offending is None, offending, worst)
 
@@ -260,11 +260,14 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
     Decomposes the first-party marginals; the parts of each chi that a
     cloner must both keep and copy are the per-block residues obtained by
     compressing the first party onto a block and tracing out its
-    information factor. Cloning is possible iff, within every block, the
-    residues of different states are mutually orthogonal (normalized
-    overlap <= 1e-8). When all inputs are pure the equivalent
-    pairwise-overlap shortcut (|<chi_s|chi_t>| near 0 or 1) decides the
-    flag directly.
+    information factor. The residue test calls cloning possible iff, within
+    every block, the residues of different states are orthogonal: every
+    normalized overlap (the worst is `orthogonality_defect`) is at most
+    Tolerances.VERDICT. When all inputs are pure, a pairwise-overlap test
+    (|<chi_s|chi_t>| within Tolerances.VERDICT of 0 or 1) sets the flag
+    instead. The two are not equivalent: for |00> and (|10> + |+1>)/norm on
+    2 (x) 2 it says True while the residues overlap by 0.577. Which one
+    sequential cloning means is an open question.
     """
     mats = [as_complex_matrix(c) for c in chis]
     if len(mats) < 2:
@@ -276,7 +279,7 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
                 f"state {i} has shape {m.shape}, expected ({d}, {d})"
             )
     stacked = np.stack(mats)
-    marginals = np.einsum("sabcb->sac", stacked.reshape(-1, d_first, d_second, d_first, d_second))
+    marginals = partial_trace(stacked, d_first, d_second, keep="left")
     decomp = decompose(state_family(marginals, tol=tol), seed=seed, tol=tol)
 
     per_block = []
@@ -284,8 +287,7 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
         embed = decomp.support @ decomp.structure.block_basis(l)  # d_first x di*dr
         lift = np.kron(embed, np.eye(d_second, dtype=complex))
         compressed = lift.conj().T @ stacked @ lift  # on info (x) red (x) second
-        k = dr * d_second
-        per_block.append(np.einsum("sabac->sbc", compressed.reshape(-1, di, k, di, k)))
+        per_block.append(partial_trace(compressed, di, dr * d_second, keep="right"))
     residues = tuple(zip(*per_block))
 
     worst = 0.0
@@ -298,10 +300,10 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
                     continue
                 overlap = abs(complex(np.vdot(a.reshape(-1), b.reshape(-1)))) / (na * nb)
                 worst = max(worst, overlap)
-    clonable = worst <= 1e-8
+    clonable = worst <= Tolerances.VERDICT
 
     with _lapack():
-        ranks = [np.linalg.matrix_rank(m, tol=1e-9 * max(1.0, float(np.linalg.norm(m)))) for m in mats]
+        ranks = [np.linalg.matrix_rank(m, tol=tol.tol_rank * max(1.0, float(np.linalg.norm(m)))) for m in mats]
     if all(r == 1 for r in ranks):
         vecs = []
         for m in mats:
@@ -313,7 +315,7 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
             for t in range(s + 1, len(vecs)):
                 ov = abs(complex(np.vdot(vecs[s], vecs[t])))
                 ov /= max(float(np.linalg.norm(vecs[s]) * np.linalg.norm(vecs[t])), tol.tol_zero)
-                if min(ov, abs(1.0 - ov)) > 1e-8:
+                if min(ov, abs(1.0 - ov)) > Tolerances.VERDICT:
                     clonable = False
     return SequentialCloneReport(
         clonable, tuple(residues), worst, decomp.structure.blocks, decomp

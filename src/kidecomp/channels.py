@@ -116,7 +116,7 @@ def apply_to_matrix(channel: KrausChannel, mat) -> np.ndarray:
     return out
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     out = hermitian_part(apply_to_matrix(channel, rho.mat))
     return DensityMatrix(
         out, float(np.trace(out).real), 0.0, rho.normalized
@@ -126,23 +126,19 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix, tol: Tolerances = D
 def canonical_kraus(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     """Gauge-fixed Kraus representation from the Choi matrix's eigenvectors.
 
-    The Choi matrix is sum_i vec(K_i) vec(K_i)^dag (row-major vec). Each
-    eigenvector with eigenvalue above tol_zero times max(1, largest)
-    becomes a Kraus operator scaled by the eigenvalue's square root.
+    The Choi matrix is sum_i vec(K_i) vec(K_i)^dag = M M^dag (row-major vec),
+    with M the d_out d_in x k matrix whose columns are the vec(K_i). Its
+    eigenpairs come from the thin SVD M = U S V^dag, eigenvalue s^2 with
+    eigenvector a column of U, so the Choi matrix is never formed. Each
+    eigenvector with eigenvalue above tol_zero times max(1, largest) becomes
+    a Kraus operator scaled by the eigenvalue's square root, largest first.
     """
     d_in, d_out = channel.input_dim, channel.output_dim
-    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for k in channel.kraus_ops:
-        vec = k.reshape(-1)
-        choi += np.outer(vec, vec.conj())
+    vecs = np.stack(channel.kraus_ops).reshape(len(channel), -1).T
     with _lapack():
-        w, v = np.linalg.eigh(hermitian_part(choi))
-    lmax = max(float(w[-1]), 0.0)
-    ops = []
-    for i in range(w.size):
-        if w[i] > tol.tol_zero * max(1.0, lmax):
-            ops.append(np.sqrt(w[i]) * v[:, i].reshape(d_out, d_in))
-    return kraus_channel(ops, tol)
+        u, s, _ = np.linalg.svd(vecs, full_matrices=False)
+    keep = s**2 > tol.tol_zero * max(1.0, float(s[0]) ** 2)
+    return kraus_channel([s[i] * u[:, i].reshape(d_out, d_in) for i in np.flatnonzero(keep)], tol)
 
 
 @dataclass(frozen=True)
@@ -152,14 +148,14 @@ class PreservationReport:
 
 
 def preserves_family(channel: KrausChannel, family, tol: Tolerances = DEFAULT_TOL) -> PreservationReport:
-    """Whether every family member is a fixed point (trace norm <= 1e-8)."""
+    """Whether every member is a fixed point (trace-norm change <= Tolerances.VERDICT)."""
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     if channel.input_dim != fam.dim or channel.output_dim != fam.dim:
         raise DimensionMismatch("channel dimensions do not match the family")
     worst = 0.0
     for s in fam.states:
         worst = max(worst, trace_norm(apply_to_matrix(channel, s.mat) - s.mat))
-    return PreservationReport(worst <= 1e-8, worst)
+    return PreservationReport(worst <= Tolerances.VERDICT, worst)
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ class BlockFormReport:
     violations: tuple  # (block, row, col) triples whose defect exceeds tol_commute
 
 
-def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: float = 1e-8, support=None) -> BlockFormReport:
+def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: float = Tolerances.VERDICT, support=None) -> BlockFormReport:
     """Whether the channel is identity (x) redundant-channel on every block.
 
     Equivalent test: the channel's Kraus operators commute with every matrix
@@ -253,9 +249,9 @@ def block_channel(structure: Structure, per_block, red_states=None, tol: Toleran
     cross-block coherences are handled consistently and the result is trace
     preserving whenever every block channel is. When `red_states` is given
     (one state per block, ValidationError otherwise), each block channel
-    must fix its state within 1e-8 trace norm (KStateNotFixed otherwise) --
-    exactly the condition for the assembled channel to preserve every
-    family with this structure.
+    must fix its state within Tolerances.VERDICT in trace norm
+    (KStateNotFixed otherwise) -- exactly the condition for the assembled
+    channel to preserve every family with this structure.
     """
     if len(per_block) != len(structure.blocks):
         raise DimensionMismatch(
@@ -274,7 +270,7 @@ def block_channel(structure: Structure, per_block, red_states=None, tol: Toleran
         for l, (ch, red) in enumerate(zip(per_block, red_states)):
             red_mat = as_complex_matrix(red)
             dev = trace_norm(apply_to_matrix(ch, red_mat) - red_mat)
-            if dev > 1e-8:
+            if dev > Tolerances.VERDICT:
                 raise KStateNotFixed(
                     f"block {l} channel moves its redundant state by {dev:.3e}"
                 )
@@ -304,16 +300,17 @@ def _stacked_leak(channel: KrausChannel, p: np.ndarray) -> float:
 def confines_positive_part(channel: KrausChannel, obs, tol: Tolerances = DEFAULT_TOL) -> bool:
     """No leakage out of the positive eigenspace of a preserved observable.
 
-    Requires T(obs) = obs within 1e-8 (NotPreserved otherwise). Returns True
-    iff the stacked leakage sqrt(sum_i ||(I - P) K_i P||_F^2) over the given
-    Kraus operators is at most 1e-8, with P the projector onto the strictly
+    Requires T(obs) = obs within Tolerances.VERDICT * max(1, ||obs||_F)
+    (NotPreserved otherwise). Returns True iff the stacked leakage
+    sqrt(sum_i ||(I - P) K_i P||_F^2) over the given Kraus operators is at
+    most Tolerances.VERDICT, with P the projector onto the strictly
     positive eigenspace of obs. For a preserved observable this always
     holds; the predicate exists so the leakage argument is directly
     checkable.
     """
     o = hermitian_part(obs)
     dev = float(np.linalg.norm(apply_to_matrix(channel, o) - o))
-    if dev > 1e-8 * max(1.0, float(np.linalg.norm(o))):
+    if dev > Tolerances.VERDICT * max(1.0, float(np.linalg.norm(o))):
         raise NotPreserved(f"channel moves the observable by {dev:.3e}")
     with _lapack():
         w, v = np.linalg.eigh(o)
@@ -321,7 +318,7 @@ def confines_positive_part(channel: KrausChannel, obs, tol: Tolerances = DEFAULT
     if lmax <= tol.tol_zero:
         raise NotPreserved("observable is numerically zero")
     pos = v[:, w > tol.tol_rank * lmax]
-    return _stacked_leak(channel, pos @ pos.conj().T) <= 1e-8
+    return _stacked_leak(channel, pos @ pos.conj().T) <= Tolerances.VERDICT
 
 
 def confines_paired_subspace(channel: KrausChannel, rho, p1, p2, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -332,30 +329,30 @@ def confines_paired_subspace(channel: KrausChannel, rho, p1, p2, tol: Tolerances
     channel fixes rho, and the Kraus operators do not leak out of P1.
     Returns True iff they do not leak out of P2 either. Leakage out of P is
     the stacked sqrt(sum_i ||(I - P) K_i P||_F^2) over the given operators,
-    compared with 1e-8.
+    compared with Tolerances.VERDICT.
     """
     r = hermitian_part(rho)
     q1 = hermitian_part(p1)
     q2 = hermitian_part(p2)
     d = channel.input_dim
     for name, q in (("p1", q1), ("p2", q2)):
-        if float(np.linalg.norm(q @ q - q)) > 1e-8 * d:
+        if float(np.linalg.norm(q @ q - q)) > Tolerances.VERDICT * d:
             raise HypothesisFailed(f"{name} is not an orthogonal projector")
-    if float(np.linalg.norm(q1 @ q2)) > 1e-8 * d:
+    if float(np.linalg.norm(q1 @ q2)) > Tolerances.VERDICT * d:
         raise HypothesisFailed("p1 and p2 are not orthogonal to each other")
     try:
         p_sup = support_projector(r, tol)
     except ZeroOperator:
         raise HypothesisFailed("state is numerically zero") from None
-    if float(np.linalg.norm(q1 + q2 - p_sup)) > 1e-8 * d:
+    if float(np.linalg.norm(q1 + q2 - p_sup)) > Tolerances.VERDICT * d:
         raise HypothesisFailed("p1 + p2 does not equal the support projector of rho")
     dev = trace_norm(apply_to_matrix(channel, r) - r)
-    if dev > 1e-8:
+    if dev > Tolerances.VERDICT:
         raise HypothesisFailed(f"channel moves the state by {dev:.3e}")
     leak1 = _stacked_leak(channel, q1)
-    if leak1 > 1e-8:
+    if leak1 > Tolerances.VERDICT:
         raise HypothesisFailed(f"channel already leaks out of p1 by {leak1:.3e}")
-    return _stacked_leak(channel, q2) <= 1e-8
+    return _stacked_leak(channel, q2) <= Tolerances.VERDICT
 
 
 def environment_state(channel: KrausChannel, rho) -> np.ndarray:

@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .applications import (
     entropy_report,
     is_broadcastable,
@@ -43,7 +45,7 @@ from .io import (
     parse_tolerance_overrides,
 )
 from .linalg import Tolerances, von_neumann_entropy
-from .structure import check_maximal, decompose, family_average, tensor_structure
+from .structure import check_maximal, decompose, tensor_structure
 
 __all__ = ["main"]
 
@@ -167,14 +169,14 @@ def _structure_summary(decomp, labels) -> dict:
 
 
 def _entropy_payload(rep, family, tol) -> dict:
+    # decompose has already validated the family's average
+    average = np.tensordot(family.effective_weights(), np.stack(family.mats()), axes=1)
     return {
         "classical_bits": float(rep.classical),
         "nonclassical_bits": float(rep.nonclassical),
         "redundant_bits": float(rep.redundant),
         "total_bits": float(rep.total),
-        "average_state_bits": float(
-            von_neumann_entropy(family_average(family, tol), tol)
-        ),
+        "average_state_bits": float(von_neumann_entropy(average, tol)),
         "compression_qubits": float(rep.compression_qubits),
         "classical_replaceable_bits": float(rep.classical_replaceable_bits),
         "teleport_ebits": float(rep.teleport_ebits),

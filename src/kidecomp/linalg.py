@@ -11,6 +11,7 @@ import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "as_complex_matrix",
     "hermitian_part",
     "hermiticity_defect",
-    "frobenius",
     "trace_norm",
     "density_matrix",
     "state_family",
@@ -55,8 +55,13 @@ class Tolerances:
 
     tol_rank is relative to the largest eigenvalue (or singular value) of the
     operator being truncated, tol_cluster is relative to the spread of the
-    spectrum being clustered, the rest are absolute.
+    spectrum being clustered, the rest are absolute. VERDICT decides the
+    predicates' answers and CERTIFICATE bounds the reassembly and gauge
+    tests; they are fixed class constants, not fields.
     """
+
+    VERDICT: ClassVar[float] = 1e-8
+    CERTIFICATE: ClassVar[float] = 1e-7
 
     tol_sym: float = 1e-10
     tol_psd: float = 1e-9
@@ -117,10 +122,6 @@ def _hermitian_stack(a: np.ndarray) -> np.ndarray:
 def hermiticity_defect(mat) -> float:
     a = _square(mat)
     return float(np.linalg.norm(a - a.conj().T))
-
-
-def frobenius(mat) -> float:
-    return float(np.linalg.norm(as_complex_matrix(mat)))
 
 
 def trace_norm(mat) -> float:
@@ -311,18 +312,21 @@ def partial_trace(rho, d_left: int, d_right: int, keep: str = "left"):
     """Trace out one tensor factor of an operator on C^d_left (x) C^d_right.
 
     keep="left" returns the d_left marginal, keep="right" the d_right one.
-    DensityMatrix input gives DensityMatrix output (trace is preserved).
+    A ... x d x d stack is traced member by member. DensityMatrix input gives
+    DensityMatrix output (trace is preserved).
     """
     if keep not in ("left", "right"):
         raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
     wrap = isinstance(rho, DensityMatrix)
-    m = _square(rho)
-    if d_left < 1 or d_right < 1 or m.shape[0] != d_left * d_right:
+    m = np.asarray(rho.mat if wrap else rho, dtype=complex)
+    if m.ndim == 2:
+        m = _square(m)
+    if d_left < 1 or d_right < 1 or m.ndim < 2 or m.shape[-2:] != (d_left * d_right,) * 2:
         raise DimensionMismatch(
-            f"matrix of dim {m.shape[0]} does not factor as {d_left} x {d_right}"
+            f"matrix of shape {m.shape} does not factor as {d_left} x {d_right}"
         )
-    r = m.reshape(d_left, d_right, d_left, d_right)
-    out = np.einsum("abcb->ac", r) if keep == "left" else np.einsum("abac->bc", r)
+    r = m.reshape(*m.shape[:-2], d_left, d_right, d_left, d_right)
+    out = np.einsum("...abcb->...ac", r) if keep == "left" else np.einsum("...abac->...bc", r)
     if wrap:
         out = 0.5 * (out + out.conj().T)
         return DensityMatrix(

@@ -61,7 +61,6 @@ __all__ = [
     "SplitResult",
     "PairingResult",
     "MaximalityReport",
-    "refinement_index",
     "family_average",
     "difference_split",
     "coherence_pairing",
@@ -144,16 +143,6 @@ class Structure:
         return defect
 
 
-def refinement_index(structure: Structure) -> int:
-    """Position of a structure in the refinement order.
-
-    Equals 1 for the trivial single-block structure with d_info = 1 and is
-    bounded by d(d+1)/2; every proper refinement strictly increases it.
-    """
-    s = sum(di for di, _ in structure.blocks)
-    return s * (s + 1) // 2 - len(structure.blocks) + 1
-
-
 def family_average(family, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Weighted average of the family (uniform when no weights given).
 
@@ -166,8 +155,9 @@ def family_average(family, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     avg = density_matrix(np.tensordot(fam.effective_weights(), mats, axes=1), tol)
     proj = support_projector(avg.mat, tol)
     leaks = np.linalg.norm(mats - proj @ mats @ proj, axis=(1, 2))
-    if np.any(leaks > 1e-8):
-        k = int(np.argmax(leaks > 1e-8))
+    over = leaks > Tolerances.VERDICT
+    if over.any():
+        k = int(np.argmax(over))
         raise ValidationError(
             f"state {k} leaks {leaks[k]:.3e} outside the family average's support"
         )
@@ -249,7 +239,7 @@ def coherence_pairing(rho, basis1, basis2, tol: Tolerances = DEFAULT_TOL) -> Pai
     b2 = as_complex_matrix(basis2)
     if b1.shape[0] != r.shape[0] or b2.shape[0] != r.shape[0]:
         raise DimensionMismatch("subspace bases must match the state's dimension")
-    if float(np.linalg.norm(b2.conj().T @ b1)) > 1e-8 * max(1.0, b1.shape[1]):
+    if float(np.linalg.norm(b2.conj().T @ b1)) > Tolerances.VERDICT * max(1.0, b1.shape[1]):
         raise ValidationError("the two subspaces are not orthogonal")
     p1 = b1 @ b1.conj().T
     p2 = b2 @ b2.conj().T
@@ -360,7 +350,7 @@ def _fix_column_phases(u: np.ndarray) -> np.ndarray:
     for c in range(out.shape[1]):
         col = out[:, c]
         mags = np.abs(col)
-        idx = int(np.nonzero(mags > 1e-8 * mags.max())[0][0])
+        idx = int(np.nonzero(mags > Tolerances.VERDICT * mags.max())[0][0])
         out[:, c] = col / (col[idx] / mags[idx])
     return out
 
@@ -401,7 +391,7 @@ def _canonical_sort(entries):
     return sorted(entries, key=key)
 
 
-def _build_decomposition(fam: StateFamily, support: np.ndarray, entries, tol: Tolerances) -> DecomposedFamily:
+def _build_decomposition(fam: StateFamily, support: np.ndarray, entries) -> DecomposedFamily:
     """Assemble blocks given as entries with the keys d_info, d_red, iso
     (the block's isometry), weights (its raw weight column), live (the mask
     of members with a state on the block), info (their information states,
@@ -519,7 +509,7 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
         b = _hermitian_stack(e_l.conj().T @ gens @ e_l)
         p = np.trace(b, axis1=1, axis2=2).real
         live = p > tol.tol_zero
-        marg = np.einsum("sabcb->sac", b[live].reshape(-1, d_info, d_red, d_info, d_red))
+        marg = partial_trace(b[live], d_info, d_red, keep="left")
         entries.append(
             {
                 "d_info": d_info,
@@ -533,7 +523,7 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
             }
         )
 
-    decomp = _build_decomposition(fam, sup, entries, tol)
+    decomp = _build_decomposition(fam, sup, entries)
     report = check_maximal(decomp, tol)
     if not report.ok:
         raise MaximalityCheckFailed(
@@ -575,13 +565,13 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     """Certify that a decomposition is the finest one.
 
     Checks (i) the family reassembles from the stored components within
-    1e-7, and every block l's data is accurate to tol_rank relative to the
-    block's own scale (`_block_accuracy`), (ii) within every block the
-    weighted information states have a trivial commutant, and (iii) no two
-    blocks of equal d_info admit a nonzero intertwiner between their
-    weight-normalized information families. (ii) and (iii) decide ranks at
-    the tol_rank floor on each block's normalized data, so a block too
-    light for that accuracy (average weight below about
+    Tolerances.CERTIFICATE, and every block l's data is accurate to tol_rank
+    relative to the block's own scale (`_block_accuracy`), (ii) within every
+    block the weighted information states have a trivial commutant, and
+    (iii) no two blocks of equal d_info admit a nonzero intertwiner between
+    their weight-normalized information families. (ii) and (iii) decide
+    ranks at the tol_rank floor on each block's normalized data, so a block
+    too light for that accuracy (average weight below about
     eps * ||rho|| / tol_rank) fails (i) rather than being certified on
     roundoff. Violations are reported per condition with block indices.
     """
@@ -590,7 +580,7 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     comps = _component_stacks(decomp)
     stacked = _block_matrices(decomp, comps)
     residual = _reassembly_residual(decomp, states, stacked)
-    if residual > 1e-7:
+    if residual > Tolerances.CERTIFICATE:
         violated.append(("i",))
     pw = decomp.family.effective_weights()
     blocks = decomp.structure.blocks
@@ -623,7 +613,8 @@ def structures_equivalent(a: Structure, b: Structure, tol: Tolerances = DEFAULT_
     True iff, after permuting blocks with matching (d_info, d_red), the
     change of frame b.transform @ connector @ a.transform^dag is block
     diagonal with every diagonal block factoring as (info unitary) (x)
-    (red unitary); the factor test is a rank-1 realignment check at 1e-7.
+    (red unitary); the factor test is a rank-1 realignment check at
+    Tolerances.CERTIFICATE.
     `connector` defaults to the identity and lets callers reconcile two
     different embeddings of the same underlying space.
     """
@@ -658,11 +649,11 @@ def structures_equivalent(a: Structure, b: Structure, tol: Tolerances = DEFAULT_
             sv = np.linalg.svd(realigned, compute_uv=False)
         if sv[0] <= tol.tol_zero:
             return False
-        if sv.size > 1 and sv[1] > 1e-7 * sv[0]:
+        if sv.size > 1 and sv[1] > Tolerances.CERTIFICATE * sv[0]:
             return False
         matched[rj, ci] = sub
     off_mass = float(np.linalg.norm(m - matched))
-    return off_mass <= 1e-7 * np.sqrt(a.dim)
+    return off_mass <= Tolerances.CERTIFICATE * np.sqrt(a.dim)
 
 
 def decompositions_equivalent(a: DecomposedFamily, b: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -671,7 +662,7 @@ def decompositions_equivalent(a: DecomposedFamily, b: DecomposedFamily, tol: Tol
         return False
     conn = b.support.conj().T @ a.support
     defect = float(np.linalg.norm(conn.conj().T @ conn - np.eye(a.structure.dim)))
-    if defect > 1e-7 * np.sqrt(a.structure.dim):
+    if defect > Tolerances.CERTIFICATE * np.sqrt(a.structure.dim):
         return False
     return structures_equivalent(a.structure, b.structure, tol, connector=conn)
 
@@ -709,4 +700,4 @@ def tensor_structure(a: DecomposedFamily, b: DecomposedFamily, tol: Tolerances =
                     "spectrum": np.kron(a.red_spectra[l1], b.red_spectra[l2]),
                 }
             )
-    return _build_decomposition(fam, np.kron(a.support, b.support), entries, tol)
+    return _build_decomposition(fam, np.kron(a.support, b.support), entries)

@@ -585,7 +585,7 @@ def loop_tensor_structure(a, b, tol=DEFAULT_TOL):
                     "spectrum": np.kron(a.red_spectra[l1], b.red_spectra[l2]),
                 }
             )
-    return _build_decomposition(fam, np.kron(a.support, b.support), entries, tol)
+    return _build_decomposition(fam, np.kron(a.support, b.support), entries)
 
 
 def loop_entropy_report(decomp, weights=None, tol=DEFAULT_TOL):

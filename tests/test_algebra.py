@@ -9,7 +9,13 @@ from kidecomp import (
 )
 from kidecomp import algebra
 from kidecomp.algebra import _intertwiners, _spectral_frame
-from kidecomp.exceptions import DegenerateSample, DimensionMismatch, NotInvariant, ValidationError
+from kidecomp.exceptions import (
+    DegenerateSample,
+    DimensionMismatch,
+    NotInvariant,
+    SupportDeficient,
+    ValidationError,
+)
 from kidecomp.linalg import DEFAULT_TOL
 
 from helpers import (
@@ -167,6 +173,14 @@ def test_isotypic_trivial_family():
     assert comp.simple_dim == 1
     assert comp.multiplicity == 4
     assert dec.residual_check < 1e-10
+
+
+def test_isotypic_rejects_generators_spanning_a_proper_subspace():
+    # rotated so the missing direction is not a coordinate axis
+    u = haar_unitary(np.random.default_rng(11), 4)
+    gens = [u @ np.diag(d).astype(complex) @ u.conj().T for d in ([0.5, 0.5, 0, 0], [0.2, 0, 0.8, 0])]
+    with pytest.raises(SupportDeficient, match="3-dim subspace of the 4-dim"):
+        isotypic_decompose(gens)
 
 
 def test_isotypic_planted_tensor_block():

@@ -1,5 +1,11 @@
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import kidecomp
 
 from kidecomp import (
     DEFAULT_TOL,
@@ -32,7 +38,6 @@ from kidecomp.exceptions import (
 )
 from kidecomp.linalg import (
     entropy_of_spectrum,
-    frobenius,
     hermitian_part,
     hermiticity_defect,
     polar_offblock,
@@ -53,6 +58,36 @@ def test_tolerances_defaults_and_validation():
         Tolerances(tol_rank=-1e-9)
     with pytest.raises(ValueError):
         Tolerances(tol_zero=1e-8)  # must stay below tol_rank
+
+
+def test_fixed_thresholds_are_constants_not_fields():
+    names = [f.name for f in fields(Tolerances)]
+    assert names == ["tol_sym", "tol_psd", "tol_trace", "tol_rank", "tol_zero", "tol_cluster"]
+    assert Tolerances.VERDICT == 1e-8
+    assert Tolerances.CERTIFICATE == 1e-7
+    with pytest.raises(TypeError):
+        Tolerances(VERDICT=1.0)
+
+
+def test_no_literal_threshold_outside_tolerances():
+    # every small threshold is read from `Tolerances`; a literal below 1e-3
+    # anywhere else in the package is a second threshold policy
+    hits = []
+    for path in sorted(Path(kidecomp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Tolerances":
+                skip.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0.0 < node.value < 1e-3
+                and id(node) not in skip
+            ):
+                hits.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert hits == []
 
 
 def test_hermitian_part_and_defect():
@@ -212,11 +247,24 @@ def test_partial_trace_of_product_states():
     assert np.allclose(partial_trace(kron, 2, 3, keep="right"), b, atol=1e-12)
 
 
+def test_partial_trace_of_a_stack_is_per_member():
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((2, 3, 6, 6)) + 1j * rng.standard_normal((2, 3, 6, 6))
+    for keep, shape in (("left", (2, 3, 2, 2)), ("right", (2, 3, 3, 3))):
+        out = partial_trace(stack, 2, 3, keep=keep)
+        assert out.shape == shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], partial_trace(stack[idx], 2, 3, keep=keep))
+    with pytest.raises(DimensionMismatch):
+        partial_trace(stack, 3, 3)
+    with pytest.raises(DimensionMismatch):
+        partial_trace(np.ones(6), 2, 3)
+
+
 def test_trace_norm_is_singular_value_sum():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     assert abs(trace_norm(m) - np.linalg.svd(m, compute_uv=False).sum()) < 1e-10
-    assert frobenius(m) == pytest.approx(np.linalg.norm(m))
 
 
 def test_entropy_of_spectrum_values():
@@ -287,7 +335,7 @@ def _pairing_with_complement():
                 identity_channel(2), np.diag([0.5, 0.5]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
             ),
         ),
-        ("canonical_kraus", "eigh", lambda: canonical_kraus(identity_channel(2))),
+        ("canonical_kraus", "svd", lambda: canonical_kraus(identity_channel(2))),
     ],
     ids=[
         "polar_offblock",

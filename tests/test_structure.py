@@ -12,7 +12,6 @@ from kidecomp import (
     density_matrix,
     difference_split,
     family_average,
-    refinement_index,
     state_family,
     structures_equivalent,
     tensor_structure,
@@ -438,42 +437,15 @@ def test_coherence_pairing_rejects_zero_offblock():
         coherence_pairing(rho, b1, b2)
 
 
-def test_refinement_index_examples():
-    def idx(blocks, dim):
-        g = np.eye(dim, dtype=complex)
-        return refinement_index(Structure(dim, tuple(blocks), g))
-
-    assert idx([(1, 1)], 1) == 1
-    assert idx([(1, 2)], 2) == 1  # pure redundancy stays minimal
-    assert idx([(1, 1), (1, 1)], 2) == 2  # fully classical split
-    assert idx([(2, 1)], 2) == 3  # one fully quantum block
-    # bound: 1 <= r <= m(m+1)/2 with m the summed info dimension
-    rng = np.random.default_rng(58)
-    for _ in range(10):
-        blocks = []
-        total = 0
-        while total < 6:
-            a, b = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            blocks.append((a, b))
-            total += a * b
-        dim = sum(a * b for a, b in blocks)
-        r = idx(blocks, dim)
-        m = sum(a for a, _ in blocks)
-        assert 1 <= r <= m * (m + 1) // 2
-
-
-def test_refinement_index_orders_known_chain():
+def test_decompose_orders_known_chain():
     # identical pair < classical pair < conjugate-basis quartet
     rho = np.diag([0.5, 0.5]).astype(complex)
-    r_same = refinement_index(decompose(state_family([rho, rho])).structure)
+    assert decompose(state_family([rho, rho])).structure.blocks == ((1, 2),)
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
-    r_classical = refinement_index(decompose(state_family([a, b])).structure)
+    assert decompose(state_family([a, b])).structure.blocks == ((1, 1), (1, 1))
     plus, minus = plus_minus()
-    r_quantum = refinement_index(decompose(state_family([a, b, plus, minus])).structure)
-    assert r_same == 1
-    assert r_classical == 2
-    assert r_quantum == 3
+    assert decompose(state_family([a, b, plus, minus])).structure.blocks == ((2, 1),)
 
 
 def test_check_maximal_flags_coarsened_structure():
