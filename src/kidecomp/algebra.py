@@ -9,8 +9,12 @@ of a fixed random element G of the family's span (after Murota, Kanno,
 Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010): every solution
 also intertwines G_x with G_y, so it only links eigenvalues that agree, and
 a commutant with eigenvalue multiplicities m_c has sum m_c^2 unknowns
-instead of d^2. The isotypic split makes that solve once, for the commutant
-of the whole family, and reads everything else off two random Hermitian
+instead of d^2. Only the span of the family matters, not how many members
+list it: the solve first replaces the generators, each of norm at most 1,
+by an orthogonal basis of their span with the same Gram matrix of
+constraints (`_span_remix`), so it has r ka kb rows for an r-dimensional
+span. The isotypic split makes that solve once, for the commutant of the
+whole family, and reads everything else off two random Hermitian
 commutant elements (after Maehara & Murota, SIAM J. Matrix Anal. Appl. 32,
 2011): the simple pieces from the eigenspaces of the first, and the classes
 and the alignment of their copies from the Schur blocks of the second.
@@ -64,8 +68,10 @@ def _null_space_floor(row_blocks, cutoff: float) -> np.ndarray:
     """Nullspace, with an absolute singular-value cutoff, of the matrix
     whose rows come in the given blocks, each with the same columns.
 
-    Callers build their constraint rows from norm-1 matrices, so genuine
-    constraints have singular values of order 1. A cutoff relative to the
+    Callers scale their generators to norm at most 1, and `_intertwiners`
+    replaces them by a basis of their span with the same Gram matrix
+    sum_i C(x_i)^dag C(x_i) (`_span_remix`), so genuine constraints have
+    singular values of order 1. A cutoff relative to the
     largest singular value misreads an all-noise system, where every row
     vanishes up to roundoff, as full rank; the absolute floor reads it
     correctly as rank zero. The SVD is taken of the R factor of the stack,
@@ -104,7 +110,7 @@ def _spectral_frame(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
     c = np.random.default_rng(_FRAME_SEED).standard_normal(n)
     with _lapack():
         lam, u_x = np.linalg.eigh(np.tensordot(c, xs, axes=1))
-        mu, u_y = np.linalg.eigh(np.tensordot(c, ys, axes=1))
+        mu, u_y = (lam, u_x) if ys is xs else np.linalg.eigh(np.tensordot(c, ys, axes=1))
     merged = np.concatenate([lam, mu])
     order = np.argsort(merged, kind="stable")
     label = np.empty(ka + kb, dtype=int)
@@ -117,17 +123,50 @@ def _spectral_frame(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
     return u_x, u_y, label[ka:, None] == label[None, :ka]
 
 
+def _span_remix(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
+    """Replace the n pairs (x_i, y_i) by r <= n real orthogonal combinations
+    that span the same pairs.
+
+    The combinations are sum_i u_ij (x_i, y_i) = s_j v_j, where u, s are
+    the left singular vectors and singular values of the real n x
+    2(ka^2 + kb^2) matrix F of stacked pairs (of the x_i alone when ys is
+    xs); the directions with s_j above tol_zero are kept, and at least one.
+    An orthogonal remix leaves the system's Gram matrix
+    sum_i C(x_i)^dag C(x_i) unchanged, and a dropped direction moves a
+    singular value of the system by at most 2 s_j, far below the absolute
+    tol_rank floor. The mix is real, so Hermitian generators stay
+    Hermitian. u comes from the thin SVD of R^T, with R the R factor of
+    F^T, which costs far less than an SVD of the wide F. When every
+    direction is kept, the pairs come back unchanged. A LAPACK failure
+    raises NoConvergence.
+    """
+    n = xs.shape[0]
+    flat = xs.reshape(n, -1) if ys is xs else np.concatenate([xs.reshape(n, -1), ys.reshape(n, -1)], axis=1)
+    with _lapack():
+        r = np.linalg.qr(flat.view(float).T, mode="r")
+        u, s, _ = np.linalg.svd(r.T, full_matrices=False)
+    keep = s > tol.tol_zero
+    keep[0] = True
+    if keep.sum() == n:
+        return xs, ys
+    mix = u[:, keep].T
+    remixed = np.tensordot(mix, xs, axes=1)
+    return remixed, (remixed if ys is xs else np.tensordot(mix, ys, axes=1))
+
+
 def _intertwiners(xs, ys, tol: Tolerances) -> list:
     """Basis of {L : L x_i = y_i L for every i}, as kb x ka matrices.
 
     xs are ka x ka and ys kb x kb, paired by index; callers scale them, since
-    the rank floor tol_rank is absolute. The system is solved for
+    the rank floor tol_rank is absolute. The pairs are first reduced to a
+    basis of their span (`_span_remix`). The system is solved for
     L' = u_y^dag L u_x in `_spectral_frame`, over the kept entries only:
     the column of entry (p, q) stacks E_pq x'_i - y'_i E_pq over i. The
     basis is orthonormal under the Hilbert-Schmidt inner product.
     """
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
+    xs, ys = _span_remix(xs, ys, tol)
     ka, kb = xs.shape[1], ys.shape[1]
     u_x, u_y, mask = _spectral_frame(xs, ys, tol)
     ps, qs = np.nonzero(mask)

@@ -507,15 +507,30 @@ def write_kraus_file(path, ops, input_dim=None, output_dim=None):
 
 
 def weights_match(got, want, atol=1e-6):
-    """Column-permutation-tolerant comparison of weight matrices."""
+    """Column-permutation-tolerant comparison of weight matrices.
+
+    True iff some column permutation of `got` is allclose to `want`: a
+    perfect matching (augmenting paths) between the columns that are
+    allclose pairwise, so 12 blocks do not try 12! permutations.
+    """
     got = np.asarray(got, dtype=float)
     want = np.asarray(want, dtype=float)
     if got.shape != want.shape:
         return False
-    for perm in itertools.permutations(range(want.shape[1])):
-        if np.allclose(got[:, list(perm)], want, atol=atol):
-            return True
-    return False
+    k = want.shape[1]
+    close = [[np.allclose(got[:, g], want[:, w], atol=atol) for g in range(k)] for w in range(k)]
+    owner = [None] * k  # owner[g]: the column of `want` that column g of `got` serves
+
+    def assign(w, seen):
+        for g in range(k):
+            if close[w][g] and g not in seen:
+                seen.add(g)
+                if owner[g] is None or assign(owner[g], seen):
+                    owner[g] = w
+                    return True
+        return False
+
+    return all(assign(w, set()) for w in range(k))
 
 
 def loop_max_residual(decomp):

@@ -32,7 +32,8 @@ def dense_intertwiners(xs, ys):
     ka, kb = xs[0].shape[0], ys[0].shape[0]
     # row-major vec: vec(y L) = (y (x) I) vec L, vec(L x) = (I (x) x^T) vec L
     rows = [np.kron(y, np.eye(ka)) - np.kron(np.eye(kb), x.T) for x, y in zip(xs, ys)]
-    _, s, vh = np.linalg.svd(np.vstack(rows))
+    # n ka kb rows >= ka kb columns, so the thin SVD has every right singular vector
+    _, s, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
     rank = int(np.sum(s > DEFAULT_TOL.tol_rank))
     return list(vh[rank:].conj().reshape(-1, kb, ka))
 
@@ -397,6 +398,110 @@ def test_intertwiners_match_dense_solve_between_blocks():
     inequivalent = unit([seeded_random_hermitian(3, 80 + s) for s in range(3)])
     assert _intertwiners(xs, inequivalent, DEFAULT_TOL) == []
     assert dense_intertwiners(xs, inequivalent) == []
+
+
+def combinations(rng, mats, n):
+    """n random real combinations of the given matrices; they span what the
+    matrices span."""
+    return list(np.tensordot(rng.standard_normal((n, len(mats))), np.asarray(mats), axes=1))
+
+
+def count_frame_generators(monkeypatch):
+    """Record how many generators each commutation system is built from."""
+    seen = []
+    real = algebra._spectral_frame
+
+    def counted(xs, ys, tol):
+        seen.append(xs.shape[0])
+        return real(xs, ys, tol)
+
+    monkeypatch.setattr(algebra, "_spectral_frame", counted)
+    return seen
+
+
+def test_remix_solves_a_sixty_member_commutant_on_its_span(monkeypatch):
+    # 60 members spanning the 5 dimensions of a planted d = 12 family
+    rng = np.random.default_rng(160)
+    base = build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 5)["states"]
+    xs = unit(combinations(rng, base, 60))
+    seen = count_frame_generators(monkeypatch)
+    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    assert seen == [5]
+    assert len(got) == 2 + 3 + 1 + 1  # diagonal on each redundant factor
+    assert_same_span(got, dense_intertwiners(xs, xs))
+
+
+def test_remix_solves_sixty_block_pairs_on_their_span(monkeypatch):
+    # check_maximal (iii): 60 pairs (x_i, y_i) spanning 4 dimensions, each
+    # pair scaled by the larger of its two norms
+    rng = np.random.default_rng(161)
+    v = haar_unitary(rng, 3)
+    base = [seeded_random_hermitian(3, 162 + s) for s in range(4)]
+    other = [seeded_random_hermitian(3, 166 + s) for s in range(4)]
+    c = rng.standard_normal((60, 4))
+    xs = np.tensordot(c, np.asarray(base), axes=1)
+    seen = count_frame_generators(monkeypatch)
+    for ys, want in ((v @ xs @ v.conj().T, 1), (np.tensordot(c, np.asarray(other), axes=1), 0)):
+        scale = np.maximum(np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=(1, 2)))
+        x, y = list(xs / scale[:, None, None]), list(ys / scale[:, None, None])
+        got = _intertwiners(x, y, DEFAULT_TOL)
+        assert len(got) == want
+        assert_same_span(got, dense_intertwiners(x, y))
+    assert seen == [4, 4]
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [seeded_random_hermitian(4, 170) / np.linalg.norm(seeded_random_hermitian(4, 170))],  # n = 1
+        [np.zeros((4, 4), dtype=complex)] * 6,  # all zero: one direction is always kept
+    ],
+    ids=["one-member", "all-zero"],
+)
+def test_remix_of_one_member_and_of_an_all_zero_family(monkeypatch, xs):
+    seen = count_frame_generators(monkeypatch)
+    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    assert seen == [1]
+    assert len(got) == (4 if np.any(xs[0]) else 16)
+    assert_same_span(got, dense_intertwiners(xs, xs))
+
+
+@pytest.mark.parametrize("d_info", [1, 2])
+def test_remix_of_more_members_than_real_entries(monkeypatch, d_info):
+    # 60 weighted information states of one block (check_maximal (ii)) and
+    # 60 pairs of two such blocks (iii): n exceeds 2 ka^2, so the thin SVD
+    # has fewer directions than members
+    rng = np.random.default_rng(171 + d_info)
+    infos = np.stack([random_density(rng, d_info) for _ in range(60)])
+    w = rng.uniform(0.1, 1.0, 60)
+    seen = count_frame_generators(monkeypatch)
+    got = algebra._commutant_basis(w[:, None, None] * infos, DEFAULT_TOL)
+    xs = unit(list(w[:, None, None] * infos))
+    assert len(got) == 1
+    assert_same_span(got, dense_intertwiners(xs, xs))
+    v = haar_unitary(rng, d_info)
+    ys = [v @ x @ v.conj().T for x in xs]
+    got = _intertwiners(xs, ys, DEFAULT_TOL)
+    assert len(got) == 1
+    assert_same_span(got, dense_intertwiners(xs, ys))
+    assert seen == [d_info**2] * 2
+
+
+def test_remix_keeps_the_spectral_frame_unknowns():
+    rng = np.random.default_rng(175)
+    base = build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 5)["states"]
+    xs = np.asarray(unit(combinations(rng, base, 60)))
+    rx, ry = algebra._span_remix(xs, xs, DEFAULT_TOL)
+    assert rx is ry and rx.shape[0] == 5
+    for m in rx:
+        assert np.linalg.norm(m - m.conj().T) <= 1e-12
+    _, _, full = _spectral_frame(xs, xs, DEFAULT_TOL)
+    _, _, remixed = _spectral_frame(rx, ry, DEFAULT_TOL)
+    # a random family element has a simple spectrum: the diagonal of d = 12
+    assert remixed.sum() == full.sum() == 12
+    # a family that spans as many dimensions as it has members passes through
+    same = np.asarray(unit(base))
+    assert algebra._span_remix(same, same, DEFAULT_TOL) == (same, same)
 
 
 def test_commutant_of_non_normal_generator():

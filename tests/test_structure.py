@@ -42,6 +42,7 @@ from helpers import (
 
 
 ENVELOPE_64 = [(6, 3), (4, 4), (3, 4), (2, 3), (1, 4), (1, 2), (2, 2), (1, 2)]
+CLASSICAL_64 = [(1, 8), (1, 7), (1, 6), (1, 6)] + [(1, 5)] * 5 + [(1, 4)] * 3  # spans 12 dims
 
 
 def plus_minus():
@@ -147,6 +148,7 @@ def test_decompose_recovers_families_whose_commutant_svd_failed(seed, blocks, pa
         (92, ENVELOPE_64, 4, None),  # d = 64
         (93, [(4, 3), (3, 2), (2, 3), (1, 4), (2, 2), (1, 2), (3, 2)], 4, 48),  # 40 of 48 dims
         (94, [(3, 2), (2, 3), (2, 2), (1, 2), (1, 4), (1, 2)], 60, None),  # d = 24, 60 states
+        (92, CLASSICAL_64, 60, None),  # d = 64, 60 states
     ],
 )
 def test_decompose_envelope(seed, blocks, n_states, pad_to):
