@@ -13,7 +13,14 @@ instead of d^2. Only the span of the family matters, not how many members
 list it: the solve first replaces the generators, each of norm at most 1,
 by an orthogonal basis of their span with the same Gram matrix of
 constraints (`_span_remix`), so it has r ka kb rows for an r-dimensional
-span. The isotypic split makes that solve once, for the commutant of the
+span. A family that is exactly block diagonal, with consecutive diagonal
+blocks read off its nonzero pattern, is diagonalized block by block, and
+the solve splits into one system per pair of blocks with kept unknowns,
+r sp sq rows each for blocks of sizes sp and sq; the pairs of one shape
+and one set of kept unknowns are solved as one stack. Blocks that are
+diagonal only after a permutation are not detected: such a family is
+solved as fewer, larger blocks. The isotypic split makes that solve once,
+for the commutant of the
 whole family, and reads everything else off two random Hermitian
 commutant elements (after Maehara & Murota, SIAM J. Matrix Anal. Appl. 32,
 2011): the simple pieces from the eigenspaces of the first, and the classes
@@ -48,7 +55,18 @@ _BLOCK_ENTRIES = 1 << 21  # matrix entries per row block of a commutation system
 
 
 def _check_square_family(mats):
-    """Validate a generator family; returns it stacked as an n x d x d array."""
+    """Validate a generator family; returns it stacked as an n x d x d array.
+
+    An input that stacks as a finite n x d x d array passes with one shape
+    test and one finiteness test; anything else is walked member by member,
+    so a failing family raises the error of its first failing member.
+    """
+    try:
+        a = np.asarray(mats, dtype=complex)
+    except (TypeError, ValueError):
+        a = None
+    if a is not None and a.ndim == 3 and a.shape[0] > 0 and a.shape[1] == a.shape[2] > 0 and np.isfinite(a).all():
+        return a, a.shape[1]
     out = []
     for k, m in enumerate(mats):
         a = as_complex_matrix(m)
@@ -64,9 +82,14 @@ def _check_square_family(mats):
     return np.stack(out), d
 
 
-def _null_space_floor(row_blocks, cutoff: float) -> np.ndarray:
-    """Nullspace, with an absolute singular-value cutoff, of the matrix
-    whose rows come in the given blocks, each with the same columns.
+def _null_space_floor(row_blocks, cutoff: float) -> list:
+    """Null spaces, with an absolute singular-value cutoff, of a stack of m
+    equal-shape systems whose rows come in the given m x rows x c blocks.
+
+    Returns one c x z_j matrix per system, z_j its own null dimension. The
+    stack holds the block-pair systems of one shape and one set of kept
+    unknowns (`_intertwiners`); a family with no consecutive diagonal
+    blocks is a stack of one.
 
     Callers scale their generators to norm at most 1, and `_intertwiners`
     replaces them by a basis of their span with the same Gram matrix
@@ -74,43 +97,101 @@ def _null_space_floor(row_blocks, cutoff: float) -> np.ndarray:
     singular values of order 1. A cutoff relative to the
     largest singular value misreads an all-noise system, where every row
     vanishes up to roundoff, as full rank; the absolute floor reads it
-    correctly as rank zero. The SVD is taken of the R factor of the stack,
-    which has the stack's singular values and right singular vectors
-    without forming a tall U; it is accumulated block by block, as the R
-    factor of [R; block], so the whole stack is never held at once. A LAPACK
-    failure raises NoConvergence.
+    correctly as rank zero. The SVD is taken of the R factor of each
+    system, which has the system's singular values and right singular
+    vectors without forming a tall U. R is accumulated block by block, as
+    the R factor of [R; block], with one stacked QR per block and one
+    stacked SVD, so no system is held at once. From the second block on, R
+    and the block are written into one buffer in the column-major order
+    that LAPACK reads, so a block given as the transpose of a C-ordered
+    m x c x rows array is copied there row by row. A LAPACK failure raises
+    NoConvergence.
     """
     with _lapack():
-        r = None
+        r = buf = None
         for block in row_blocks:
-            r = np.linalg.qr(block if r is None else np.vstack([r, block]), mode="r")
+            if r is None:
+                r = np.linalg.qr(block, mode="r")
+                continue
+            top, rows = r.shape[1], r.shape[1] + block.shape[1]
+            if buf is None or buf.shape[2] < rows:
+                buf = np.empty((block.shape[0], block.shape[2], block.shape[2] + block.shape[1]), dtype=complex)
+            buf[:, :, :top] = r.transpose(0, 2, 1)
+            buf[:, :, top:rows] = block.transpose(0, 2, 1)
+            r = np.linalg.qr(buf[:, :, :rows].transpose(0, 2, 1), mode="r")
         _, s, vh = np.linalg.svd(r)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:, :].conj().T
+    ranks = np.sum(s > cutoff, axis=1)
+    return [v[rank:, :].conj().T for v, rank in zip(vh, ranks)]
+
+
+def _diagonal_blocks(mats: np.ndarray) -> np.ndarray:
+    """Edges of the finest consecutive diagonal blocks of a k x k stack.
+
+    Read off the exact nonzero pattern of the whole stack, with no
+    threshold: block b is [edges[b], edges[b + 1]), and every entry of every
+    member outside the diagonal blocks is exactly zero. Only consecutive
+    blocks are found; a pattern that is block diagonal only after a
+    permutation reads as fewer, larger blocks.
+    """
+    k = mats.shape[1]
+    nz = np.any(mats, axis=0)
+    nz |= nz.T
+    if nz.all():
+        return np.array([0, k])
+    idx = np.arange(k)
+    # reach[j]: the last index that row and column j touch
+    last = np.where(nz.any(axis=1), k - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
+    reach = np.maximum.accumulate(np.maximum(idx, last))
+    return np.concatenate([[0], np.flatnonzero(reach == idx) + 1])
+
+
+def _blocks_at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The diagonal blocks a[..., idx_j, idx_j] for the rows idx_j of idx,
+    stacked on the axis before the last two; one block is a view."""
+    if idx.shape[0] == 1:
+        return a[..., None, idx[0, 0] : idx[0, -1] + 1, idx[0, 0] : idx[0, -1] + 1]
+    return a[..., idx[:, :, None], idx[:, None, :]]
 
 
 def _spectral_frame(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
-    """Unitary frames (u_x, u_y) and the mask of entries an intertwiner may use.
+    """Block-diagonal unitary frames of both sides and the mask of entries
+    an intertwiner may use.
 
-    For Hermitian families, every L with L x_i = y_i L also satisfies
-    L G_x = G_y L for G = sum_i c_i x_i (resp. y_i), so in the eigenbases of
-    G_x and G_y the entry (p, q) of L vanishes unless mu_p and lambda_q are
-    equal. Both spectra are clustered together with `_cluster_ascending`;
-    an entry is kept when its two eigenvalues share a cluster. Merging too
-    much only keeps extra unknowns, so the policy errs that way. Otherwise
-    (some matrix not Hermitian within tol_sym) the frame is the identity and
-    every entry is kept. A LAPACK failure raises NoConvergence.
+    Returns ((edges_x, u_x), (edges_y, u_y), mask): the consecutive
+    diagonal blocks of each side (`_diagonal_blocks`), a unitary that is
+    block diagonal over them, and the kb x ka mask. For Hermitian families,
+    every L with L x_i = y_i L also satisfies L G_x = G_y L for
+    G = sum_i c_i x_i (resp. y_i), so in the eigenbases of G_x and G_y the
+    entry (p, q) of L vanishes unless mu_p and lambda_q are equal. G is
+    diagonalized block by block, with one stacked eigh per block size, so
+    the frames keep the blocks' zeros. Both spectra are clustered together
+    with `_cluster_ascending`; an entry is kept when its two eigenvalues
+    share a cluster. Merging too much only keeps extra unknowns, so the
+    policy errs that way. Otherwise (some matrix not Hermitian within
+    tol_sym) each frame is the identity and every entry is kept. A LAPACK
+    failure raises NoConvergence.
     """
     n, ka, kb = xs.shape[0], xs.shape[1], ys.shape[1]
-    defect = max(
-        float(np.linalg.norm(m - m.conj().transpose(0, 2, 1), axis=(1, 2)).max()) for m in (xs, ys)
-    )
+    sides = (xs,) if ys is xs else (xs, ys)
+    edges = [_diagonal_blocks(m) for m in sides]
+    defect = max(float(np.linalg.norm(m - m.conj().transpose(0, 2, 1), axis=(1, 2)).max()) for m in sides)
     if defect > tol.tol_sym:
-        return np.eye(ka, dtype=complex), np.eye(kb, dtype=complex), np.ones((kb, ka), dtype=bool)
+        frame_x, frame_y = (edges[0], np.eye(ka, dtype=complex)), (edges[-1], np.eye(kb, dtype=complex))
+        return frame_x, frame_y, np.ones((kb, ka), dtype=bool)
     c = np.random.default_rng(_FRAME_SEED).standard_normal(n)
-    with _lapack():
-        lam, u_x = np.linalg.eigh(np.tensordot(c, xs, axes=1))
-        mu, u_y = (lam, u_x) if ys is xs else np.linalg.eigh(np.tensordot(c, ys, axes=1))
+    frames, spectra = [], []
+    for m, e in zip(sides, edges):
+        k = m.shape[1]
+        g = (c @ m.reshape(n, -1)).reshape(k, k)
+        lam, u = np.empty(k), np.zeros((k, k), dtype=complex)
+        sizes = np.diff(e)
+        for size in sorted(set(sizes.tolist())):
+            idx = e[:-1][sizes == size, None] + np.arange(size)
+            with _lapack():
+                lam[idx], u[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(_blocks_at(g, idx))
+        frames.append((e, u))
+        spectra.append(lam)
+    lam, mu = spectra[0], spectra[-1]
     merged = np.concatenate([lam, mu])
     order = np.argsort(merged, kind="stable")
     label = np.empty(ka + kb, dtype=int)
@@ -120,7 +201,7 @@ def _spectral_frame(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
     floor = tol.tol_rank * float(np.linalg.norm(c))
     for k, cl in enumerate(_cluster_ascending(merged[order], tol, floor)):
         label[order[cl]] = k
-    return u_x, u_y, label[ka:, None] == label[None, :ka]
+    return frames[0], frames[-1], label[ka:, None] == label[None, :ka]
 
 
 def _span_remix(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
@@ -154,42 +235,79 @@ def _span_remix(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
     return remixed, (remixed if ys is xs else np.tensordot(mix, ys, axes=1))
 
 
+def _pair_rows(xf: np.ndarray, yf: np.ndarray, ps: np.ndarray, qs: np.ndarray):
+    """The rows of a stack of m block-pair systems, m x rows x len(ps) each,
+    `per` generators at a time (about _BLOCK_ENTRIES entries a block).
+
+    xf is m x n x sq x sq and yf m x n x sp x sp, the blocks of the pairs in
+    the spectral frame; (ps, qs) are the kept entries, the same for the
+    whole stack. The column of entry (p, q) stacks E_pq x'_i - y'_i E_pq
+    over i. Each block is the transpose of a C-ordered array, as
+    `_null_space_floor` reads it fastest.
+    """
+    m, n, sq, sp = xf.shape[0], xf.shape[1], xf.shape[2], yf.shape[2]
+    k = np.arange(ps.size)
+    per = max(1, _BLOCK_ENTRIES // (m * sp * sq * ps.size))
+    for start in range(0, n, per):
+        x, y = xf[:, start : start + per], yf[:, start : start + per]
+        cols = np.zeros((m, ps.size, x.shape[1], sp, sq), dtype=complex)
+        cols[:, k, :, ps, :] = x[:, :, qs, :].transpose(2, 0, 1, 3)  # E_pq x': row p is x'[q, :]
+        cols[:, k, :, :, qs] -= y[:, :, :, ps].transpose(3, 0, 1, 2)  # y' E_pq: column q is y'[:, p]
+        yield cols.reshape(m, ps.size, -1).transpose(0, 2, 1)
+
+
 def _intertwiners(xs, ys, tol: Tolerances) -> list:
     """Basis of {L : L x_i = y_i L for every i}, as kb x ka matrices.
 
     xs are ka x ka and ys kb x kb, paired by index; callers scale them, since
     the rank floor tol_rank is absolute. The pairs are first reduced to a
     basis of their span (`_span_remix`). The system is solved for
-    L' = u_y^dag L u_x in `_spectral_frame`, over the kept entries only:
-    the column of entry (p, q) stacks E_pq x'_i - y'_i E_pq over i. The
-    basis is orthonormal under the Hilbert-Schmidt inner product.
+    L' = u_y^dag L u_x in `_spectral_frame`, over the kept entries only,
+    one system per block pair: in that frame every generator is block
+    diagonal over the consecutive blocks of its side, so an unknown (p, q)
+    meets only the rows (a, b) with a in p's block and b in q's, and the
+    system splits into one system per pair (P, Q) of a y-block and an
+    x-block with kept entries. The pairs with the same shape and the same
+    kept entries are solved as one stack (`_null_space_floor`); a family
+    with no blocks is one pair in a stack of one. Only consecutive blocks
+    are detected (`_diagonal_blocks`). The singular values are those of the
+    whole system, so every rank decision is the one a single solve would
+    make. The basis is orthonormal under the Hilbert-Schmidt inner product.
     """
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
     xs, ys = _span_remix(xs, ys, tol)
     ka, kb = xs.shape[1], ys.shape[1]
-    u_x, u_y, mask = _spectral_frame(xs, ys, tol)
-    ps, qs = np.nonzero(mask)
-    if ps.size == 0:
-        return []
-    xf = u_x.conj().T @ xs @ u_x
-    yf = u_y.conj().T @ ys @ u_y
-    k = np.arange(ps.size)
-
-    def row_blocks():
-        # the rows of `per` generators at a time, about _BLOCK_ENTRIES entries
-        per = max(1, _BLOCK_ENTRIES // (kb * ka * ps.size))
-        for start in range(0, xs.shape[0], per):
-            x, y = xf[start : start + per], yf[start : start + per]
-            cols = np.zeros((ps.size, x.shape[0], kb, ka), dtype=complex)
-            cols[k, :, ps, :] = x[:, qs, :].transpose(1, 0, 2)  # E_pq x': row p is x'[q, :]
-            cols[k, :, :, qs] -= y[:, :, ps].transpose(2, 0, 1)  # y' E_pq: column q is y'[:, p]
-            yield cols.reshape(ps.size, -1).T
-
-    ns = _null_space_floor(row_blocks(), tol.tol_rank)
-    lf = np.zeros((ns.shape[1], kb, ka), dtype=complex)
-    lf[:, ps, qs] = ns.T
-    return list(u_y @ lf @ u_x.conj().T)
+    (ex, u_x), (ey, u_y), mask = _spectral_frame(xs, ys, tol)
+    kept = np.add.reduceat(np.add.reduceat(mask, ey[:-1], axis=0), ex[:-1], axis=1)
+    ey, ex = ey.tolist(), ex.tolist()
+    groups = {}  # (shape, kept entries) -> (kept entries, the pairs' first rows and columns)
+    for bp, bq in np.argwhere(kept).tolist():
+        sub = mask[ey[bp] : ey[bp + 1], ex[bq] : ex[bq + 1]]
+        starts = groups.setdefault((sub.shape, sub.tobytes()), (sub, []))[1]
+        starts.append((ey[bp], ex[bq]))
+    found = []
+    for sub, starts in groups.values():
+        ps, qs = np.nonzero(sub)
+        first_y, first_x = np.array(starts).T
+        iy = first_y[:, None] + np.arange(sub.shape[0])
+        ix = first_x[:, None] + np.arange(sub.shape[1])
+        uy, ux = _blocks_at(u_y, iy), _blocks_at(u_x, ix)
+        xf = ux.conj().swapaxes(1, 2)[:, None] @ _blocks_at(xs, ix).swapaxes(0, 1) @ ux[:, None]
+        yf = uy.conj().swapaxes(1, 2)[:, None] @ _blocks_at(ys, iy).swapaxes(0, 1) @ uy[:, None]
+        nulls = _null_space_floor(_pair_rows(xf, yf, ps, qs), tol.tol_rank)
+        owner = np.repeat(np.arange(len(starts)), [v.shape[1] for v in nulls])
+        if owner.size:
+            lf = np.zeros((owner.size,) + sub.shape, dtype=complex)
+            lf[:, ps, qs] = np.concatenate(nulls, axis=1).T
+            found.append((uy[owner] @ lf @ ux[owner].conj().swapaxes(1, 2), iy[owner], ix[owner]))
+    out = np.zeros((sum(f[0].shape[0] for f in found), kb, ka), dtype=complex)
+    z = 0
+    for blocks, iy, ix in found:
+        rows = np.arange(z, z + blocks.shape[0])
+        out[rows[:, None, None], iy[:, :, None], ix[:, None, :]] = blocks
+        z += blocks.shape[0]
+    return list(out)
 
 
 def _commutant_basis(mats, tol: Tolerances) -> list:

@@ -144,20 +144,24 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def _density_matrices(a: np.ndarray, tol: Tolerances, normalized: bool = True) -> list:
+def _density_matrices(a: np.ndarray, tol: Tolerances, normalized: bool = True, eigenvalues=None) -> list:
     """Run the checks of `density_matrix` on an m x d x d stack at once.
 
     Returns a DensityMatrix per member. A failing stack raises, for its
     first failing member, the error that `density_matrix` raises on that
-    member alone.
+    member alone. A caller that built the stack from known eigenvalues
+    passes them (m x d, ascending) and saves the eigvalsh.
     """
     finite = np.isfinite(a).all(axis=(1, 2))
     m = a.shape[0] if finite.all() else int(np.argmin(finite))
     a = a[:m]
     defects = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(1, 2))
     h = _hermitian_stack(a)
-    with _lapack():
-        w = np.linalg.eigvalsh(h)
+    if eigenvalues is None:
+        with _lapack():
+            w = np.linalg.eigvalsh(h)
+    else:
+        w = eigenvalues[:m]
     traces = np.trace(h, axis1=1, axis2=2).real
     floors = -tol.tol_psd * np.maximum(1.0, np.abs(w[:, -1]))
     not_herm = defects > tol.tol_sym

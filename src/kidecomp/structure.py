@@ -52,7 +52,6 @@ from .linalg import (
     polar_offblock,
     state_family,
     support_basis,
-    support_projector,
 )
 
 __all__ = [
@@ -150,10 +149,17 @@ def family_average(family, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     which must hold for positive weights; a violation means the inputs or
     tolerances are numerically broken.
     """
+    return _average_and_support(family, tol)[0]
+
+
+def _average_and_support(family, tol: Tolerances):
+    """`family_average` and the support basis of the average, from one
+    diagonalization of the average."""
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     mats = np.stack(fam.mats())
     avg = density_matrix(np.tensordot(fam.effective_weights(), mats, axes=1), tol)
-    proj = support_projector(avg.mat, tol)
+    sup = support_basis(avg.mat, tol)
+    proj = _hermitian_stack(sup @ sup.conj().T)
     leaks = np.linalg.norm(mats - proj @ mats @ proj, axis=(1, 2))
     over = leaks > Tolerances.VERDICT
     if over.any():
@@ -161,7 +167,7 @@ def family_average(family, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
         raise ValidationError(
             f"state {k} leaks {leaks[k]:.3e} outside the family average's support"
         )
-    return avg
+    return avg, sup
 
 
 @dataclass(frozen=True)
@@ -366,8 +372,9 @@ def _nearest_density(mats: np.ndarray, tol: Tolerances) -> list:
 
     One stacked eigh: each member's Hermitian part loses its negative
     eigenvalues and is scaled to trace 1, and the results are validated as
-    one stack. Returns a DensityMatrix per member; ZeroOperator when a
-    member has no weight left to normalize.
+    one stack, against the eigenvalues they were built from. Returns a
+    DensityMatrix per member; ZeroOperator when a member has no weight left
+    to normalize.
     """
     with _lapack():
         w, v = np.linalg.eigh(_hermitian_stack(mats))
@@ -375,8 +382,9 @@ def _nearest_density(mats: np.ndarray, tol: Tolerances) -> list:
     total = w.sum(axis=1)
     if np.any(total <= tol.tol_zero):
         raise ZeroOperator("component has no weight to normalize")
-    out = (v * (w / total[:, None])[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return _density_matrices(out, tol)
+    w = w / total[:, None]
+    out = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return _density_matrices(out, tol, eigenvalues=w)
 
 
 def _canonical_sort(entries):
@@ -446,7 +454,11 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     isomorphism class; split again for the rescaled family, whose classes
     are exactly the final blocks (class simple dimension = d_info,
     multiplicity = d_red), with the multiplicity copies already aligned by
-    `isotypic_decompose`; fix the gauge (information basis diagonalizes the
+    `isotypic_decompose`. The second split runs in the frame of the first
+    pass's simple pieces, where the rescaled family keeps only each piece's
+    own block and is exactly block diagonal, so its commutant solve splits
+    into one small system per pair of pieces; its bases are mapped back
+    through that frame. Then fix the gauge (information basis diagonalizes the
     weighted average information state, redundant basis diagonalizes the
     redundant state, both descending, column phases pinned). Blocks are
     ordered by descending average weight, then d_info, d_red, and the
@@ -457,8 +469,7 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     wrong answer.
     """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
-    avg = family_average(fam, tol)
-    sup = support_basis(avg.mat, tol)
+    avg, sup = _average_and_support(fam, tol)
     d0, da = fam.dim, sup.shape[1]
     if da == d0:
         sup = np.eye(d0, dtype=complex)
@@ -466,21 +477,25 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     avg_r = hermitian_part(sup.conj().T @ avg.mat @ sup)
 
     iso1 = isotypic_decompose(gens, seed=seed, tol=tol)
-    # rescale in the frame of the isotypic classes, keeping only each class's
-    # diagonal block: the cross-class parts are roundoff that 1/c_m would
-    # amplify toward the commutant solve's rank floor
+    # rescale in the frame of the simple pieces, keeping only each piece's
+    # own block v^dag rho_s v / c_m: every other entry is an exact zero, so
+    # the second pass solves one small system per pair of pieces, and the
+    # roundoff between pieces, which 1/c_m would amplify toward the commutant
+    # solve's rank floor, is gone
     frame = np.hstack([v for comp in iso1.components for v in comp.submodule_bases])
-    rescaled = np.zeros_like(gens)
-    start = 0
+    avg_f = np.einsum("ij,ij->j", frame.conj(), avg_r @ frame).real
+    inv_c, start = [], 0
     for comp in iso1.components:
         size = comp.multiplicity * comp.simple_dim
-        f_m = frame[:, start : start + size]
+        c_m = float(avg_f[start : start + size].sum()) / comp.multiplicity
         start += size
-        c_m = float(np.trace(f_m.conj().T @ avg_r @ f_m).real) / comp.multiplicity
         if c_m <= tol.tol_zero:
             raise MaximalityCheckFailed("an isotypic class carries no average weight")
-        rescaled += f_m @ ((f_m.conj().T @ gens @ f_m) / c_m) @ f_m.conj().T
-    rescaled = _hermitian_stack(rescaled)
+        inv_c += [1.0 / c_m] * size
+    sizes = [comp.simple_dim for comp in iso1.components for _ in comp.submodule_bases]
+    piece = np.repeat(np.arange(len(sizes)), sizes)
+    inner = (frame.conj().T @ gens @ frame) * np.array(inv_c)[:, None]
+    rescaled = _hermitian_stack(np.where(piece[:, None] == piece[None, :], inner, 0.0))
 
     iso2 = isotypic_decompose(rescaled, seed=seed + _ISO_SEED_STRIDE, tol=tol)
 
@@ -489,7 +504,7 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
         d_info = comp.simple_dim
         d_red = comp.multiplicity
         # the copies come aligned; column j * d_red + k is column j of copy k
-        e_l = np.stack(comp.submodule_bases, axis=2).reshape(da, d_info * d_red)
+        e_l = frame @ np.stack(comp.submodule_bases, axis=2).reshape(da, d_info * d_red)
 
         b_all = hermitian_part(e_l.conj().T @ avg_r @ e_l)
         p_all = float(np.trace(b_all).real)

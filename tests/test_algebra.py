@@ -504,6 +504,103 @@ def test_remix_keeps_the_spectral_frame_unknowns():
     assert algebra._span_remix(same, same, DEFAULT_TOL) == (same, same)
 
 
+def record_null_space_stacks(monkeypatch):
+    """Record (stack size, unknowns) of every `_null_space_floor` call."""
+    seen = []
+    real = algebra._null_space_floor
+
+    def recorded(row_blocks, cutoff):
+        blocks = list(row_blocks)
+        seen.append((blocks[0].shape[0], blocks[0].shape[2]))
+        return real(iter(blocks), cutoff)
+
+    monkeypatch.setattr(algebra, "_null_space_floor", recorded)
+    return seen
+
+
+def hermitians(seed, size, n=3):
+    return np.stack([seeded_random_hermitian(size, seed + i) for i in range(n)])
+
+
+def block_diagonal(*blocks):
+    """Stack of exactly block-diagonal matrices from n x s x s stacks."""
+    d = sum(b.shape[1] for b in blocks)
+    out = np.zeros((blocks[0].shape[0], d, d), dtype=complex)
+    start = 0
+    for b in blocks:
+        out[:, start : start + b.shape[1], start : start + b.shape[1]] = b
+        start += b.shape[1]
+    return out
+
+
+def conjugated(stack, seed):
+    v = haar_unitary(np.random.default_rng(seed), stack.shape[1])
+    return v @ stack @ v.conj().T
+
+
+def block_cases():
+    a2, b3, c2, e1 = hermitians(190, 2), hermitians(193, 3), hermitians(196, 2), hermitians(199, 1)
+    d4 = hermitians(202, 4)
+    return [
+        # (name, xs, ys, (stack size, unknowns) per call, intertwiner count)
+        ("equivalent", block_diagonal(b3, conjugated(b3, 1)), None, [(4, 3)], 4),
+        ("inequivalent", block_diagonal(b3, hermitians(205, 3)), None, [(2, 3)], 2),
+        ("mixed-sizes", block_diagonal(a2, b3, conjugated(a2, 2), e1), None, [(1, 1), (1, 3), (4, 2)], 6),
+        ("between", block_diagonal(a2, b3), block_diagonal(conjugated(b3, 3), c2), [(1, 3)], 1),
+        ("dense", d4, None, [(1, 4)], 1),
+    ]
+
+
+@pytest.mark.parametrize("name, xs, ys, stacks, count", block_cases(), ids=[c[0] for c in block_cases()])
+def test_intertwiners_split_block_diagonal_families_into_stacked_pair_solves(monkeypatch, name, xs, ys, stacks, count):
+    # every pair of blocks with kept entries is one system, and the pairs of
+    # one shape and kept pattern are one stacked solve; a dense family is
+    # one pair in a stack of one. One scale per member pair, as in
+    # check_maximal, leaves L x = y L unchanged
+    scale = np.linalg.norm(xs, axis=(1, 2)) if ys is None else np.maximum(
+        np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=(1, 2))
+    )
+    xs = xs / scale[:, None, None]
+    ys = xs if ys is None else ys / scale[:, None, None]
+    seen = record_null_space_stacks(monkeypatch)
+    got = _intertwiners(xs, ys, DEFAULT_TOL)
+    assert sorted(seen) == stacks
+    assert len(got) == count
+    assert_same_span(got, dense_intertwiners(list(xs), list(ys)))
+
+
+def test_diagonal_blocks_reads_the_exact_zero_pattern():
+    xs = block_diagonal(hermitians(210, 2), hermitians(212, 3), hermitians(214, 1))
+    assert algebra._diagonal_blocks(xs).tolist() == [0, 2, 5, 6]
+    # a single nonzero entry anywhere between two blocks joins them, and so
+    # does one that links the first and the last: only consecutive blocks count
+    xs[1, 4, 5] = xs[1, 5, 4] = 1e-300
+    assert algebra._diagonal_blocks(xs).tolist() == [0, 2, 6]
+    xs[0, 0, 5] = 1e-300
+    assert algebra._diagonal_blocks(xs).tolist() == [0, 6]
+
+
+@pytest.mark.parametrize("splits", [[9], [2, 5, 9], [3, 6, 9], [4, 8, 9]])
+@pytest.mark.parametrize("transposed", [False, True], ids=["c-ordered", "transposed"])
+def test_null_space_floor_of_a_stack_with_different_null_dimensions(splits, transposed):
+    # three 9 x 4 systems of rank 4, 2 and 0, fed in row blocks of every
+    # size, above and below the 4 columns
+    rng = np.random.default_rng(180)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    systems = np.stack([gaussian(9, 4), gaussian(9, 2) @ gaussian(2, 4), np.zeros((9, 4))])
+    if transposed:
+        systems = np.ascontiguousarray(systems.transpose(0, 2, 1)).transpose(0, 2, 1)
+    blocks = [systems[:, a:b] for a, b in zip([0] + splits[:-1], splits)]
+    got = algebra._null_space_floor(iter(blocks), DEFAULT_TOL.tol_rank)
+    assert [g.shape for g in got] == [(4, 0), (4, 2), (4, 4)]
+    for a, g in zip(systems, got):
+        assert np.linalg.norm(a @ g) <= 1e-12
+        assert np.allclose(g.conj().T @ g, np.eye(g.shape[1]), atol=1e-12)
+
+
 def test_commutant_of_non_normal_generator():
     # a Jordan block is not Hermitian, so the solve keeps every entry; its
     # commutant is the polynomials in it, of dimension 3

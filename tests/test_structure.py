@@ -149,6 +149,7 @@ def test_decompose_recovers_families_whose_commutant_svd_failed(seed, blocks, pa
         (93, [(4, 3), (3, 2), (2, 3), (1, 4), (2, 2), (1, 2), (3, 2)], 4, 48),  # 40 of 48 dims
         (94, [(3, 2), (2, 3), (2, 2), (1, 2), (1, 4), (1, 2)], 60, None),  # d = 24, 60 states
         (92, CLASSICAL_64, 60, None),  # d = 64, 60 states
+        (92, ENVELOPE_64, 60, None),  # d = 64, 60 states spanning 60 dimensions
     ],
 )
 def test_decompose_envelope(seed, blocks, n_states, pad_to):
@@ -211,6 +212,26 @@ def test_decompose_makes_one_commutant_solve_per_isotypic_pass(monkeypatch):
     dec = decompose(built["states"])
     assert sorted(dec.structure.blocks) == sorted(built["blocks"])
     assert calls == {"_commutant_basis": 2, "_intertwiner_maps": 0, "intertwiner_space": 0}
+
+
+def test_second_pass_runs_in_the_piece_frame(monkeypatch):
+    # the rescaled family is exactly block diagonal over the pass-1 simple
+    # pieces, one block per piece, so pass 2 solves per pair of pieces
+    built = build_family(np.random.default_rng(92), ENVELOPE_64, 4)
+    passes = []
+    real = structure.isotypic_decompose
+
+    def recorded(gens, seed=0, tol=Tolerances()):
+        passes.append((np.asarray(gens), real(gens, seed=seed, tol=tol)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(structure, "isotypic_decompose", recorded)
+    dec = decompose(built["states"])
+    assert sorted(dec.structure.blocks) == sorted(built["blocks"])
+    (_, first), (rescaled, _) = passes
+    pieces = [c.simple_dim for c in first.components for _ in c.submodule_bases]
+    assert len(pieces) == sum(d_red for _, d_red in built["blocks"])
+    assert np.diff(algebra._diagonal_blocks(rescaled)).tolist() == pieces
 
 
 def test_max_residual_matches_reassemble_loop():
