@@ -272,7 +272,10 @@ def _intertwiners(xs, ys, tol: Tolerances) -> list:
     with no blocks is one pair in a stack of one. Only consecutive blocks
     are detected (`_diagonal_blocks`). The singular values are those of the
     whole system, so every rank decision is the one a single solve would
-    make. The basis is orthonormal under the Hilbert-Schmidt inner product.
+    make. The basis is orthonormal under the Hilbert-Schmidt inner product,
+    and every basis matrix is nonzero on exactly one block pair (P, Q), so
+    a caller can count the solutions per pair from their nonzero pattern
+    (`structure.check_maximal`).
     """
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
@@ -474,10 +477,13 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
         bases = [u[:, rep]]
         bases += [u[:, pieces[a]] @ _unitary_polish(x2[np.ix_(pieces[a], rep)]) for a in cls[1:]]
         components.append(IsotypicComponent(tuple(bases), len(rep)))
-    residual = max(
-        float(_leaks(norm_mats, v)[1].max()) for c in components for v in c.submodule_bases
-    )
-    return IsotypicDecomposition(d, tuple(components), residual)
+    # the leak of every piece from one product: the aligned copies are
+    # unitary rotations of their piece's columns of u, which leaves it unchanged
+    au = norm_mats @ u
+    piece = np.repeat(np.arange(len(pieces)), [len(cl) for cl in pieces])
+    inner = np.where(piece[:, None] == piece[None, :], u.conj().T @ au, 0.0)
+    leaks = np.add.reduceat(np.linalg.norm(au - u @ inner, axis=1) ** 2, starts, axis=1)
+    return IsotypicDecomposition(d, tuple(components), float(np.sqrt(leaks.max())))
 
 
 def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TOL):

@@ -8,6 +8,8 @@ import itertools
 import json
 import os
 import sys
+import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import numpy as np
 import kidecomp
 from kidecomp import (
     block_channel,
+    decompose,
     kraus_channel,
     state_family,
 )
@@ -23,6 +26,7 @@ from kidecomp.algebra import (
     _RETRY_BUDGET,
     _cluster_ascending,
     _commutant_basis,
+    _intertwiners,
     _project_onto_span,
     intertwiner_space,
 )
@@ -36,7 +40,7 @@ from kidecomp.linalg import (
     seeded_random_hermitian,
     von_neumann_entropy,
 )
-from kidecomp.structure import DecomposedFamily, Structure, _build_decomposition
+from kidecomp.structure import DecomposedFamily, Structure, _build_decomposition, _component_stacks
 
 
 def cli_env():
@@ -128,6 +132,21 @@ def random_blocks(rng, max_total=12, max_factor=3):
         total += a * b
         if total == max_total or rng.random() < 0.35:
             return blocks
+
+
+@lru_cache(maxsize=1)
+def recovery_corpus():
+    """100 planted families (factors up to 3, total dim up to 12, 2 to 5
+    states) with their decompositions; shared by several tests."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    t0 = time.perf_counter()
+    for _ in range(100):
+        blocks = random_blocks(rng, max_total=12, max_factor=3)
+        n_states = int(rng.integers(2, 6))
+        built = build_family(rng, blocks, n_states)
+        cases.append((built, decompose(built["states"])))
+    return cases, time.perf_counter() - t0
 
 
 def random_cptp(rng, d_in, d_out=None, n_kraus=None):
@@ -431,38 +450,74 @@ def projected_preserving_channel(rng, built):
     return kraus_from_choi(choi, d, d)
 
 
+def hand_decomp(weights, infos):
+    """Decomposition in the identity frame with every d_red = 1: member s is
+    the direct sum of weights[s, l] * infos[l][s] over the blocks l, and
+    infos[l] stacks block l's information states."""
+    weights = np.asarray(weights, dtype=float)
+    infos = [np.asarray(x, dtype=complex) for x in infos]
+    d = sum(x.shape[1] for x in infos)
+    states = np.zeros((weights.shape[0], d, d), dtype=complex)
+    start = 0
+    for l, x in enumerate(infos):
+        k = x.shape[1]
+        states[:, start : start + k, start : start + k] = weights[:, l, None, None] * x
+        start += k
+    one = density_matrix(np.eye(1, dtype=complex))
+    return DecomposedFamily(
+        family=state_family(list(states)),
+        structure=Structure(d, tuple((x.shape[1], 1) for x in infos), np.eye(d, dtype=complex)),
+        support=np.eye(d, dtype=complex),
+        weights=weights,
+        info_states=tuple(tuple(density_matrix(x[s]) for x in infos) for s in range(weights.shape[0])),
+        red_states=(one,) * len(infos),
+        red_spectra=((1.0,),) * len(infos),
+    )
+
+
 def trivial_decomp_of(states):
     """Hand-coarsened alternative: a single block holding each state whole."""
-    fam = state_family(states)
-    d = states[0].shape[0]
-    st = Structure(d, ((d, 1),), np.eye(d, dtype=complex))
-    return DecomposedFamily(
-        family=fam,
-        structure=st,
-        support=np.eye(d, dtype=complex),
-        weights=np.ones((len(states), 1)),
-        info_states=tuple((density_matrix(s),) for s in states),
-        red_states=(density_matrix(np.eye(1, dtype=complex)),),
-        red_spectra=((1.0,),),
-    )
+    return hand_decomp(np.ones((len(states), 1)), [states])
+
+
+def split_decomp_identical(diagonal, n_states=2):
+    """Hand-split alternative for n_states identical copies of
+    diag(diagonal): pretends the eigenbasis carries classical information,
+    one block per eigenvalue."""
+    one = np.ones((n_states, 1, 1))
+    return hand_decomp(np.tile(diagonal, (n_states, 1)), [one] * len(diagonal))
 
 
 def split_decomp_identical_pair(p=0.75):
-    """Hand-split alternative for {rho, rho}: pretends the eigenbasis carries
-    classical information."""
-    rho = np.diag([p, 1.0 - p]).astype(complex)
-    fam = state_family([rho, rho])
-    st = Structure(2, ((1, 1), (1, 1)), np.eye(2, dtype=complex))
-    one = density_matrix(np.eye(1, dtype=complex))
-    return DecomposedFamily(
-        family=fam,
-        structure=st,
-        support=np.eye(2, dtype=complex),
-        weights=np.array([[p, 1.0 - p], [p, 1.0 - p]]),
-        info_states=((one, one), (one, one)),
-        red_states=(one, one),
-        red_spectra=((1.0,), (1.0,)),
-    )
+    """`split_decomp_identical` for {rho, rho}, rho = diag(p, 1 - p)."""
+    return split_decomp_identical([p, 1.0 - p])
+
+
+def loop_maximality_violations(decomp, tol=DEFAULT_TOL):
+    """Reference for conditions (ii) and (iii) of `check_maximal`: one
+    commutant solve per block and one intertwiner solve per pair of blocks
+    with equal d_info, each pair scaled member by member by the larger of
+    its two norms."""
+    comps = _component_stacks(decomp)
+    blocks = decomp.structure.blocks
+    p_all = decomp.family.effective_weights() @ decomp.weights
+    violated = []
+    for l, (w, infos) in enumerate(comps):
+        if len(_commutant_basis(w[:, None, None] * infos, tol)) != 1:
+            violated.append(("ii", l))
+    normalized = [(w / p_all[l])[:, None, None] * infos for l, (w, infos) in enumerate(comps)]
+    for l in range(len(blocks)):
+        for lp in range(l + 1, len(blocks)):
+            if blocks[l][0] != blocks[lp][0]:
+                continue
+            xs, ys = normalized[l], normalized[lp]
+            scale = np.maximum(
+                np.maximum(np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=(1, 2))),
+                tol.tol_zero,
+            )[:, None, None]
+            if _intertwiners(xs / scale, ys / scale, tol):
+                violated.append(("iii", l, lp))
+    return tuple(violated)
 
 
 def family_payload(mats, labels=None, weights=None, dim=None, factor_dims=None, tolerances=None):

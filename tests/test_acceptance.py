@@ -10,7 +10,6 @@ import json
 import subprocess
 import sys
 import time
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +44,7 @@ from helpers import (
     projected_preserving_channel,
     random_blocks,
     random_density,
+    recovery_corpus,
     rotated_info_channel,
     split_decomp_identical_pair,
     trivial_decomp_of,
@@ -54,21 +54,6 @@ from helpers import (
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
-
-
-@lru_cache(maxsize=1)
-def recovery_corpus():
-    """100 planted families (factors up to 3, total dim up to 12, 2 to 5
-    states) with their decompositions; shared by several requirements."""
-    rng = np.random.default_rng(2026)
-    cases = []
-    t0 = time.perf_counter()
-    for _ in range(100):
-        blocks = random_blocks(rng, max_total=12, max_factor=3)
-        n_states = int(rng.integers(2, 6))
-        built = build_family(rng, blocks, n_states)
-        cases.append((built, decompose(built["states"])))
-    return cases, time.perf_counter() - t0
 
 
 def test_criterion_01_structure_recovery():

@@ -569,6 +569,27 @@ def test_intertwiners_split_block_diagonal_families_into_stacked_pair_solves(mon
     assert_same_span(got, dense_intertwiners(list(xs), list(ys)))
 
 
+def contract_cases():
+    h = hermitians(220, 2)
+    # a 4 x 4 block that `_diagonal_blocks` cannot split but that holds two
+    # copies of h, next to a third copy of h
+    inside = block_diagonal(conjugated(block_diagonal(h, h), 4), h)
+    return [c[:3] for c in block_cases()] + [("splits-inside", inside, None)]
+
+
+@pytest.mark.parametrize("name, xs, ys", contract_cases(), ids=[c[0] for c in contract_cases()])
+def test_intertwiners_lie_each_in_one_block_pair(name, xs, ys):
+    # the contract check_maximal counts on: every returned matrix is nonzero
+    # on exactly one pair (y-block, x-block) of the blocks found
+    ys = xs if ys is None else ys
+    scale = np.maximum(np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=(1, 2)))[:, None, None]
+    got = np.asarray(_intertwiners(xs / scale, ys / scale, DEFAULT_TOL))
+    ex, ey = algebra._diagonal_blocks(xs)[:-1], algebra._diagonal_blocks(ys)[:-1]
+    per_pair = np.add.reduceat(np.add.reduceat(np.abs(got), ey, axis=1), ex, axis=2)
+    assert got.shape[0] > 0
+    assert np.count_nonzero(per_pair, axis=(1, 2)).tolist() == [1] * got.shape[0]
+
+
 def test_diagonal_blocks_reads_the_exact_zero_pattern():
     xs = block_diagonal(hermitians(210, 2), hermitians(212, 3), hermitians(214, 1))
     assert algebra._diagonal_blocks(xs).tolist() == [0, 2, 5, 6]

@@ -29,11 +29,16 @@ from kidecomp.exceptions import (
 from helpers import (
     build_family,
     haar_unitary,
+    hand_decomp,
     loop_block_matrix,
     loop_max_residual,
+    loop_maximality_violations,
     loop_tensor_structure,
+    random_blocks,
     random_density,
     random_pure,
+    recovery_corpus,
+    split_decomp_identical,
     split_decomp_identical_pair,
     trivial_decomp_of,
     weights_match,
@@ -195,23 +200,39 @@ def test_decompose_lapack_calls_do_not_grow_with_family_size(monkeypatch):
     assert calls(built["states"]) == few
 
 
-def test_decompose_makes_one_commutant_solve_per_isotypic_pass(monkeypatch):
-    # the d = 64 envelope family; the copies come aligned out of
-    # isotypic_decompose, so no intertwiner solve aligns or groups them
-    built = build_family(np.random.default_rng(92), ENVELOPE_64, 4)
-    calls = dict.fromkeys(("_commutant_basis", "_intertwiner_maps", "intertwiner_space"), 0)
+def count_calls(monkeypatch, names, modules=(algebra, structure)):
+    """Count the calls of the named functions, wherever the modules bind them."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
 
         def counted(*args, _real=getattr(algebra, name, None), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(algebra, name, counted, raising=False)
-        if name != "_commutant_basis":  # check_maximal's own solves stay uncounted
-            monkeypatch.setattr(structure, name, counted, raising=False)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def test_decompose_makes_one_commutant_solve_per_isotypic_pass(monkeypatch):
+    # the d = 64 envelope family; the copies come aligned out of
+    # isotypic_decompose, so no intertwiner solve aligns or groups them, and
+    # the certificate makes the third solve
+    built = build_family(np.random.default_rng(92), ENVELOPE_64, 4)
+    calls = count_calls(monkeypatch, ("_commutant_basis", "_intertwiner_maps", "intertwiner_space"))
     dec = decompose(built["states"])
     assert sorted(dec.structure.blocks) == sorted(built["blocks"])
-    assert calls == {"_commutant_basis": 2, "_intertwiner_maps": 0, "intertwiner_space": 0}
+    assert calls == {"_commutant_basis": 3, "_intertwiner_maps": 0, "intertwiner_space": 0}
+
+
+@pytest.mark.parametrize("shape", [ENVELOPE_64, CLASSICAL_64], ids=["envelope", "classical"])
+def test_check_maximal_makes_one_commutant_solve(monkeypatch, shape):
+    # conditions (ii) and (iii) of all blocks come from one solve: the one
+    # intertwiner solve is the commutant's own
+    dec = decompose(build_family(np.random.default_rng(92), shape, 4)["states"])
+    calls = count_calls(monkeypatch, ("_commutant_basis", "_intertwiners"))
+    assert check_maximal(dec).ok
+    assert calls == {"_commutant_basis": 1, "_intertwiners": 1}
 
 
 def test_second_pass_runs_in_the_piece_frame(monkeypatch):
@@ -488,6 +509,51 @@ def test_check_maximal_flags_split_structure():
     assert not rep.ok
     assert rep.violated == (("iii", 0, 1),)
     assert rep.reassembly_residual == 0.0
+
+
+def certificate_cases():
+    """Decompositions whose certificate holds or fails on (ii) and (iii) only."""
+    cases = [("corpus", dec) for _, dec in recovery_corpus()[0]]
+    rng = np.random.default_rng(2028)
+    for _ in range(12):
+        blocks = random_blocks(rng, max_total=8, max_factor=3)
+        cases.append(("coarse", trivial_decomp_of(build_family(rng, blocks, 3)["states"])))
+    for diagonals in (([1.0, 0.0], [0.0, 1.0]), ([0.7, 0.3], [0.2, 0.8])):
+        cases.append(("coarse", trivial_decomp_of([np.diag(x).astype(complex) for x in diagonals])))
+    cases += [("split", split_decomp_identical_pair(float(p))) for p in np.linspace(0.55, 0.95, 10)]
+    for shape in (ENVELOPE_64, CLASSICAL_64):
+        cases.append(("d = 64", decompose(build_family(np.random.default_rng(92), shape, 4)["states"])))
+    return cases
+
+
+def diagonal_infos(*columns):
+    """Stacks of diagonal information states, one column of entries each."""
+    return np.stack([np.diag(c) for c in np.array(columns, dtype=complex).T])
+
+
+def test_check_maximal_matches_the_per_block_and_per_pair_reference():
+    for name, dec in certificate_cases():
+        rep = check_maximal(dec)
+        assert rep.reassembly_residual <= 1e-7, name
+        assert rep.violated == loop_maximality_violations(dec), name
+    x, c = np.array([0.2, 0.7, 0.4]), np.array([0.1, 0.2, 0.15])
+    reducible, one = diagonal_infos(x, 1.0 - x), np.ones((3, 1, 1))
+    wants = [
+        # an identical triple split three ways: every pair mergeable, in order
+        (split_decomp_identical([0.5, 0.3, 0.2], n_states=3), (("iii", 0, 1), ("iii", 0, 2), ("iii", 1, 2))),
+        # a reducible block (exactly diagonal, so the solve splits it
+        # further) and two classical blocks whose normalized weights agree
+        (hand_decomp(np.stack([1.0 - 3.0 * c, 2.0 * c, c], axis=1), [reducible, one, one]), (("ii", 0), ("iii", 1, 2))),
+        # reducible blocks of d_info 2 and 3 with a map from the first into
+        # the second, which (iii) must not report
+        (hand_decomp(np.full((3, 2), 0.5), [reducible, diagonal_infos(x, 1.0 - x, 0.0 * x)]), (("ii", 0), ("ii", 1))),
+    ]
+    for dec, want in wants:
+        assert dec.max_residual() == 0.0
+        assert check_maximal(dec).violated == loop_maximality_violations(dec) == want
+    direct_sum = diagonal_infos(x, 1.0 - x, x, 1.0 - x, 0.0 * x)
+    maps = np.asarray(algebra._commutant_basis(direct_sum, Tolerances()))[:, 2:, :2]
+    assert np.abs(maps).max() > 0.5
 
 
 def test_check_maximal_passes_on_decompose_output():
