@@ -3,30 +3,33 @@
 The decomposition engine needs two ingredients from this module: the
 commutant of a generator family, and the splitting of the ambient space into
 simple invariant subspaces grouped by isomorphism class (multiplicity
-spaces). Both rest on one linear solve, the null space of L x_i = y_i L
-(`_intertwiners`). For Hermitian families that solve runs in the eigenbases
-of a fixed random element G of the family's span (after Murota, Kanno,
-Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010): every solution
-also intertwines G_x with G_y, so it only links eigenvalues that agree, and
-a commutant with eigenvalue multiplicities m_c has sum m_c^2 unknowns
-instead of d^2. Only the span of the family matters, not how many members
-list it: the solve first replaces the generators, each of norm at most 1,
-by an orthogonal basis of their span with the same Gram matrix of
-constraints (`_span_remix`), so it has r ka kb rows for an r-dimensional
-span. A family that is exactly block diagonal, with consecutive diagonal
-blocks read off its nonzero pattern, is diagonalized block by block, and
-the solve splits into one system per pair of blocks with kept unknowns,
-r sp sq rows each for blocks of sizes sp and sq; the pairs of one shape
-and one set of kept unknowns are solved as one stack. Blocks that are
-diagonal only after a permutation are not detected: such a family is
-solved as fewer, larger blocks. The isotypic split makes that solve once,
-for the commutant of the
-whole family, and reads everything else off two random Hermitian
-commutant elements (after Maehara & Murota, SIAM J. Matrix Anal. Appl. 32,
-2011): the simple pieces from the eigenspaces of the first, and the classes
-and the alignment of their copies from the Schur blocks of the second.
-Everything works on dense complex matrices; commutant bases are orthonormal
-under the Hilbert-Schmidt inner product <A, B> = Tr(A^dag B).
+spaces). Both rest on one linear solve, the null space of X m_i = m_i X
+(`_commutant_basis`). Maps between invariant subspaces come from the same
+solve: by Schur's lemma, the maps L with L A_i = B_i L are the (B, A) block
+of the commutant of the direct sums A_i (+) B_i (`intertwiner_space`, and
+`structure.check_maximal` for every pair of blocks at once). For Hermitian
+families the solve runs in the eigenbasis of a fixed random element G of
+the family's span (after Murota, Kanno, Kojima & Kojima, Japan J. Indust.
+Appl. Math. 27, 2010): every commutant element also commutes with G, so it
+only links eigenvalues that agree, and a commutant with eigenvalue
+multiplicities m_c has sum m_c^2 unknowns instead of d^2. Only the span of
+the family matters, not how many members list it: the solve first replaces
+the normalized generators by an orthogonal basis of their span with the
+same Gram matrix of constraints (`_span_remix`), so it has r d^2 rows for
+an r-dimensional span. A family that is exactly block diagonal, with
+consecutive diagonal blocks read off its nonzero pattern, is diagonalized
+block by block, and the solve splits into one system per pair of blocks
+with kept unknowns, r sp sq rows each for blocks of sizes sp and sq; the
+pairs of one shape and one set of kept unknowns are solved as one stack.
+Blocks that are diagonal only after a permutation are not detected: such a
+family is solved as fewer, larger blocks. The isotypic split makes that
+solve once, for the commutant of the whole family, and reads everything
+else off two random Hermitian commutant elements (after Maehara & Murota,
+SIAM J. Matrix Anal. Appl. 32, 2011): the simple pieces from the
+eigenspaces of the first, and the classes and the alignment of their copies
+from the Schur blocks of the second. Everything works on dense complex
+matrices; commutant bases are orthonormal under the Hilbert-Schmidt inner
+product <A, B> = Tr(A^dag B).
 """
 
 from dataclasses import dataclass
@@ -88,14 +91,13 @@ def _null_space_floor(row_blocks, cutoff: float) -> list:
 
     Returns one c x z_j matrix per system, z_j its own null dimension. The
     stack holds the block-pair systems of one shape and one set of kept
-    unknowns (`_intertwiners`); a family with no consecutive diagonal
+    unknowns (`_commutant_basis`); a family with no consecutive diagonal
     blocks is a stack of one.
 
-    Callers scale their generators to norm at most 1, and `_intertwiners`
-    replaces them by a basis of their span with the same Gram matrix
-    sum_i C(x_i)^dag C(x_i) (`_span_remix`), so genuine constraints have
-    singular values of order 1. A cutoff relative to the
-    largest singular value misreads an all-noise system, where every row
+    `_commutant_basis` normalizes its generators and replaces them by a
+    basis of their span with the same Gram matrix sum_i C(m_i)^dag C(m_i)
+    (`_span_remix`), so genuine constraints have singular values of order
+    1. A cutoff relative to the largest singular value misreads an all-noise system, where every row
     vanishes up to roundoff, as full rank; the absolute floor reads it
     correctly as rank zero. The SVD is taken of the R factor of each
     system, which has the system's singular values and right singular
@@ -153,171 +155,117 @@ def _blocks_at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a[..., idx[:, :, None], idx[:, None, :]]
 
 
-def _spectral_frame(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
-    """Block-diagonal unitary frames of both sides and the mask of entries
-    an intertwiner may use.
+def _spectral_frame(mats: np.ndarray, tol: Tolerances):
+    """A block-diagonal unitary frame of a k x k stack and the mask of the
+    entries a commutant element may use.
 
-    Returns ((edges_x, u_x), (edges_y, u_y), mask): the consecutive
-    diagonal blocks of each side (`_diagonal_blocks`), a unitary that is
-    block diagonal over them, and the kb x ka mask. For Hermitian families,
-    every L with L x_i = y_i L also satisfies L G_x = G_y L for
-    G = sum_i c_i x_i (resp. y_i), so in the eigenbases of G_x and G_y the
-    entry (p, q) of L vanishes unless mu_p and lambda_q are equal. G is
+    Returns (edges, u, mask): the consecutive diagonal blocks of the stack
+    (`_diagonal_blocks`), a unitary that is block diagonal over them, and
+    the k x k mask. For a Hermitian family, every X with X m_i = m_i X also
+    commutes with G = sum_i c_i m_i, so in the eigenbasis of G the entry
+    (p, q) of X vanishes unless lambda_p and lambda_q are equal. G is
     diagonalized block by block, with one stacked eigh per block size, so
-    the frames keep the blocks' zeros. Both spectra are clustered together
-    with `_cluster_ascending`; an entry is kept when its two eigenvalues
-    share a cluster. Merging too much only keeps extra unknowns, so the
-    policy errs that way. Otherwise (some matrix not Hermitian within
-    tol_sym) each frame is the identity and every entry is kept. A LAPACK
-    failure raises NoConvergence.
+    the frame keeps the blocks' zeros. The spectrum is clustered with
+    `_cluster_ascending`; an entry is kept when its two eigenvalues share a
+    cluster. Merging too much only keeps extra unknowns, so the policy errs
+    that way. Otherwise (some member not Hermitian within tol_sym) the frame
+    is the identity and every entry is kept. A LAPACK failure raises
+    NoConvergence.
     """
-    n, ka, kb = xs.shape[0], xs.shape[1], ys.shape[1]
-    sides = (xs,) if ys is xs else (xs, ys)
-    edges = [_diagonal_blocks(m) for m in sides]
-    defect = max(float(np.linalg.norm(m - m.conj().transpose(0, 2, 1), axis=(1, 2)).max()) for m in sides)
+    n, k = mats.shape[0], mats.shape[1]
+    edges = _diagonal_blocks(mats)
+    defect = float(np.linalg.norm(mats - mats.conj().transpose(0, 2, 1), axis=(1, 2)).max())
     if defect > tol.tol_sym:
-        frame_x, frame_y = (edges[0], np.eye(ka, dtype=complex)), (edges[-1], np.eye(kb, dtype=complex))
-        return frame_x, frame_y, np.ones((kb, ka), dtype=bool)
+        return edges, np.eye(k, dtype=complex), np.ones((k, k), dtype=bool)
     c = np.random.default_rng(_FRAME_SEED).standard_normal(n)
-    frames, spectra = [], []
-    for m, e in zip(sides, edges):
-        k = m.shape[1]
-        g = (c @ m.reshape(n, -1)).reshape(k, k)
-        lam, u = np.empty(k), np.zeros((k, k), dtype=complex)
-        sizes = np.diff(e)
-        for size in sorted(set(sizes.tolist())):
-            idx = e[:-1][sizes == size, None] + np.arange(size)
-            with _lapack():
-                lam[idx], u[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(_blocks_at(g, idx))
-        frames.append((e, u))
-        spectra.append(lam)
-    lam, mu = spectra[0], spectra[-1]
-    merged = np.concatenate([lam, mu])
-    order = np.argsort(merged, kind="stable")
-    label = np.empty(ka + kb, dtype=int)
-    # a gap g between lambda_q and mu_p only bounds |L'_pq| by ||c|| s / g,
-    # where s is the system's residual on L; gaps up to ||c|| tol_rank are
+    g = (c @ mats.reshape(n, -1)).reshape(k, k)
+    lam, u = np.empty(k), np.zeros((k, k), dtype=complex)
+    sizes = np.diff(edges)
+    for size in sorted(set(sizes.tolist())):
+        idx = edges[:-1][sizes == size, None] + np.arange(size)
+        with _lapack():
+            lam[idx], u[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(_blocks_at(g, idx))
+    order = np.argsort(lam, kind="stable")
+    label = np.empty(k, dtype=int)
+    # a gap g between lambda_p and lambda_q only bounds |X'_pq| by ||c|| s / g,
+    # where s is the system's residual on X; gaps up to ||c|| tol_rank are
     # within what the rank floor reads as zero, so they never split
     floor = tol.tol_rank * float(np.linalg.norm(c))
-    for k, cl in enumerate(_cluster_ascending(merged[order], tol, floor)):
-        label[order[cl]] = k
-    return frames[0], frames[-1], label[ka:, None] == label[None, :ka]
+    for j, cl in enumerate(_cluster_ascending(lam[order], tol, floor)):
+        label[order[cl]] = j
+    return edges, u, label[:, None] == label[None, :]
 
 
-def _span_remix(xs: np.ndarray, ys: np.ndarray, tol: Tolerances):
-    """Replace the n pairs (x_i, y_i) by r <= n real orthogonal combinations
-    that span the same pairs.
+def _span_remix(mats: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Replace the n members of a stack by r <= n real orthogonal
+    combinations that span the same matrices.
 
-    The combinations are sum_i u_ij (x_i, y_i) = s_j v_j, where u, s are
-    the left singular vectors and singular values of the real n x
-    2(ka^2 + kb^2) matrix F of stacked pairs (of the x_i alone when ys is
-    xs); the directions with s_j above tol_zero are kept, and at least one.
-    An orthogonal remix leaves the system's Gram matrix
-    sum_i C(x_i)^dag C(x_i) unchanged, and a dropped direction moves a
+    The combinations are sum_i u_ij m_i = s_j v_j, where u, s are the left
+    singular vectors and singular values of the real n x 2k^2 matrix F of
+    flattened members; the directions with s_j above tol_zero are kept, and
+    at least one. An orthogonal remix leaves the system's Gram matrix
+    sum_i C(m_i)^dag C(m_i) unchanged, and a dropped direction moves a
     singular value of the system by at most 2 s_j, far below the absolute
-    tol_rank floor. The mix is real, so Hermitian generators stay
-    Hermitian. u comes from the thin SVD of R^T, with R the R factor of
-    F^T, which costs far less than an SVD of the wide F. When every
-    direction is kept, the pairs come back unchanged. A LAPACK failure
-    raises NoConvergence.
+    tol_rank floor. The mix is real, so Hermitian members stay Hermitian. u
+    comes from the thin SVD of R^T, with R the R factor of F^T, which costs
+    far less than an SVD of the wide F. When every direction is kept, the
+    stack comes back unchanged. A LAPACK failure raises NoConvergence.
     """
-    n = xs.shape[0]
-    flat = xs.reshape(n, -1) if ys is xs else np.concatenate([xs.reshape(n, -1), ys.reshape(n, -1)], axis=1)
+    n = mats.shape[0]
     with _lapack():
-        r = np.linalg.qr(flat.view(float).T, mode="r")
+        r = np.linalg.qr(mats.reshape(n, -1).view(float).T, mode="r")
         u, s, _ = np.linalg.svd(r.T, full_matrices=False)
     keep = s > tol.tol_zero
     keep[0] = True
     if keep.sum() == n:
-        return xs, ys
-    mix = u[:, keep].T
-    remixed = np.tensordot(mix, xs, axes=1)
-    return remixed, (remixed if ys is xs else np.tensordot(mix, ys, axes=1))
+        return mats
+    return np.tensordot(u[:, keep].T, mats, axes=1)
 
 
-def _pair_rows(xf: np.ndarray, yf: np.ndarray, ps: np.ndarray, qs: np.ndarray):
+def _pair_rows(mq: np.ndarray, mp: np.ndarray, ps: np.ndarray, qs: np.ndarray):
     """The rows of a stack of m block-pair systems, m x rows x len(ps) each,
     `per` generators at a time (about _BLOCK_ENTRIES entries a block).
 
-    xf is m x n x sq x sq and yf m x n x sp x sp, the blocks of the pairs in
-    the spectral frame; (ps, qs) are the kept entries, the same for the
-    whole stack. The column of entry (p, q) stacks E_pq x'_i - y'_i E_pq
-    over i. Each block is the transpose of a C-ordered array, as
-    `_null_space_floor` reads it fastest.
+    mq is m x n x sq x sq and mp m x n x sp x sp, the generators' blocks Q
+    and P of the pairs (P, Q) in the spectral frame; (ps, qs) are the kept
+    entries, the same for the whole stack. The column of entry (p, q) stacks
+    E_pq m'_Q - m'_P E_pq over the generators. Each block is the transpose
+    of a C-ordered array, as `_null_space_floor` reads it fastest.
     """
-    m, n, sq, sp = xf.shape[0], xf.shape[1], xf.shape[2], yf.shape[2]
+    m, n, sq, sp = mq.shape[0], mq.shape[1], mq.shape[2], mp.shape[2]
     k = np.arange(ps.size)
     per = max(1, _BLOCK_ENTRIES // (m * sp * sq * ps.size))
     for start in range(0, n, per):
-        x, y = xf[:, start : start + per], yf[:, start : start + per]
-        cols = np.zeros((m, ps.size, x.shape[1], sp, sq), dtype=complex)
-        cols[:, k, :, ps, :] = x[:, :, qs, :].transpose(2, 0, 1, 3)  # E_pq x': row p is x'[q, :]
-        cols[:, k, :, :, qs] -= y[:, :, :, ps].transpose(3, 0, 1, 2)  # y' E_pq: column q is y'[:, p]
+        bq, bp = mq[:, start : start + per], mp[:, start : start + per]
+        cols = np.zeros((m, ps.size, bq.shape[1], sp, sq), dtype=complex)
+        cols[:, k, :, ps, :] = bq[:, :, qs, :].transpose(2, 0, 1, 3)  # E_pq m'_Q: row p is m'_Q[q, :]
+        cols[:, k, :, :, qs] -= bp[:, :, :, ps].transpose(3, 0, 1, 2)  # m'_P E_pq: column q is m'_P[:, p]
         yield cols.reshape(m, ps.size, -1).transpose(0, 2, 1)
 
 
-def _intertwiners(xs, ys, tol: Tolerances) -> list:
-    """Basis of {L : L x_i = y_i L for every i}, as kb x ka matrices.
-
-    xs are ka x ka and ys kb x kb, paired by index; callers scale them, since
-    the rank floor tol_rank is absolute. The pairs are first reduced to a
-    basis of their span (`_span_remix`). The system is solved for
-    L' = u_y^dag L u_x in `_spectral_frame`, over the kept entries only,
-    one system per block pair: in that frame every generator is block
-    diagonal over the consecutive blocks of its side, so an unknown (p, q)
-    meets only the rows (a, b) with a in p's block and b in q's, and the
-    system splits into one system per pair (P, Q) of a y-block and an
-    x-block with kept entries. The pairs with the same shape and the same
-    kept entries are solved as one stack (`_null_space_floor`); a family
-    with no blocks is one pair in a stack of one. Only consecutive blocks
-    are detected (`_diagonal_blocks`). The singular values are those of the
-    whole system, so every rank decision is the one a single solve would
-    make. The basis is orthonormal under the Hilbert-Schmidt inner product,
-    and every basis matrix is nonzero on exactly one block pair (P, Q), so
-    a caller can count the solutions per pair from their nonzero pattern
-    (`structure.check_maximal`).
-    """
-    xs = np.asarray(xs, dtype=complex)
-    ys = np.asarray(ys, dtype=complex)
-    xs, ys = _span_remix(xs, ys, tol)
-    ka, kb = xs.shape[1], ys.shape[1]
-    (ex, u_x), (ey, u_y), mask = _spectral_frame(xs, ys, tol)
-    kept = np.add.reduceat(np.add.reduceat(mask, ey[:-1], axis=0), ex[:-1], axis=1)
-    ey, ex = ey.tolist(), ex.tolist()
-    groups = {}  # (shape, kept entries) -> (kept entries, the pairs' first rows and columns)
-    for bp, bq in np.argwhere(kept).tolist():
-        sub = mask[ey[bp] : ey[bp + 1], ex[bq] : ex[bq + 1]]
-        starts = groups.setdefault((sub.shape, sub.tobytes()), (sub, []))[1]
-        starts.append((ey[bp], ex[bq]))
-    found = []
-    for sub, starts in groups.values():
-        ps, qs = np.nonzero(sub)
-        first_y, first_x = np.array(starts).T
-        iy = first_y[:, None] + np.arange(sub.shape[0])
-        ix = first_x[:, None] + np.arange(sub.shape[1])
-        uy, ux = _blocks_at(u_y, iy), _blocks_at(u_x, ix)
-        xf = ux.conj().swapaxes(1, 2)[:, None] @ _blocks_at(xs, ix).swapaxes(0, 1) @ ux[:, None]
-        yf = uy.conj().swapaxes(1, 2)[:, None] @ _blocks_at(ys, iy).swapaxes(0, 1) @ uy[:, None]
-        nulls = _null_space_floor(_pair_rows(xf, yf, ps, qs), tol.tol_rank)
-        owner = np.repeat(np.arange(len(starts)), [v.shape[1] for v in nulls])
-        if owner.size:
-            lf = np.zeros((owner.size,) + sub.shape, dtype=complex)
-            lf[:, ps, qs] = np.concatenate(nulls, axis=1).T
-            found.append((uy[owner] @ lf @ ux[owner].conj().swapaxes(1, 2), iy[owner], ix[owner]))
-    out = np.zeros((sum(f[0].shape[0] for f in found), kb, ka), dtype=complex)
-    z = 0
-    for blocks, iy, ix in found:
-        rows = np.arange(z, z + blocks.shape[0])
-        out[rows[:, None, None], iy[:, :, None], ix[:, None, :]] = blocks
-        z += blocks.shape[0]
-    return list(out)
-
-
 def _commutant_basis(mats, tol: Tolerances) -> list:
-    """Orthonormal basis of {X : XB = BX for every B in mats}.
+    """Orthonormal basis of {X : X m_i = m_i X for every m_i in mats}, as
+    k x k matrices.
 
-    Matrices of norm at most tol_zero impose nothing and are dropped; the
-    rest are normalized.
+    Members of norm at most tol_zero impose nothing and are dropped; the
+    rest are normalized, since the rank floor tol_rank is absolute, and
+    reduced to a basis of their span (`_span_remix`). The system is solved
+    for X' = u^dag X u in `_spectral_frame`, over the kept entries only, one
+    system per block pair: in that frame every generator is block diagonal
+    over the consecutive blocks of the stack, so an unknown (p, q) meets
+    only the rows (a, b) with a in p's block and b in q's, and the system
+    splits into one system per pair (P, Q) of blocks with kept entries. The
+    pairs with the same shape and the same kept entries are solved as one
+    stack (`_null_space_floor`); a family with no blocks is one pair in a
+    stack of one. Only consecutive blocks are detected (`_diagonal_blocks`).
+    The singular values are those of the whole system, so every rank
+    decision is the one a single solve would make. The basis is orthonormal
+    under the Hilbert-Schmidt inner product, and every basis matrix is
+    nonzero on exactly one block pair (P, Q), so a caller can count the
+    solutions per pair from their nonzero pattern. For a direct sum of
+    families, by Schur's lemma, the matrices on the pair (B, A) of two
+    summands are a basis of the intertwiners from A to B
+    (`intertwiner_space`, `structure.check_maximal`).
     """
     stacked = np.asarray(mats, dtype=complex)
     norms = np.linalg.norm(stacked, axis=(1, 2))
@@ -326,7 +274,38 @@ def _commutant_basis(mats, tol: Tolerances) -> list:
         unit = np.zeros_like(stacked[:1])
     else:
         unit = stacked[keep] / norms[keep, None, None]
-    return _intertwiners(unit, unit, tol)
+    gens = _span_remix(unit, tol)
+    k = gens.shape[1]
+    edges, u, mask = _spectral_frame(gens, tol)
+    kept = np.add.reduceat(np.add.reduceat(mask, edges[:-1], axis=0), edges[:-1], axis=1)
+    edges = edges.tolist()
+    groups = {}  # (shape, kept entries) -> (kept entries, the pairs' first rows and columns)
+    for bp, bq in np.argwhere(kept).tolist():
+        sub = mask[edges[bp] : edges[bp + 1], edges[bq] : edges[bq + 1]]
+        starts = groups.setdefault((sub.shape, sub.tobytes()), (sub, []))[1]
+        starts.append((edges[bp], edges[bq]))
+    found = []
+    for sub, starts in groups.values():
+        ps, qs = np.nonzero(sub)
+        first_p, first_q = np.array(starts).T
+        ip = first_p[:, None] + np.arange(sub.shape[0])
+        iq = first_q[:, None] + np.arange(sub.shape[1])
+        up, uq = _blocks_at(u, ip), _blocks_at(u, iq)
+        mq = uq.conj().swapaxes(1, 2)[:, None] @ _blocks_at(gens, iq).swapaxes(0, 1) @ uq[:, None]
+        mp = up.conj().swapaxes(1, 2)[:, None] @ _blocks_at(gens, ip).swapaxes(0, 1) @ up[:, None]
+        nulls = _null_space_floor(_pair_rows(mq, mp, ps, qs), tol.tol_rank)
+        owner = np.repeat(np.arange(len(starts)), [v.shape[1] for v in nulls])
+        if owner.size:
+            xf = np.zeros((owner.size,) + sub.shape, dtype=complex)
+            xf[:, ps, qs] = np.concatenate(nulls, axis=1).T
+            found.append((up[owner] @ xf @ uq[owner].conj().swapaxes(1, 2), ip[owner], iq[owner]))
+    out = np.zeros((sum(f[0].shape[0] for f in found), k, k), dtype=complex)
+    z = 0
+    for blocks, ip, iq in found:
+        rows = np.arange(z, z + blocks.shape[0])
+        out[rows[:, None, None], ip[:, :, None], iq[:, None, :]] = blocks
+        z += blocks.shape[0]
+    return list(out)
 
 
 def commutant_of_family(generators, tol: Tolerances = DEFAULT_TOL) -> tuple:
@@ -491,9 +470,12 @@ def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TO
 
     A_i and B_i are the generators compressed to the two column spans. Both
     spans must be invariant under every generator within Tolerances.VERDICT
-    times max(1, ||A_i||_F) (NotInvariant otherwise). Each returned map has
-    unit Frobenius norm with its largest-modulus entry rotated to the
-    positive real axis.
+    times max(1, ||A_i||_F) (NotInvariant otherwise). By Schur's lemma the
+    maps are the (B, A) block of the commutant of the direct sums
+    A_i (+) B_i, and every commutant basis matrix lies in one block pair
+    (`_commutant_basis`), so the ones nonzero on (B, A) are a basis of the
+    maps. Each returned map has unit Frobenius norm with its largest-modulus
+    entry rotated to the positive real axis.
     """
     mats, d = _check_square_family(generators)
     va = as_complex_matrix(basis_a)
@@ -501,14 +483,18 @@ def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TO
     if va.shape[0] != d or vb.shape[0] != d:
         raise DimensionMismatch("subspace bases must live in the generators' ambient space")
     scale = np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))
-    comps = []
-    for name, v in (("basis_a", va), ("basis_b", vb)):
+    ka, k = va.shape[1], va.shape[1] + vb.shape[1]
+    direct = np.zeros((mats.shape[0], k, k), dtype=complex)
+    for name, v, at in (("basis_a", va, slice(0, ka)), ("basis_b", vb, slice(ka, k))):
         comp, leaks = _leaks(mats, v)
         if np.any(leaks > Tolerances.VERDICT * scale):
             raise NotInvariant(f"{name} is not invariant under generator family")
-        comps.append(comp / scale[:, None, None])
+        direct[:, at, at] = comp
     out = []
-    for lam in _intertwiners(comps[0], comps[1], tol):
+    for x in _commutant_basis(direct, tol):
+        lam = x[ka:, :ka]
+        if not lam.any():
+            continue
         lam = lam / float(np.linalg.norm(lam))
         idx = np.unravel_index(int(np.argmax(np.abs(lam))), lam.shape)
         phase = lam[idx] / abs(lam[idx])

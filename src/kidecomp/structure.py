@@ -363,14 +363,14 @@ def _descending_eigbasis(mat: np.ndarray, tol: Tolerances) -> np.ndarray:
     return _fix_column_phases(u[:, order])
 
 
-def _nearest_density(mats: np.ndarray, tol: Tolerances) -> list:
+def _nearest_density(mats: np.ndarray, tol: Tolerances) -> tuple:
     """Snap a stack of numerically noisy components to exact density matrices.
 
     One stacked eigh: each member's Hermitian part loses its negative
     eigenvalues and is scaled to trace 1, and the results are validated as
     one stack, against the eigenvalues they were built from. Returns a
-    DensityMatrix per member; ZeroOperator when a member has no weight left
-    to normalize.
+    DensityMatrix per member and those eigenvalues, m x d and ascending;
+    ZeroOperator when a member has no weight left to normalize.
     """
     with _lapack():
         w, v = np.linalg.eigh(_hermitian_stack(mats))
@@ -380,7 +380,7 @@ def _nearest_density(mats: np.ndarray, tol: Tolerances) -> list:
         raise ZeroOperator("component has no weight to normalize")
     w = w / total[:, None]
     out = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return _density_matrices(out, tol, eigenvalues=w)
+    return _density_matrices(out, tol, eigenvalues=w), w
 
 
 def _canonical_sort(entries):
@@ -511,10 +511,7 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
         e_l = e_l @ np.kron(u_info, u_red)
 
         b_all = hermitian_part(e_l.conj().T @ avg_r @ e_l)
-        red = _nearest_density(partial_trace(b_all, d_info, d_red, keep="right")[None], tol)[0]
-        with _lapack():
-            spectrum = np.sort(np.linalg.eigvalsh(red.mat))[::-1]
-        spectrum = np.clip(spectrum, 0.0, None)
+        (red,), (w_red,) = _nearest_density(partial_trace(b_all, d_info, d_red, keep="right")[None], tol)
 
         # every member's block: weight, then information marginal
         b = _hermitian_stack(e_l.conj().T @ gens @ e_l)
@@ -528,9 +525,9 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
                 "iso": e_l,
                 "weights": p,
                 "live": live,
-                "info": _nearest_density(marg / p[live, None, None], tol),
+                "info": _nearest_density(marg / p[live, None, None], tol)[0],
                 "red": red,
-                "spectrum": spectrum,
+                "spectrum": w_red[::-1],
             }
         )
 
@@ -585,7 +582,7 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     member s is (+)_l (w_sl / p_l) info_sl, with p_l the block's average
     weight and exact zeros between blocks, and `_commutant_basis` scales
     each member by its whole norm. Every basis matrix then lies in one pair
-    of blocks (`_intertwiners`); the matrices on (l, l) span block l's
+    of blocks (`_commutant_basis`); the matrices on (l, l) span block l's
     commutant, and those on (l', l) the maps from block l to block l'. So
     (ii) fails for l when the count on (l, l) is not 1, and (iii) for
     l < l' of equal d_info when the count on (l', l) is nonzero. Scaling by

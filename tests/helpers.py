@@ -26,7 +26,6 @@ from kidecomp.algebra import (
     _RETRY_BUDGET,
     _cluster_ascending,
     _commutant_basis,
-    _intertwiners,
     _project_onto_span,
     intertwiner_space,
 )
@@ -493,17 +492,33 @@ def split_decomp_identical_pair(p=0.75):
     return split_decomp_identical([p, 1.0 - p])
 
 
+def dense_intertwiners(xs, ys, tol=DEFAULT_TOL):
+    """Reference: null space of the full kron system L x_i = y_i L, one SVD."""
+    ka, kb = xs[0].shape[0], ys[0].shape[0]
+    # row-major vec: vec(y L) = (y (x) I) vec L, vec(L x) = (I (x) x^T) vec L
+    rows = [np.kron(y, np.eye(ka)) - np.kron(np.eye(kb), x.T) for x, y in zip(xs, ys)]
+    # n ka kb rows >= ka kb columns, so the thin SVD has every right singular vector
+    _, s, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    rank = int(np.sum(s > tol.tol_rank))
+    return list(vh[rank:].conj().reshape(-1, kb, ka))
+
+
 def loop_maximality_violations(decomp, tol=DEFAULT_TOL):
-    """Reference for conditions (ii) and (iii) of `check_maximal`: one
-    commutant solve per block and one intertwiner solve per pair of blocks
-    with equal d_info, each pair scaled member by member by the larger of
-    its two norms."""
+    """Reference for conditions (ii) and (iii) of `check_maximal`: one dense
+    commutant solve per block and one dense intertwiner solve per pair of
+    blocks with equal d_info (`dense_intertwiners`), each member scaled to
+    unit norm, and each pair member by member by the larger of its two
+    norms."""
     comps = _component_stacks(decomp)
     blocks = decomp.structure.blocks
     p_all = decomp.family.effective_weights() @ decomp.weights
     violated = []
     for l, (w, infos) in enumerate(comps):
-        if len(_commutant_basis(w[:, None, None] * infos, tol)) != 1:
+        xs = w[:, None, None] * infos
+        norms = np.linalg.norm(xs, axis=(1, 2))
+        keep = norms > tol.tol_zero
+        xs = xs[keep] / norms[keep, None, None]
+        if len(dense_intertwiners(xs, xs, tol)) != 1:
             violated.append(("ii", l))
     normalized = [(w / p_all[l])[:, None, None] * infos for l, (w, infos) in enumerate(comps)]
     for l in range(len(blocks)):
@@ -515,7 +530,7 @@ def loop_maximality_violations(decomp, tol=DEFAULT_TOL):
                 np.maximum(np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=(1, 2))),
                 tol.tol_zero,
             )[:, None, None]
-            if _intertwiners(xs / scale, ys / scale, tol):
+            if dense_intertwiners(xs / scale, ys / scale, tol):
                 violated.append(("iii", l, lp))
     return tuple(violated)
 

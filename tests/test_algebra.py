@@ -8,7 +8,7 @@ from kidecomp import (
     seeded_random_hermitian,
 )
 from kidecomp import algebra
-from kidecomp.algebra import _intertwiners, _spectral_frame
+from kidecomp.algebra import _commutant_basis, _spectral_frame
 from kidecomp.exceptions import (
     DegenerateSample,
     DimensionMismatch,
@@ -20,22 +20,12 @@ from kidecomp.linalg import DEFAULT_TOL
 
 from helpers import (
     build_family,
+    dense_intertwiners,
     haar_unitary,
     planted_generators,
     random_density,
     recursive_isotypic_split,
 )
-
-
-def dense_intertwiners(xs, ys):
-    """Reference: null space of the full kron system L x_i = y_i L, one SVD."""
-    ka, kb = xs[0].shape[0], ys[0].shape[0]
-    # row-major vec: vec(y L) = (y (x) I) vec L, vec(L x) = (I (x) x^T) vec L
-    rows = [np.kron(y, np.eye(ka)) - np.kron(np.eye(kb), x.T) for x, y in zip(xs, ys)]
-    # n ka kb rows >= ka kb columns, so the thin SVD has every right singular vector
-    _, s, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
-    rank = int(np.sum(s > DEFAULT_TOL.tol_rank))
-    return list(vh[rank:].conj().reshape(-1, kb, ka))
 
 
 def assert_same_span(got, want):
@@ -50,6 +40,14 @@ def assert_same_span(got, want):
 
 def unit(mats):
     return [m / np.linalg.norm(m) for m in mats]
+
+
+def block_maps(xs, ys):
+    """Maps L with L x_i = y_i L: `intertwiner_space` between the two
+    summands of the direct sums x_i (+) y_i, one commutant solve."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    eye = np.eye(xs.shape[1] + ys.shape[1])
+    return intertwiner_space(block_diagonal(xs, ys), eye[:, : xs.shape[1]], eye[:, xs.shape[1] :])
 
 
 def test_commutant_dimensions():
@@ -349,6 +347,52 @@ def test_intertwiner_space_requires_invariance():
         intertwiner_space(gens, v, v)
 
 
+def compressions(gens, v):
+    return [v.conj().T @ g @ v for g in gens]
+
+
+def test_intertwiner_space_into_a_larger_subspace():
+    # a 2-dim copy into the 4-dim span of two further copies, mixed inside
+    # that span, next to an inequivalent block: one map per copy
+    rng = np.random.default_rng(230)
+    a = [seeded_random_hermitian(2, 231 + s) for s in range(3)]
+    copies = block_diagonal(*(conjugated(np.stack(a), 232 + c) for c in range(3)), hermitians(240, 2))
+    u = haar_unitary(rng, 8)
+    gens = list(u @ copies @ u.conj().T)
+    va = u[:, :2]
+    vb = u[:, 2:6] @ haar_unitary(rng, 4)
+    maps = intertwiner_space(gens, va, vb)
+    assert len(maps) == 2
+    assert_same_span(maps, dense_intertwiners(compressions(gens, va), compressions(gens, vb)))
+    # and back: the maps from the 4-dim span onto the copy
+    back = intertwiner_space(gens, vb, va)
+    assert len(back) == 2
+    assert_same_span(back, dense_intertwiners(compressions(gens, vb), compressions(gens, va)))
+    assert intertwiner_space(gens, va, u[:, 6:]) == []
+
+
+def test_intertwiner_space_of_a_non_hermitian_family(monkeypatch):
+    # invariant subspaces of a non-Hermitian family, equivalent through a
+    # similarity that is not unitary: the direct sum keeps every entry
+    rng = np.random.default_rng(250)
+    j = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    t = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    similar = t @ j @ np.linalg.inv(t)
+    u = haar_unitary(rng, 9)
+    gens = list(u @ block_diagonal(j, similar, j.transpose(0, 2, 1)) @ u.conj().T)
+    frames = []
+    real = algebra._spectral_frame
+    monkeypatch.setattr(algebra, "_spectral_frame", lambda mats, tol: frames.append(real(mats, tol)) or frames[-1])
+    va, vb = u[:, :3], u[:, 3:6]
+    maps = intertwiner_space(gens, va, vb)
+    assert len(frames) == 1 and frames[0][2].all()
+    assert len(maps) == 1
+    assert_same_span(maps, dense_intertwiners(compressions(gens, va), compressions(gens, vb)))
+    # the map is the similarity itself, up to a complex factor
+    assert np.allclose(maps[0], np.vdot(t, maps[0]) / np.vdot(t, t) * t, atol=1e-8)
+    assert intertwiner_space(gens, va, u[:, 6:]) == []
+
+
 @pytest.mark.parametrize("seed, blocks", [
     (70, [(2, 2), (1, 3), (3, 1), (2, 1)]),  # d = 12
     (71, [(3, 2), (2, 3), (1, 2)]),  # d = 14
@@ -358,20 +402,20 @@ def test_intertwiners_match_dense_solve_on_planted_families(seed, blocks):
     built = build_family(np.random.default_rng(seed), blocks, 4)
     xs = unit(built["states"])
     # the eigenframe of a random family element leaves few unknowns
-    _, _, mask = _spectral_frame(np.array(xs), np.array(xs), DEFAULT_TOL)
+    _, _, mask = _spectral_frame(np.array(xs), DEFAULT_TOL)
     assert mask.sum() <= sum(a * b * b for a, b in blocks) < mask.size
-    assert_same_span(_intertwiners(xs, xs, DEFAULT_TOL), dense_intertwiners(xs, xs))
+    assert_same_span(_commutant_basis(xs, DEFAULT_TOL), dense_intertwiners(xs, xs))
 
 
 def test_intertwiners_match_dense_solve_on_identity_and_redundant_copies():
     eye = [np.eye(5, dtype=complex) / np.sqrt(5)] * 2
-    assert len(_intertwiners(eye, eye, DEFAULT_TOL)) == 25
-    assert_same_span(_intertwiners(eye, eye, DEFAULT_TOL), dense_intertwiners(eye, eye))
+    assert len(_commutant_basis(eye, DEFAULT_TOL)) == 25
+    assert_same_span(_commutant_basis(eye, DEFAULT_TOL), dense_intertwiners(eye, eye))
     # info factor tensored with a redundant copy space, each generator listed three times
     u = haar_unitary(np.random.default_rng(73), 8)
     gens = [u @ np.kron(seeded_random_hermitian(2, 74 + s), np.eye(4)) @ u.conj().T for s in range(2)]
     xs = unit(gens * 3)
-    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    got = _commutant_basis(xs, DEFAULT_TOL)
     assert len(got) == 16
     assert_same_span(got, dense_intertwiners(xs, xs))
 
@@ -382,7 +426,7 @@ def test_intertwiners_match_dense_solve_on_noisy_identity():
     # of the random combination's eigenvalues
     eye = np.eye(4, dtype=complex)
     xs = unit([eye + 1e-12 * seeded_random_hermitian(4, 90 + s) for s in range(3)])
-    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    got = _commutant_basis(xs, DEFAULT_TOL)
     assert len(got) == 16
     assert_same_span(got, dense_intertwiners(xs, xs))
 
@@ -392,11 +436,11 @@ def test_intertwiners_match_dense_solve_between_blocks():
     v = haar_unitary(rng, 3)
     xs = unit([seeded_random_hermitian(3, 76 + s) for s in range(3)])
     equivalent = [v @ x @ v.conj().T for x in xs]
-    got = _intertwiners(xs, equivalent, DEFAULT_TOL)
+    got = block_maps(xs, equivalent)
     assert len(got) == 1
     assert_same_span(got, dense_intertwiners(xs, equivalent))
     inequivalent = unit([seeded_random_hermitian(3, 80 + s) for s in range(3)])
-    assert _intertwiners(xs, inequivalent, DEFAULT_TOL) == []
+    assert block_maps(xs, inequivalent) == []
     assert dense_intertwiners(xs, inequivalent) == []
 
 
@@ -411,9 +455,9 @@ def count_frame_generators(monkeypatch):
     seen = []
     real = algebra._spectral_frame
 
-    def counted(xs, ys, tol):
-        seen.append(xs.shape[0])
-        return real(xs, ys, tol)
+    def counted(mats, tol):
+        seen.append(mats.shape[0])
+        return real(mats, tol)
 
     monkeypatch.setattr(algebra, "_spectral_frame", counted)
     return seen
@@ -425,15 +469,15 @@ def test_remix_solves_a_sixty_member_commutant_on_its_span(monkeypatch):
     base = build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 5)["states"]
     xs = unit(combinations(rng, base, 60))
     seen = count_frame_generators(monkeypatch)
-    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    got = _commutant_basis(xs, DEFAULT_TOL)
     assert seen == [5]
     assert len(got) == 2 + 3 + 1 + 1  # diagonal on each redundant factor
     assert_same_span(got, dense_intertwiners(xs, xs))
 
 
 def test_remix_solves_sixty_block_pairs_on_their_span(monkeypatch):
-    # check_maximal (iii): 60 pairs (x_i, y_i) spanning 4 dimensions, each
-    # pair scaled by the larger of its two norms
+    # check_maximal (iii): the direct sums of 60 pairs (x_i, y_i) spanning 4
+    # dimensions, each pair scaled by the larger of its two norms
     rng = np.random.default_rng(161)
     v = haar_unitary(rng, 3)
     base = [seeded_random_hermitian(3, 162 + s) for s in range(4)]
@@ -444,7 +488,7 @@ def test_remix_solves_sixty_block_pairs_on_their_span(monkeypatch):
     for ys, want in ((v @ xs @ v.conj().T, 1), (np.tensordot(c, np.asarray(other), axes=1), 0)):
         scale = np.maximum(np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=(1, 2)))
         x, y = list(xs / scale[:, None, None]), list(ys / scale[:, None, None])
-        got = _intertwiners(x, y, DEFAULT_TOL)
+        got = block_maps(x, y)
         assert len(got) == want
         assert_same_span(got, dense_intertwiners(x, y))
     assert seen == [4, 4]
@@ -460,7 +504,7 @@ def test_remix_solves_sixty_block_pairs_on_their_span(monkeypatch):
 )
 def test_remix_of_one_member_and_of_an_all_zero_family(monkeypatch, xs):
     seen = count_frame_generators(monkeypatch)
-    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    got = _commutant_basis(xs, DEFAULT_TOL)
     assert seen == [1]
     assert len(got) == (4 if np.any(xs[0]) else 16)
     assert_same_span(got, dense_intertwiners(xs, xs))
@@ -469,19 +513,19 @@ def test_remix_of_one_member_and_of_an_all_zero_family(monkeypatch, xs):
 @pytest.mark.parametrize("d_info", [1, 2])
 def test_remix_of_more_members_than_real_entries(monkeypatch, d_info):
     # 60 weighted information states of one block (check_maximal (ii)) and
-    # 60 pairs of two such blocks (iii): n exceeds 2 ka^2, so the thin SVD
-    # has fewer directions than members
+    # the direct sums of 60 pairs of two such blocks (iii): n exceeds 2 ka^2,
+    # so the thin SVD has fewer directions than members
     rng = np.random.default_rng(171 + d_info)
     infos = np.stack([random_density(rng, d_info) for _ in range(60)])
     w = rng.uniform(0.1, 1.0, 60)
     seen = count_frame_generators(monkeypatch)
-    got = algebra._commutant_basis(w[:, None, None] * infos, DEFAULT_TOL)
+    got = _commutant_basis(w[:, None, None] * infos, DEFAULT_TOL)
     xs = unit(list(w[:, None, None] * infos))
     assert len(got) == 1
     assert_same_span(got, dense_intertwiners(xs, xs))
     v = haar_unitary(rng, d_info)
     ys = [v @ x @ v.conj().T for x in xs]
-    got = _intertwiners(xs, ys, DEFAULT_TOL)
+    got = block_maps(xs, ys)
     assert len(got) == 1
     assert_same_span(got, dense_intertwiners(xs, ys))
     assert seen == [d_info**2] * 2
@@ -491,17 +535,17 @@ def test_remix_keeps_the_spectral_frame_unknowns():
     rng = np.random.default_rng(175)
     base = build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 5)["states"]
     xs = np.asarray(unit(combinations(rng, base, 60)))
-    rx, ry = algebra._span_remix(xs, xs, DEFAULT_TOL)
-    assert rx is ry and rx.shape[0] == 5
+    rx = algebra._span_remix(xs, DEFAULT_TOL)
+    assert rx.shape[0] == 5
     for m in rx:
         assert np.linalg.norm(m - m.conj().T) <= 1e-12
-    _, _, full = _spectral_frame(xs, xs, DEFAULT_TOL)
-    _, _, remixed = _spectral_frame(rx, ry, DEFAULT_TOL)
+    _, _, full = _spectral_frame(xs, DEFAULT_TOL)
+    _, _, remixed = _spectral_frame(rx, DEFAULT_TOL)
     # a random family element has a simple spectrum: the diagonal of d = 12
     assert remixed.sum() == full.sum() == 12
     # a family that spans as many dimensions as it has members passes through
     same = np.asarray(unit(base))
-    assert algebra._span_remix(same, same, DEFAULT_TOL) == (same, same)
+    assert algebra._span_remix(same, DEFAULT_TOL) is same
 
 
 def record_null_space_stacks(monkeypatch):
@@ -546,7 +590,9 @@ def block_cases():
         ("equivalent", block_diagonal(b3, conjugated(b3, 1)), None, [(4, 3)], 4),
         ("inequivalent", block_diagonal(b3, hermitians(205, 3)), None, [(2, 3)], 2),
         ("mixed-sizes", block_diagonal(a2, b3, conjugated(a2, 2), e1), None, [(1, 1), (1, 3), (4, 2)], 6),
-        ("between", block_diagonal(a2, b3), block_diagonal(conjugated(b3, 3), c2), [(1, 3)], 1),
+        # the direct sum a2 + b3 + b3' + c2: the diagonal pairs of a2 and c2,
+        # and the four pairs of b3 and b3', of which (b3', b3) is the one map
+        ("between", block_diagonal(a2, b3), block_diagonal(conjugated(b3, 3), c2), [(2, 2), (4, 3)], 1),
         ("dense", d4, None, [(1, 4)], 1),
     ]
 
@@ -555,15 +601,17 @@ def block_cases():
 def test_intertwiners_split_block_diagonal_families_into_stacked_pair_solves(monkeypatch, name, xs, ys, stacks, count):
     # every pair of blocks with kept entries is one system, and the pairs of
     # one shape and kept pattern are one stacked solve; a dense family is
-    # one pair in a stack of one. One scale per member pair, as in
-    # check_maximal, leaves L x = y L unchanged
+    # one pair in a stack of one. Maps between two families are a block of
+    # the commutant of their direct sum, which solves its diagonal pairs
+    # too. One scale per member pair leaves L x = y L unchanged
     scale = np.linalg.norm(xs, axis=(1, 2)) if ys is None else np.maximum(
         np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=(1, 2))
     )
+    between = ys is not None
     xs = xs / scale[:, None, None]
-    ys = xs if ys is None else ys / scale[:, None, None]
+    ys = ys / scale[:, None, None] if between else xs
     seen = record_null_space_stacks(monkeypatch)
-    got = _intertwiners(xs, ys, DEFAULT_TOL)
+    got = block_maps(xs, ys) if between else _commutant_basis(xs, DEFAULT_TOL)
     assert sorted(seen) == stacks
     assert len(got) == count
     assert_same_span(got, dense_intertwiners(list(xs), list(ys)))
@@ -579,13 +627,13 @@ def contract_cases():
 
 @pytest.mark.parametrize("name, xs, ys", contract_cases(), ids=[c[0] for c in contract_cases()])
 def test_intertwiners_lie_each_in_one_block_pair(name, xs, ys):
-    # the contract check_maximal counts on: every returned matrix is nonzero
-    # on exactly one pair (y-block, x-block) of the blocks found
-    ys = xs if ys is None else ys
-    scale = np.maximum(np.linalg.norm(xs, axis=(1, 2)), np.linalg.norm(ys, axis=(1, 2)))[:, None, None]
-    got = np.asarray(_intertwiners(xs / scale, ys / scale, DEFAULT_TOL))
-    ex, ey = algebra._diagonal_blocks(xs)[:-1], algebra._diagonal_blocks(ys)[:-1]
-    per_pair = np.add.reduceat(np.add.reduceat(np.abs(got), ey, axis=1), ex, axis=2)
+    # the contract check_maximal and intertwiner_space count on: every
+    # commutant basis matrix is nonzero on exactly one pair of the blocks
+    # found; two families are solved as their direct sum
+    mats = xs if ys is None else block_diagonal(xs, ys)
+    got = np.asarray(_commutant_basis(mats, DEFAULT_TOL))
+    edges = algebra._diagonal_blocks(mats)[:-1]
+    per_pair = np.add.reduceat(np.add.reduceat(np.abs(got), edges, axis=1), edges, axis=2)
     assert got.shape[0] > 0
     assert np.count_nonzero(per_pair, axis=(1, 2)).tolist() == [1] * got.shape[0]
 
@@ -627,9 +675,9 @@ def test_commutant_of_non_normal_generator():
     # commutant is the polynomials in it, of dimension 3
     jordan = np.diag([1.0, 1.0], k=1) + 2.0 * np.eye(3)
     xs = unit([jordan])
-    _, _, mask = _spectral_frame(np.array(xs), np.array(xs), DEFAULT_TOL)
+    _, _, mask = _spectral_frame(np.array(xs), DEFAULT_TOL)
     assert mask.all()
-    got = _intertwiners(xs, xs, DEFAULT_TOL)
+    got = _commutant_basis(xs, DEFAULT_TOL)
     assert len(got) == 3
     assert_same_span(got, dense_intertwiners(xs, xs))
     assert len(commutant_of_family([jordan])) == 3

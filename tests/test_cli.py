@@ -192,7 +192,6 @@ def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
         ("_null_space_floor", "svd"),
         ("_unitary_polish", "svd"),
         ("_nearest_density", "eigh"),
-        ("decompose", "eigvalsh"),
     ],
 )
 def test_lapack_failure_at_each_call_site_is_no_convergence(site, routine, tmp_path, monkeypatch, capsys):
