@@ -12,15 +12,13 @@ families the solve runs in the eigenbasis of a fixed random element G of
 the family's span (after Murota, Kanno, Kojima & Kojima, Japan J. Indust.
 Appl. Math. 27, 2010): every commutant element also commutes with G, so it
 only links eigenvalues that agree, and a commutant with eigenvalue
-multiplicities m_c has sum m_c^2 unknowns instead of d^2. Only the span of
-the family matters, not how many members list it: the solve first replaces
-the normalized generators by an orthogonal basis of their span with the
-same Gram matrix of constraints (`_span_remix`), so it has r d^2 rows for
-an r-dimensional span. A family that is exactly block diagonal, with
-consecutive diagonal blocks read off its nonzero pattern, is diagonalized
-block by block, and the solve splits into one system per pair of blocks
-with kept unknowns, r sp sq rows each for blocks of sizes sp and sq; the
-pairs of one shape and one set of kept unknowns are solved as one stack.
+multiplicities m_c has sum m_c^2 unknowns instead of d^2. The rows come
+straight from the n nonzero members, each normalized, so the system has
+n d^2 rows. A family that is exactly block diagonal, with consecutive
+diagonal blocks read off its nonzero pattern, is diagonalized block by
+block, and the solve splits into one system per pair of blocks with kept
+unknowns, n sp sq rows each for blocks of sizes sp and sq; the pairs of
+one shape and one set of kept unknowns are solved as one stack.
 Blocks that are diagonal only after a permutation are not detected: such a
 family is solved as fewer, larger blocks. The isotypic split makes that
 solve once, for the commutant of the whole family, and reads everything
@@ -94,20 +92,21 @@ def _null_space_floor(row_blocks, cutoff: float) -> list:
     unknowns (`_commutant_basis`); a family with no consecutive diagonal
     blocks is a stack of one.
 
-    `_commutant_basis` normalizes its generators and replaces them by a
-    basis of their span with the same Gram matrix sum_i C(m_i)^dag C(m_i)
-    (`_span_remix`), so genuine constraints have singular values of order
-    1. A cutoff relative to the largest singular value misreads an all-noise system, where every row
-    vanishes up to roundoff, as full rank; the absolute floor reads it
-    correctly as rank zero. The SVD is taken of the R factor of each
-    system, which has the system's singular values and right singular
-    vectors without forming a tall U. R is accumulated block by block, as
-    the R factor of [R; block], with one stacked QR per block and one
-    stacked SVD, so no system is held at once. From the second block on, R
-    and the block are written into one buffer in the column-major order
-    that LAPACK reads, so a block given as the transpose of a C-ordered
-    m x c x rows array is copied there row by row. A LAPACK failure raises
-    NoConvergence.
+    `_commutant_basis` normalizes its generators, so genuine constraints
+    have singular values of order 1. A cutoff relative to the largest
+    singular value misreads an all-noise system, where every row vanishes
+    up to roundoff, as full rank; the absolute floor reads it correctly as
+    rank zero. A family of commuting members, such as a classical family in
+    the first pass of `structure.decompose`, gives only such systems: every
+    unknown its spectral frame keeps commutes with every member. The SVD is
+    taken of the R factor of each system, which has the system's singular
+    values and right singular vectors without forming a tall U. R is
+    accumulated block by block, as the R factor of [R; block], with one
+    stacked QR per block and one stacked SVD, so no system is held at once.
+    From the second block on, R and the block are written into one buffer
+    in the column-major order that LAPACK reads, so a block given as the
+    transpose of a C-ordered m x c x rows array is copied there row by row.
+    A LAPACK failure raises NoConvergence.
     """
     with _lapack():
         r = buf = None
@@ -196,32 +195,6 @@ def _spectral_frame(mats: np.ndarray, tol: Tolerances):
     return edges, u, label[:, None] == label[None, :]
 
 
-def _span_remix(mats: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Replace the n members of a stack by r <= n real orthogonal
-    combinations that span the same matrices.
-
-    The combinations are sum_i u_ij m_i = s_j v_j, where u, s are the left
-    singular vectors and singular values of the real n x 2k^2 matrix F of
-    flattened members; the directions with s_j above tol_zero are kept, and
-    at least one. An orthogonal remix leaves the system's Gram matrix
-    sum_i C(m_i)^dag C(m_i) unchanged, and a dropped direction moves a
-    singular value of the system by at most 2 s_j, far below the absolute
-    tol_rank floor. The mix is real, so Hermitian members stay Hermitian. u
-    comes from the thin SVD of R^T, with R the R factor of F^T, which costs
-    far less than an SVD of the wide F. When every direction is kept, the
-    stack comes back unchanged. A LAPACK failure raises NoConvergence.
-    """
-    n = mats.shape[0]
-    with _lapack():
-        r = np.linalg.qr(mats.reshape(n, -1).view(float).T, mode="r")
-        u, s, _ = np.linalg.svd(r.T, full_matrices=False)
-    keep = s > tol.tol_zero
-    keep[0] = True
-    if keep.sum() == n:
-        return mats
-    return np.tensordot(u[:, keep].T, mats, axes=1)
-
-
 def _pair_rows(mq: np.ndarray, mp: np.ndarray, ps: np.ndarray, qs: np.ndarray):
     """The rows of a stack of m block-pair systems, m x rows x len(ps) each,
     `per` generators at a time (about _BLOCK_ENTRIES entries a block).
@@ -248,16 +221,18 @@ def _commutant_basis(mats, tol: Tolerances) -> list:
     k x k matrices.
 
     Members of norm at most tol_zero impose nothing and are dropped; the
-    rest are normalized, since the rank floor tol_rank is absolute, and
-    reduced to a basis of their span (`_span_remix`). The system is solved
-    for X' = u^dag X u in `_spectral_frame`, over the kept entries only, one
-    system per block pair: in that frame every generator is block diagonal
-    over the consecutive blocks of the stack, so an unknown (p, q) meets
-    only the rows (a, b) with a in p's block and b in q's, and the system
-    splits into one system per pair (P, Q) of blocks with kept entries. The
-    pairs with the same shape and the same kept entries are solved as one
-    stack (`_null_space_floor`); a family with no blocks is one pair in a
-    stack of one. Only consecutive blocks are detected (`_diagonal_blocks`).
+    n others are normalized, since the rank floor tol_rank is absolute,
+    and each gives its own rows. The system is solved for X' = u^dag X u in
+    `_spectral_frame`, over the kept entries only, one system per block
+    pair: in that frame every generator is block diagonal over the
+    consecutive blocks of the stack, so an unknown (p, q) meets only the
+    rows (a, b) with a in p's block and b in q's, and the system splits into
+    one system per pair (P, Q) of blocks with kept entries, n sp sq rows
+    for blocks of sizes sp and sq. The pairs with the same shape and the
+    same kept entries are solved as one stack (`_null_space_floor`); a
+    family with no blocks is one pair in a stack of one. If every member is
+    dropped, one zero member stands for them and the whole k x k space is
+    returned. Only consecutive blocks are detected (`_diagonal_blocks`).
     The singular values are those of the whole system, so every rank
     decision is the one a single solve would make. The basis is orthonormal
     under the Hilbert-Schmidt inner product, and every basis matrix is
@@ -271,10 +246,9 @@ def _commutant_basis(mats, tol: Tolerances) -> list:
     norms = np.linalg.norm(stacked, axis=(1, 2))
     keep = norms > tol.tol_zero
     if not keep.any():
-        unit = np.zeros_like(stacked[:1])
+        gens = np.zeros_like(stacked[:1])
     else:
-        unit = stacked[keep] / norms[keep, None, None]
-    gens = _span_remix(unit, tol)
+        gens = stacked[keep] / norms[keep, None, None]
     k = gens.shape[1]
     edges, u, mask = _spectral_frame(gens, tol)
     kept = np.add.reduceat(np.add.reduceat(mask, edges[:-1], axis=0), edges[:-1], axis=1)

@@ -5,7 +5,8 @@ a family file, `check` runs one of the operational predicates (broadcast,
 imprint, clone, channel), and `entropy` prints the information split,
 optionally for the tensor product of two families. All randomness flows
 from one seed (--seed, else KIDECOMP_SEED, else 0) and reports are
-byte-identical for a fixed (input, seed) pair.
+byte-identical for a fixed (input, seed) pair on one numpy/BLAS build and
+BLAS thread count (README, "Determinism").
 
 Exit codes: 0 success or predicate holds, 1 predicate fails, 2 bad input,
 3 numerical failure.

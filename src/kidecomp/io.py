@@ -3,7 +3,8 @@
 Families and channels travel as JSON with every complex entry spelled as a
 [re, im] pair, so fixtures stay diff-able. Reports are emitted through a
 canonical writer (sorted keys, floats at 17 significant digits) so a fixed
-(input, seed) pair produces byte-identical output.
+(input, seed) pair produces byte-identical output on one numpy/BLAS build
+and BLAS thread count.
 """
 
 import json

@@ -587,9 +587,10 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     (ii) fails for l when the count on (l, l) is not 1, and (iii) for
     l < l' of equal d_info when the count on (l', l) is nonzero. Scaling by
     the whole member rather than per block or per pair leaves L x = y L
-    unchanged but shrinks the margin: on planted families up to d = 64 the
-    smallest kept singular value of the solve's systems stays above 0.1,
-    more than 1e8 times tol_rank, and the largest dropped one below 1e-15.
+    unchanged but shrinks the margin: on the planted d = 64 families with 8
+    blocks (4 and 60 states) the smallest kept singular value of the
+    solve's systems is 0.11 and 0.72, more than 1e8 times tol_rank, and the
+    largest dropped one 5.6e-17 and 3.8e-16.
     The ranks are decided at the tol_rank floor on each block's normalized
     data, so a block too light for that accuracy (average weight below about
     eps * ||rho|| / tol_rank) fails (i) rather than being certified on

@@ -186,9 +186,8 @@ def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
         ("hermitian_eig", "eigh"),
         ("isotypic_decompose", "matrix_rank"),
         ("isotypic_decompose", "eigh"),
-        ("_span_remix", "qr"),
-        ("_span_remix", "svd"),
         ("_spectral_frame", "eigh"),
+        ("_null_space_floor", "qr"),
         ("_null_space_floor", "svd"),
         ("_unitary_polish", "svd"),
         ("_nearest_density", "eigh"),
