@@ -118,9 +118,7 @@ def apply_to_matrix(channel: KrausChannel, mat) -> np.ndarray:
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     out = hermitian_part(apply_to_matrix(channel, rho.mat))
-    return DensityMatrix(
-        out, float(np.trace(out).real), 0.0, rho.normalized
-    )
+    return DensityMatrix(out, float(np.trace(out).real), 0.0)
 
 
 def canonical_kraus(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:

@@ -37,6 +37,7 @@ from .exceptions import (
     ValidationError,
 )
 from .io import (
+    _TOL_NAMES,
     dumps_canonical,
     dumps_text,
     load_family_file,
@@ -107,14 +108,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("KIDECOMP_SEED")
-    if env is not None:
+        seed, source = int(args.seed), "--seed"
+    else:
+        env = os.environ.get("KIDECOMP_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "KIDECOMP_SEED"
         except ValueError:
             raise ParseError(f"KIDECOMP_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise ParseError(f"{source} must be nonnegative, got {seed}")
+    return seed
 
 
 def _parse_tol_flags(items) -> dict:
@@ -136,17 +141,7 @@ def _meta(command: str, seed: int, tol: Tolerances) -> dict:
         "report_version": "1",
         "command": command,
         "seed": int(seed),
-        "tolerances": {
-            name: float(getattr(tol, name))
-            for name in (
-                "tol_sym",
-                "tol_psd",
-                "tol_trace",
-                "tol_rank",
-                "tol_zero",
-                "tol_cluster",
-            )
-        },
+        "tolerances": {name: float(getattr(tol, name)) for name in _TOL_NAMES},
     }
 
 

@@ -3,8 +3,10 @@
 Everything downstream builds on the functions in this module. They are pure:
 inputs are never mutated, and all thresholds come from an explicit
 `Tolerances` value rather than hidden constants. Matrices are plain complex
-ndarrays (dense, row-major); `DensityMatrix` and `StateFamily` add validated
-metadata on top. The supported envelope is ambient dimension <= 64.
+ndarrays (dense, row-major), in and out; only `density_matrix` and
+`state_family` wrap them, in `DensityMatrix` (Hermitian, PSD, unit trace)
+and `StateFamily`, which add validated metadata. The supported envelope is
+ambient dimension <= 64.
 """
 
 import numbers
@@ -34,7 +36,6 @@ __all__ = [
     "StateFamily",
     "as_complex_matrix",
     "hermitian_part",
-    "hermiticity_defect",
     "trace_norm",
     "density_matrix",
     "state_family",
@@ -119,11 +120,6 @@ def _hermitian_stack(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def hermiticity_defect(mat) -> float:
-    a = _square(mat)
-    return float(np.linalg.norm(a - a.conj().T))
-
-
 def trace_norm(mat) -> float:
     """Sum of singular values."""
     with _lapack():
@@ -132,19 +128,18 @@ def trace_norm(mat) -> float:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated Hermitian PSD matrix with cached trace and symmetry defect."""
+    """Validated Hermitian PSD unit-trace matrix with cached trace and symmetry defect."""
 
     mat: np.ndarray
     trace: float
     hermiticity_defect: float
-    normalized: bool = True
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
 
-def _density_matrices(a: np.ndarray, tol: Tolerances, normalized: bool = True, eigenvalues=None) -> list:
+def _density_matrices(a: np.ndarray, tol: Tolerances, eigenvalues=None) -> list:
     """Run the checks of `density_matrix` on an m x d x d stack at once.
 
     Returns a DensityMatrix per member. A failing stack raises, for its
@@ -166,7 +161,7 @@ def _density_matrices(a: np.ndarray, tol: Tolerances, normalized: bool = True, e
     floors = -tol.tol_psd * np.maximum(1.0, np.abs(w[:, -1]))
     not_herm = defects > tol.tol_sym
     not_psd = w[:, 0] < floors
-    bad_trace = np.abs(traces - 1.0) > tol.tol_trace if normalized else traces <= tol.tol_zero
+    bad_trace = np.abs(traces - 1.0) > tol.tol_trace
     bad = not_herm | not_psd | bad_trace
     if bad.any():
         k = int(np.argmax(bad))
@@ -174,25 +169,22 @@ def _density_matrices(a: np.ndarray, tol: Tolerances, normalized: bool = True, e
             raise NotHermitian(f"hermiticity defect {defects[k]:.3e} exceeds tol_sym={tol.tol_sym:.3e}")
         if not_psd[k]:
             raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[k, 0]:.3e})")
-        tr = float(traces[k])
-        if normalized:
-            raise NotNormalized(f"trace {tr!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}")
-        raise ValidationError(f"unnormalized density matrix must have positive trace, got {tr!r}")
+        raise NotNormalized(f"trace {float(traces[k])!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}")
     if m < finite.size:
         raise ValidationError("matrix contains non-finite entries")
     h.setflags(write=False)
-    return [DensityMatrix(x, float(t), float(e), normalized) for x, t, e in zip(h, traces, defects)]
+    return [DensityMatrix(x, float(t), float(e)) for x, t, e in zip(h, traces, defects)]
 
 
-def density_matrix(mat, tol: Tolerances = DEFAULT_TOL, normalized: bool = True) -> DensityMatrix:
-    """Validate a matrix as a (possibly unnormalized) density matrix.
+def density_matrix(mat, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+    """Validate a matrix as a density matrix.
 
     Raises NotHermitian when the symmetry defect exceeds tol_sym,
     ValidationError when an eigenvalue drops below -tol_psd (relative to
     max(1, largest eigenvalue)), and NotNormalized when the trace strays from
-    1 while `normalized` is set.
+    1 by more than tol_trace.
     """
-    return _density_matrices(_square(mat)[None], tol, normalized)[0]
+    return _density_matrices(_square(mat)[None], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -315,14 +307,13 @@ def polar_offblock(mat, tol: Tolerances = DEFAULT_TOL):
 def partial_trace(rho, d_left: int, d_right: int, keep: str = "left"):
     """Trace out one tensor factor of an operator on C^d_left (x) C^d_right.
 
-    keep="left" returns the d_left marginal, keep="right" the d_right one.
-    A ... x d x d stack is traced member by member. DensityMatrix input gives
-    DensityMatrix output (trace is preserved).
+    keep="left" returns the d_left marginal, keep="right" the d_right one, as
+    an ndarray. A ... x d x d stack is traced member by member; a
+    DensityMatrix is read through its matrix.
     """
     if keep not in ("left", "right"):
         raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
-    wrap = isinstance(rho, DensityMatrix)
-    m = np.asarray(rho.mat if wrap else rho, dtype=complex)
+    m = np.asarray(rho.mat if isinstance(rho, DensityMatrix) else rho, dtype=complex)
     if m.ndim == 2:
         m = _square(m)
     if d_left < 1 or d_right < 1 or m.ndim < 2 or m.shape[-2:] != (d_left * d_right,) * 2:
@@ -330,13 +321,7 @@ def partial_trace(rho, d_left: int, d_right: int, keep: str = "left"):
             f"matrix of shape {m.shape} does not factor as {d_left} x {d_right}"
         )
     r = m.reshape(*m.shape[:-2], d_left, d_right, d_left, d_right)
-    out = np.einsum("...abcb->...ac", r) if keep == "left" else np.einsum("...abac->...bc", r)
-    if wrap:
-        out = 0.5 * (out + out.conj().T)
-        return DensityMatrix(
-            out, float(np.trace(out).real), hermiticity_defect(out), rho.normalized
-        )
-    return out
+    return np.einsum("...abcb->...ac", r) if keep == "left" else np.einsum("...abac->...bc", r)
 
 
 def entropy_of_spectrum(spectrum) -> float:

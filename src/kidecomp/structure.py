@@ -94,11 +94,6 @@ class Structure:
         off = self.block_offset(l)
         return self.transform.conj().T[:, off : off + self.block_size(l)]
 
-    def block_projector(self, l: int) -> np.ndarray:
-        b = self.block_basis(l)
-        p = b @ b.conj().T
-        return 0.5 * (p + p.conj().T)
-
     def matrix_unit(self, l: int, row: int, col: int) -> np.ndarray:
         """Partial isometry acting as |row><col| on block l's information factor.
 
@@ -149,8 +144,11 @@ def family_average(family, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
 
 
 def _average_and_support(family, tol: Tolerances):
-    """`family_average` and the support basis of the average, from one
-    diagonalization of the average."""
+    """`family_average` and the support basis of the average.
+
+    The average is diagonalized twice: `density_matrix` takes its
+    eigenvalues to validate it, and `support_basis` its eigenvectors.
+    """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     mats = np.stack(fam.mats())
     avg = density_matrix(np.tensordot(fam.effective_weights(), mats, axes=1), tol)

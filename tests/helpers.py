@@ -75,20 +75,21 @@ def random_pure(rng, d):
     return v / np.linalg.norm(v)
 
 
-def build_family(rng, blocks, n_states, scramble=True, red_rank=None, pad_to=None, equal_weights=False):
+def build_family(rng, blocks, n_states, scramble=True, red_rank=None, pad_to=None, equal_weights=False, mixed_red=False):
     """Plant a known block/tensor structure and scramble it.
 
     Returns a dict with the ambient states, the planted data (unitary, per
     block redundant states, weight matrix) and bookkeeping dims. `pad_to`
     embeds the construction into a larger space so the family average has a
     proper support subspace. `equal_weights` gives every member the same
-    block probabilities.
+    block probabilities. `mixed_red` makes every redundant state maximally
+    mixed, and draws none.
     """
     dim = sum(a * b for a, b in blocks)
     total = dim if pad_to is None else pad_to
     assert total >= dim
     u = haar_unitary(rng, total)
-    red = [random_density(rng, b, rank=red_rank) for _, b in blocks]
+    red = [np.eye(b, dtype=complex) / b if mixed_red else random_density(rng, b, rank=red_rank) for _, b in blocks]
     if equal_weights:
         weights = np.tile(rng.dirichlet([2.0] * len(blocks)), (n_states, 1))
     else:
@@ -329,6 +330,22 @@ def commuting_face(blocks, u, d):
                 cols.append(k.reshape(-1) / np.sqrt(a))
         off += a * b
     return np.array(cols).T
+
+
+def component_projector(component):
+    """Orthogonal projector onto the span of an isotypic component's copies."""
+    d = component.submodule_bases[0].shape[0]
+    p = np.zeros((d, d), dtype=complex)
+    for v in component.submodule_bases:
+        p += v @ v.conj().T
+    return 0.5 * (p + p.conj().T)
+
+
+def block_projector(structure, l):
+    """Orthogonal projector onto block l of a structure, in its coordinates."""
+    b = structure.block_basis(l)
+    p = b @ b.conj().T
+    return 0.5 * (p + p.conj().T)
 
 
 def choi_of(channel):

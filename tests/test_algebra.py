@@ -20,6 +20,7 @@ from kidecomp.linalg import DEFAULT_TOL
 
 from helpers import (
     build_family,
+    component_projector,
     dense_intertwiners,
     haar_unitary,
     planted_generators,
@@ -171,7 +172,12 @@ def test_isotypic_trivial_family():
     comp = dec.components[0]
     assert comp.simple_dim == 1
     assert comp.multiplicity == 4
-    assert dec.residual_check < 1e-10
+    gens = trivial_gens()
+    for v in comp.submodule_bases:
+        # invariance of each piece
+        for g in gens:
+            leak = g @ v - v @ (v.conj().T @ g @ v)
+            assert np.linalg.norm(leak) < 1e-10
 
 
 def test_isotypic_rejects_generators_spanning_a_proper_subspace():
@@ -202,7 +208,7 @@ def test_isotypic_mixed_blocks():
     # component projectors are orthogonal and resolve the identity
     total = np.zeros((7, 7), dtype=complex)
     for c in dec.components:
-        p = c.projector()
+        p = component_projector(c)
         assert np.linalg.norm(p @ p - p) < 1e-9
         total += p
     assert np.allclose(total, np.eye(7), atol=1e-9)
@@ -266,7 +272,7 @@ def test_isotypic_matches_recursive_split(name, gens):
         )
         # the same class projectors, matched one to one
         p_want = [sum(v @ v.conj().T for v in cls) for cls in want]
-        dist = np.array([[np.linalg.norm(c.projector() - p) for p in p_want] for c in got])
+        dist = np.array([[np.linalg.norm(component_projector(c) - p) for p in p_want] for c in got])
         assert dist.min(axis=1).max() <= 1e-8
         assert len(set(dist.argmin(axis=1).tolist())) == len(got)
         # copies are aligned: every copy carries the first copy's compression

@@ -27,6 +27,7 @@ from kidecomp.linalg import density_matrix, trace_norm
 from kidecomp.structure import decompose, family_average
 
 from helpers import (
+    block_projector,
     build_family,
     choi_of,
     dense_block_form,
@@ -242,7 +243,7 @@ def _confinement_inputs(built, structure, support):
     emb = np.eye(structure.dim) if support is None else support
     rho, sig = built["states"][:2]
     obs = rho / np.trace(rho).real - sig / np.trace(sig).real
-    p1 = emb @ structure.block_projector(0) @ emb.conj().T
+    p1 = emb @ block_projector(structure, 0) @ emb.conj().T
     return obs, family_average(built["states"]).mat, p1, emb @ emb.conj().T - p1
 
 
@@ -445,8 +446,8 @@ def test_confines_paired_subspace_positive():
         decomp = decompose(built["states"])
         st = decomp.structure
         emb = decomp.support
-        p1 = emb @ st.block_projector(0) @ emb.conj().T
-        p2 = emb @ st.block_projector(1) @ emb.conj().T
+        p1 = emb @ block_projector(st, 0) @ emb.conj().T
+        p2 = emb @ block_projector(st, 1) @ emb.conj().T
         rho = family_average(built["states"]).mat
         ch = preserving_block_channel(rng, decomp)
         assert confines_paired_subspace(ch, rho, p1, p2)

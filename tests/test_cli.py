@@ -134,6 +134,20 @@ def test_seed_resolution(tmp_path, capsys, monkeypatch):
     assert "KIDECOMP_SEED" in err
 
 
+def test_negative_seed_from_the_flag_is_bad_input(capsys):
+    path = str(DATA / "orthogonal_pair.json")
+    code, out, err = run_cli(capsys, ["decompose", path, "--seed", "-5"])
+    assert code == 2 and out == ""
+    assert err == "kidecomp: error: --seed must be nonnegative, got -5\n"
+
+
+def test_negative_seed_from_the_environment_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("KIDECOMP_SEED", "-3")
+    code, out, err = run_cli(capsys, ["entropy", str(DATA / "orthogonal_pair.json")])
+    assert code == 2 and out == ""
+    assert err == "kidecomp: error: KIDECOMP_SEED must be nonnegative, got -3\n"
+
+
 def test_tol_flag_paths(capsys):
     path = str(DATA / "orthogonal_pair.json")
     code, out, _ = run_cli(capsys, ["decompose", path, "--tol", "psd=1e-6"])

@@ -39,7 +39,6 @@ from kidecomp.exceptions import (
 from kidecomp.linalg import (
     entropy_of_spectrum,
     hermitian_part,
-    hermiticity_defect,
     polar_offblock,
 )
 
@@ -95,8 +94,7 @@ def test_hermitian_part_and_defect():
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = hermitian_part(m)
     assert np.allclose(h, h.conj().T)
-    assert hermiticity_defect(h) < 1e-15
-    assert hermiticity_defect(m) > 0.1
+    assert np.linalg.norm(h - h.conj().T) < 1e-15
 
 
 def test_density_matrix_accepts_small_negatives():
@@ -119,9 +117,6 @@ def test_density_matrix_rejections():
         density_matrix(np.diag([1.5, -0.5]))
     with pytest.raises(DimensionMismatch):
         density_matrix(np.ones((2, 3)))
-    # unnormalized mode keeps the trace
-    half = density_matrix(np.diag([0.25, 0.25]), normalized=False)
-    assert abs(np.trace(half.mat) - 0.5) < 1e-14
 
 
 def test_state_family_validation():
@@ -185,7 +180,7 @@ def test_state_family_mixed_density_and_raw_members():
     for s, m in zip(fam.states, [other, GOOD, GOOD, other, other]):
         ref = density_matrix(m)
         assert np.array_equal(s.mat, ref.mat)
-        assert (s.trace, s.hermiticity_defect, s.normalized) == (ref.trace, ref.hermiticity_defect, True)
+        assert (s.trace, s.hermiticity_defect) == (ref.trace, ref.hermiticity_defect)
         assert not s.mat.flags.writeable
 
 

@@ -48,6 +48,7 @@ from helpers import (
 
 ENVELOPE_64 = [(6, 3), (4, 4), (3, 4), (2, 3), (1, 4), (1, 2), (2, 2), (1, 2)]
 CLASSICAL_64 = [(1, 8), (1, 7), (1, 6), (1, 6)] + [(1, 5)] * 5 + [(1, 4)] * 3  # spans 12 dims
+PADDED_64 = [(5, 3), (4, 3), (3, 2), (2, 3), (1, 4), (1, 2), (2, 2)]  # 49 dims
 
 
 def plus_minus():
@@ -155,6 +156,8 @@ def test_decompose_recovers_families_whose_commutant_svd_failed(seed, blocks, pa
         (94, [(3, 2), (2, 3), (2, 2), (1, 2), (1, 4), (1, 2)], 60, None),  # d = 24, 60 states
         (92, CLASSICAL_64, 60, None),  # d = 64, 60 states
         (92, ENVELOPE_64, 60, None),  # d = 64, 60 states spanning 60 dimensions
+        (97, PADDED_64, 4, 64),  # 49 of 64 dims
+        (97, PADDED_64, 60, 64),
     ],
 )
 def test_decompose_envelope(seed, blocks, n_states, pad_to):
@@ -164,6 +167,39 @@ def test_decompose_envelope(seed, blocks, n_states, pad_to):
     assert sorted(dec.structure.blocks) == sorted(built["blocks"])
     assert weights_match(dec.weights, built["weights"], atol=1e-7)
     assert dec.max_residual() <= 1e-7
+    assert check_maximal(dec).ok
+
+
+def merged_classical(blocks, weights):
+    """The finest blocks and weights of an equal-weight family: its d_info = 1
+    blocks merge into one, whose weight is the sum of theirs."""
+    classical = [l for l, (a, _) in enumerate(blocks) if a == 1]
+    rest = [l for l in range(len(blocks)) if l not in classical]
+    merged = [blocks[l] for l in rest] + [(1, sum(blocks[l][1] for l in classical))]
+    return merged, np.column_stack([weights[:, rest], weights[:, classical].sum(axis=1)])
+
+
+@pytest.mark.parametrize(
+    "seed, n_states, options",
+    [
+        (95, 4, {"red_rank": 1}),  # a 20-dim support of (d_info, 1) blocks
+        (95, 60, {"red_rank": 1}),
+        (96, 4, {"equal_weights": True}),  # the d_info = 1 blocks merge into (1, 8)
+        (96, 60, {"equal_weights": True}),
+        (98, 4, {"mixed_red": True}),  # maximally mixed redundant factors: pass 1 is non-abelian
+    ],
+)
+def test_decompose_envelope_variants(seed, n_states, options):
+    built = build_family(np.random.default_rng(seed), ENVELOPE_64, n_states, **options)
+    want_blocks, want_weights = built["blocks"], built["weights"]
+    if options.get("red_rank") == 1:
+        want_blocks = [(a, 1) for a, _ in want_blocks]
+    if options.get("equal_weights"):
+        want_blocks, want_weights = merged_classical(want_blocks, want_weights)
+    dec = decompose(state_family(built["states"]))
+    assert dec.support.shape == (64, sum(a * b for a, b in want_blocks))
+    assert sorted(dec.structure.blocks) == sorted(want_blocks)
+    assert weights_match(dec.weights, want_weights, atol=1e-7)
     assert check_maximal(dec).ok
 
 
