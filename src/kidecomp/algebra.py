@@ -150,11 +150,7 @@ def _diagonal_blocks(mats: np.ndarray) -> np.ndarray:
 
 def _blocks_at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The diagonal blocks a[..., idx_j, idx_j] for the rows idx_j of idx,
-    stacked on the axis before the last two. One block is a view: with the
-    gathered copy instead, `sectors-large` passes took 9-15 % longer at the
-    default OpenBLAS thread count on 2 vCPUs (best-of-60 times were equal)."""
-    if idx.shape[0] == 1:
-        return a[..., None, idx[0, 0] : idx[0, -1] + 1, idx[0, 0] : idx[0, -1] + 1]
+    stacked on the axis before the last two."""
     return a[..., idx[:, :, None], idx[:, None, :]]
 
 
