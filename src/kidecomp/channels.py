@@ -31,6 +31,7 @@ from .exceptions import (
     ZeroOperator,
 )
 from .linalg import (
+    _hermitian_stack,
     _lapack,
     DEFAULT_TOL,
     DensityMatrix,
@@ -40,7 +41,6 @@ from .linalg import (
     hermitian_part,
     state_family,
     support_projector,
-    trace_norm,
 )
 from .structure import Structure
 
@@ -87,33 +87,58 @@ def kraus_channel(ops, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     for i, k in enumerate(mats):
         if k.shape != (d_out, d_in):
             raise DimensionMismatch(f"Kraus operator {i} has shape {k.shape}, expected {(d_out, d_in)}")
-    total = sum(k.conj().T @ k for k in mats)
-    defect = float(np.linalg.norm(total - np.eye(d_in)))
+    ops = np.stack(mats)
+    stacked = ops.reshape(-1, d_in)  # V = [K_1; ...; K_k], so sum K^dag K = V^dag V
+    defect = float(np.linalg.norm(stacked.conj().T @ stacked - np.eye(d_in)))
     if defect > tol.tol_psd * np.sqrt(d_in):
         raise ValidationError(f"channel is not trace preserving: defect {defect:.3e}")
-    frozen = []
-    for k in mats:
-        k = np.array(k, copy=True)
-        k.setflags(write=False)
-        frozen.append(k)
-    return KrausChannel(d_in, d_out, tuple(frozen))
+    ops.setflags(write=False)
+    return KrausChannel(d_in, d_out, tuple(ops))
 
 
 def identity_channel(dim: int) -> KrausChannel:
     return kraus_channel([np.eye(dim, dtype=complex)])
 
 
-def apply_to_matrix(channel: KrausChannel, mat) -> np.ndarray:
-    """Linear extension of the channel to arbitrary matrices."""
-    m = as_complex_matrix(mat)
-    if m.shape != (channel.input_dim, channel.input_dim):
+def _apply_stack(channel: KrausChannel, mats: np.ndarray) -> np.ndarray:
+    """sum_i K_i X K_i^dag for each X of an n x d_in x d_in stack.
+
+    Two products for the whole stack. The first, [K_1; ...; K_k] X, is
+    written straight into the regrouped layout [K_1 X, ..., K_k X]
+    (d_out x k d_in per member); the second multiplies that by
+    [K_1^dag; ...; K_k^dag]. Writing in place of regrouping a copy keeps
+    the intermediate at one n k d_out d_in array.
+    """
+    d_in, d_out = channel.input_dim, channel.output_dim
+    if mats.shape[1:] != (d_in, d_in):
         raise DimensionMismatch(
-            f"operator of shape {m.shape} does not match channel input dim {channel.input_dim}"
+            f"operator of shape {mats.shape[1:]} does not match channel input dim {d_in}"
         )
-    out = np.zeros((channel.output_dim, channel.output_dim), dtype=complex)
-    for k in channel.kraus_ops:
-        out += k @ m @ k.conj().T
-    return out
+    ops = np.stack(channel.kraus_ops)
+    k, n = ops.shape[0], mats.shape[0]
+    side = np.empty((n, d_out, k, d_in), dtype=complex)
+    np.matmul(ops, mats[:, None], out=side.swapaxes(1, 2))  # side[m, :, i] = K_i X_m
+    return side.reshape(n, d_out, k * d_in) @ ops.conj().swapaxes(1, 2).reshape(k * d_in, d_out)
+
+
+def _trace_deviations(channel: KrausChannel, mats: np.ndarray) -> np.ndarray:
+    """Trace norm of T(X) - X for each Hermitian X of a stack.
+
+    T(X) - X is Hermitian, so its trace norm is the sum of the absolute
+    eigenvalues of its Hermitian part, read from one stacked eigvalsh.
+    """
+    diff = _hermitian_stack(_apply_stack(channel, mats) - mats)
+    with _lapack():
+        return np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
+
+
+def apply_to_matrix(channel: KrausChannel, mat) -> np.ndarray:
+    """Linear extension of the channel to arbitrary matrices.
+
+    The one-member case of the stacked application that every fixed-point
+    test uses: sum_i K_i X K_i^dag from two matrix products.
+    """
+    return _apply_stack(channel, as_complex_matrix(mat)[None])[0]
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -146,13 +171,16 @@ class PreservationReport:
 
 
 def preserves_family(channel: KrausChannel, family, tol: Tolerances = DEFAULT_TOL) -> PreservationReport:
-    """Whether every member is a fixed point (trace-norm change <= Tolerances.VERDICT)."""
+    """Whether every member is a fixed point (trace-norm change <= Tolerances.VERDICT).
+
+    All members go through the channel in one stacked application, and each
+    change T(rho) - rho, a Hermitian matrix, has its trace norm read as the
+    sum of its absolute eigenvalues, from one stacked eigvalsh.
+    """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     if channel.input_dim != fam.dim or channel.output_dim != fam.dim:
         raise DimensionMismatch("channel dimensions do not match the family")
-    worst = 0.0
-    for s in fam.states:
-        worst = max(worst, trace_norm(apply_to_matrix(channel, s.mat) - s.mat))
+    worst = float(_trace_deviations(channel, np.stack(fam.mats())).max())
     return PreservationReport(worst <= Tolerances.VERDICT, worst)
 
 
@@ -247,9 +275,10 @@ def block_channel(structure: Structure, per_block, red_states=None, tol: Toleran
     cross-block coherences are handled consistently and the result is trace
     preserving whenever every block channel is. When `red_states` is given
     (one state per block, ValidationError otherwise), each block channel
-    must fix its state within Tolerances.VERDICT in trace norm
-    (KStateNotFixed otherwise) -- exactly the condition for the assembled
-    channel to preserve every family with this structure.
+    must fix its state, read through its Hermitian part, within
+    Tolerances.VERDICT in trace norm (KStateNotFixed otherwise) -- exactly
+    the condition for the assembled channel to preserve every family with
+    this structure.
     """
     if len(per_block) != len(structure.blocks):
         raise DimensionMismatch(
@@ -266,27 +295,19 @@ def block_channel(structure: Structure, per_block, red_states=None, tol: Toleran
                 f"need {len(per_block)} redundant states, one per block, got {len(red_states)}"
             )
         for l, (ch, red) in enumerate(zip(per_block, red_states)):
-            red_mat = as_complex_matrix(red)
-            dev = trace_norm(apply_to_matrix(ch, red_mat) - red_mat)
+            dev = float(_trace_deviations(ch, hermitian_part(red)[None])[0])
             if dev > Tolerances.VERDICT:
                 raise KStateNotFixed(
                     f"block {l} channel moves its redundant state by {dev:.3e}"
                 )
     n_ops = max(len(ch.kraus_ops) for ch in per_block)
+    inner = np.zeros((n_ops, structure.dim, structure.dim), dtype=complex)
+    for l, (ch, (di, dr)) in enumerate(zip(per_block, structure.blocks)):
+        off = structure.block_offset(l)
+        sz = di * dr
+        inner[: len(ch), off : off + sz, off : off + sz] = np.kron(np.eye(di), np.stack(ch.kraus_ops))
     g = structure.transform
-    ops = []
-    for i in range(n_ops):
-        inner = np.zeros((structure.dim, structure.dim), dtype=complex)
-        for l, (ch, (di, dr)) in enumerate(zip(per_block, structure.blocks)):
-            if i >= len(ch.kraus_ops):
-                continue
-            off = structure.block_offset(l)
-            sz = di * dr
-            inner[off : off + sz, off : off + sz] = np.kron(
-                np.eye(di), ch.kraus_ops[i]
-            )
-        ops.append(g.conj().T @ inner @ g)
-    return kraus_channel(ops, tol)
+    return kraus_channel(list(g.conj().T @ inner @ g), tol)
 
 
 def _stacked_leak(channel: KrausChannel, p: np.ndarray) -> float:
@@ -299,7 +320,9 @@ def confines_positive_part(channel: KrausChannel, obs, tol: Tolerances = DEFAULT
     """No leakage out of the positive eigenspace of a preserved observable.
 
     Requires T(obs) = obs within Tolerances.VERDICT * max(1, ||obs||_F)
-    (NotPreserved otherwise). Returns True iff the stacked leakage
+    (NotPreserved otherwise), with T(obs) from the stacked Kraus
+    application of `apply_to_matrix` and obs read through its Hermitian
+    part. Returns True iff the stacked leakage
     sqrt(sum_i ||(I - P) K_i P||_F^2) over the given Kraus operators is at
     most Tolerances.VERDICT, with P the projector onto the strictly
     positive eigenspace of obs. For a preserved observable this always
@@ -324,7 +347,9 @@ def confines_paired_subspace(channel: KrausChannel, rho, p1, p2, tol: Tolerances
 
     Hypotheses (HypothesisFailed if any is violated): P1 and P2 are
     orthogonal projectors summing to the support projector of rho, the
-    channel fixes rho, and the Kraus operators do not leak out of P1.
+    channel fixes rho (trace-norm change at most Tolerances.VERDICT, read
+    from the eigenvalues of the Hermitian change, as in `preserves_family`),
+    and the Kraus operators do not leak out of P1.
     Returns True iff they do not leak out of P2 either. Leakage out of P is
     the stacked sqrt(sum_i ||(I - P) K_i P||_F^2) over the given operators,
     compared with Tolerances.VERDICT.
@@ -344,7 +369,7 @@ def confines_paired_subspace(channel: KrausChannel, rho, p1, p2, tol: Tolerances
         raise HypothesisFailed("state is numerically zero") from None
     if float(np.linalg.norm(q1 + q2 - p_sup)) > Tolerances.VERDICT * d:
         raise HypothesisFailed("p1 + p2 does not equal the support projector of rho")
-    dev = trace_norm(apply_to_matrix(channel, r) - r)
+    dev = float(_trace_deviations(channel, r[None])[0])
     if dev > Tolerances.VERDICT:
         raise HypothesisFailed(f"channel moves the state by {dev:.3e}")
     leak1 = _stacked_leak(channel, q1)
@@ -360,10 +385,8 @@ def environment_state(channel: KrausChannel, rho) -> np.ndarray:
     i.e. the environment basis is tied to that list; compare environment
     states across inputs only for a fixed channel object.
     """
-    m = as_complex_matrix(rho)
-    n = len(channel.kraus_ops)
-    env = np.zeros((n, n), dtype=complex)
-    for i, ki in enumerate(channel.kraus_ops):
-        for j, kj in enumerate(channel.kraus_ops):
-            env[i, j] = np.trace(ki @ m @ kj.conj().T)
+    ops = np.stack(channel.kraus_ops)
+    k = ops.shape[0]
+    # Tr(K_i rho K_j^dag) = sum_ab (K_i rho)_ab conj(K_j)_ab
+    env = (ops @ as_complex_matrix(rho)).reshape(k, -1) @ ops.reshape(k, -1).conj().T
     return hermitian_part(env)

@@ -270,12 +270,15 @@ def support_basis(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues at or below tol_rank times the largest one count as zero.
     Raises ZeroOperator when nothing survives.
     """
-    w, v = hermitian_eig(mat, tol)
+    return _support_of(*hermitian_eig(mat, tol), tol)
+
+
+def _support_of(w: np.ndarray, v: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The columns of v that `support_basis` keeps, from the eigenpairs (w, v)."""
     lmax = float(w[-1])
     if lmax <= tol.tol_zero:
         raise ZeroOperator("operator is numerically zero")
-    keep = w > tol.tol_rank * lmax
-    return v[:, keep]
+    return v[:, w > tol.tol_rank * lmax]
 
 
 def support_projector(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -36,6 +36,7 @@ from .linalg import (
     _density_matrices,
     _hermitian_stack,
     _lapack,
+    _support_of,
     DEFAULT_TOL,
     DensityMatrix,
     StateFamily,
@@ -146,13 +147,16 @@ def family_average(family, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
 def _average_and_support(family, tol: Tolerances):
     """`family_average` and the support basis of the average.
 
-    The average is diagonalized twice: `density_matrix` takes its
-    eigenvalues to validate it, and `support_basis` its eigenvectors.
+    The average is diagonalized once: its eigenvalues validate it as a
+    density matrix, and its eigenpairs give the support by the rule of
+    `support_basis`.
     """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     mats = np.stack(fam.mats())
-    avg = density_matrix(np.tensordot(fam.effective_weights(), mats, axes=1), tol)
-    sup = support_basis(avg.mat, tol)
+    avg_mat = np.tensordot(fam.effective_weights(), mats, axes=1)
+    w, v = hermitian_eig(avg_mat, tol)
+    (avg,) = _density_matrices(avg_mat[None], tol, eigenvalues=w[None])
+    sup = _support_of(w, v, tol)
     proj = _hermitian_stack(sup @ sup.conj().T)
     leaks = np.linalg.norm(mats - proj @ mats @ proj, axis=(1, 2))
     over = leaks > Tolerances.VERDICT

@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -386,6 +387,46 @@ def fail_lapack_at(monkeypatch, site, routine):
 
     monkeypatch.setattr(np.linalg, routine, fail_at_site)
     return message
+
+
+def count_linalg_calls(monkeypatch):
+    """Count the np.linalg calls made for the rest of the test, by routine
+    name; returns the Counter, which fills as the calls happen."""
+    counts = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, real))
+    return counts
+
+
+def loop_apply(channel, mat):
+    """sum_i K_i X K_i^dag, one Kraus operator at a time."""
+    out = np.zeros((channel.output_dim, channel.output_dim), dtype=complex)
+    for k in channel.kraus_ops:
+        out += k @ mat @ k.conj().T
+    return out
+
+
+def loop_preservation_deviation(channel, states):
+    """Largest trace-norm change T(rho) - rho over the members, one member at
+    a time, each trace norm a sum of singular values."""
+    return max(float(np.linalg.svd(loop_apply(channel, s) - s, compute_uv=False).sum()) for s in states)
+
+
+def loop_environment_state(channel, rho):
+    """Hermitian part of the matrix of Tr(K_i rho K_j^dag), entry by entry."""
+    ops = channel.kraus_ops
+    env = np.array([[np.trace(ki @ rho @ kj.conj().T) for kj in ops] for ki in ops])
+    return 0.5 * (env + env.conj().T)
 
 
 def projected_preserving_channel(rng, built):

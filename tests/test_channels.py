@@ -30,10 +30,14 @@ from helpers import (
     block_projector,
     build_family,
     choi_of,
+    count_linalg_calls,
     dense_block_form,
     kraus_from_choi,
     leaking_channel,
     lifted_preserving_channel,
+    loop_apply,
+    loop_environment_state,
+    loop_preservation_deviation,
     planted_frame,
     preserving_block_channel,
     projected_preserving_channel,
@@ -317,14 +321,25 @@ def test_has_block_form_matches_dense_reference():
     assert n_failing == len(cases) - 2
 
 
-@pytest.mark.parametrize(
-    "blocks, pad_to",
-    [
-        (((4, 3), (3, 4), (2, 4), (2, 2), (1, 4), (1, 3), (1, 5)), None),  # d = 48
-        (((8, 2), (4, 4), (3, 3), (2, 4), (2, 2), (1, 6), (1, 5)), None),  # d = 64
-        (((8, 2), (4, 4), (3, 3), (2, 2), (1, 6), (1, 5)), 64),  # 56 planted dims in d = 64
-    ],
-)
+ENVELOPE_CASES = [
+    (((4, 3), (3, 4), (2, 4), (2, 2), (1, 4), (1, 3), (1, 5)), None),  # d = 48
+    (((8, 2), (4, 4), (3, 3), (2, 4), (2, 2), (1, 6), (1, 5)), None),  # d = 64
+    (((8, 2), (4, 4), (3, 3), (2, 2), (1, 6), (1, 5)), 64),  # 56 planted dims in d = 64
+]
+
+
+def _envelope_channels(blocks, pad_to):
+    """A planted family at the top of the envelope, its planted frame, a
+    remixed preserving channel and a random channel with 4 operators."""
+    rng = np.random.default_rng(23 + len(blocks) + (pad_to or 0))
+    built = build_family(rng, blocks, 3, pad_to=pad_to)
+    st, sup = planted_frame(rng, built)
+    good = remixed_channel(rng, lifted_preserving_channel(rng, st, built["red"], sup), extra=3)
+    bad = random_cptp(rng, built["dim"], built["dim"], 4)
+    return built, st, sup, good, bad
+
+
+@pytest.mark.parametrize("blocks, pad_to", ENVELOPE_CASES)
 def test_channel_predicates_envelope(blocks, pad_to, monkeypatch):
     # the top of the claimed envelope, on the given Kraus operators: no Choi
     # matrix (d^2 x d^2) is formed on the way
@@ -332,12 +347,9 @@ def test_channel_predicates_envelope(blocks, pad_to, monkeypatch):
         raise AssertionError("channel predicates must not form the Choi matrix")
 
     monkeypatch.setattr(channels, "canonical_kraus", no_choi)
-    rng = np.random.default_rng(23 + len(blocks) + (pad_to or 0))
-    built = build_family(rng, blocks, 3, pad_to=pad_to)
+    built, st, sup, good, bad = _envelope_channels(blocks, pad_to)
     assert built["dim"] in (48, 64)
-    st, sup = planted_frame(rng, built)
     obs, avg, p1, p2 = _confinement_inputs(built, st, sup)
-    good = remixed_channel(rng, lifted_preserving_channel(rng, st, built["red"], sup), extra=3)
     form = has_block_form(good, st, support=sup)
     assert form.ok, f"violation {form.max_violation:.3e}"
     assert form.max_violation <= 1e-12
@@ -345,11 +357,71 @@ def test_channel_predicates_envelope(blocks, pad_to, monkeypatch):
     assert confines_paired_subspace(good, avg, p1, p2)
     rot = has_block_form(rotation_channel(st, sup, 1e-3), st, support=sup)
     assert not rot.ok and rot.max_violation > 1e-4
-    bad = random_cptp(rng, built["dim"], built["dim"], 4)
     rand = has_block_form(bad, st, support=sup)
     assert not rand.ok and rand.max_violation > 0.1
     with pytest.raises(NotPreserved):
         confines_positive_part(bad, obs)
+
+
+def _assert_matches_loop(channel, states, probe):
+    """The stacked Kraus application, `preserves_family` and
+    `environment_state` against the loop references, to 1e-12 relative to
+    max(1, the reference's norm)."""
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
+
+    assert close(apply_to_matrix(channel, probe), loop_apply(channel, probe))
+    for s in states:
+        assert close(environment_state(channel, s), loop_environment_state(channel, s))
+    if channel.input_dim == channel.output_dim:
+        got = preserves_family(channel, states).max_deviation
+        assert close(got, loop_preservation_deviation(channel, states))
+
+
+def test_stacked_application_matches_loop_reference():
+    rng = np.random.default_rng(29)
+    d = 6
+    states = [random_density(rng, d) for _ in range(4)]
+    skew = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    unitary = kraus_channel([np.linalg.qr(skew)[0]])
+    cases = {
+        "k = 1": unitary,
+        "k = 12": random_cptp(rng, d, d, 12),
+        "identity": identity_channel(d),
+        "non-square": random_cptp(rng, d, 9, 3),
+    }
+    for ch in cases.values():
+        _assert_matches_loop(ch, states, skew)  # skew: a non-Hermitian input
+    # a preserving channel moves the members by roundoff only
+    built = build_family(rng, [(2, 2), (1, 3)], 3)
+    ch = preserving_block_channel(rng, decompose(built["states"]))
+    d = built["dim"]
+    _assert_matches_loop(ch, built["states"], rng.standard_normal((d, d)) + 0j)
+    assert preserves_family(ch, built["states"]).max_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("blocks, pad_to", ENVELOPE_CASES)
+def test_stacked_application_matches_loop_reference_in_envelope(blocks, pad_to):
+    built, _, _, good, bad = _envelope_channels(blocks, pad_to)
+    d = built["dim"]
+    probe = np.random.default_rng(d).standard_normal((d, d)) + 0j
+    for ch in (good, bad):
+        _assert_matches_loop(ch, built["states"], probe)
+
+
+def test_preserves_family_lapack_calls_do_not_grow_with_members(monkeypatch):
+    rng = np.random.default_rng(31)
+    states = [random_density(rng, 5) for _ in range(20)]
+    ch = random_cptp(rng, 5, 5, 3)
+    seen = []
+    for n in (2, 20):
+        counts = count_linalg_calls(monkeypatch)
+        preserves_family(ch, states[:n])
+        seen.append(dict(counts))
+        monkeypatch.undo()
+    assert seen[0] == seen[1]
+    assert seen[0].get("eigvalsh", 0) >= 1 and "svd" not in seen[0]
 
 
 def test_has_block_form_dimension_checks():

@@ -224,7 +224,7 @@ def test_lapack_failure_at_each_call_site_is_no_convergence(site, routine, tmp_p
     [
         ("clone", "sequential_clonability", "matrix_rank"),
         ("clone", "sequential_clonability", "eigh"),
-        ("channel", "trace_norm", "svd"),
+        ("channel", "_trace_deviations", "eigvalsh"),
     ],
 )
 def test_lapack_failure_in_check_commands_exits_3(command, site, routine, tmp_path, monkeypatch, capsys):
