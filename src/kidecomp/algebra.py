@@ -383,8 +383,7 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
         raise SupportDeficient(
             f"generators span a {ranks}-dim subspace of the {d}-dim ambient space"
         )
-    norm_mats = mats / np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
-    comm = np.asarray(_commutant_basis(norm_mats, tol))
+    comm = np.asarray(_commutant_basis(mats, tol))
 
     def draw(s: int) -> np.ndarray:
         x = _project_onto_span(seeded_random_hermitian(d, s), comm)

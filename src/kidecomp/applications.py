@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    BadWeights,
     DimensionMismatch,
     NotBroadcastable,
     ValidationError,
@@ -362,25 +361,15 @@ class EntropyReport:
         return self.nonclassical
 
 
-def entropy_report(decomp: DecomposedFamily, weights=None, tol: Tolerances = DEFAULT_TOL) -> EntropyReport:
+def entropy_report(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> EntropyReport:
     """Classical/nonclassical/redundant entropy split of a weighted family.
 
-    Weights default to the family's own (or uniform); they must be strictly
-    positive and sum to 1 within tol_trace (BadWeights otherwise). The
+    The prior is the family's own weights (uniform when it has none); give
+    another prior by decomposing `state_family(states, weights=...)`. The
     three components add up to the entropy of the weighted average state,
     and they are additive under `tensor_structure`.
     """
-    n = len(decomp.family)
-    if weights is None:
-        pw = decomp.family.effective_weights()
-    else:
-        pw = np.asarray(weights, dtype=float)
-        if pw.ndim != 1 or pw.shape[0] != n:
-            raise BadWeights(f"need {n} weights, got shape {pw.shape}")
-        if not np.all(np.isfinite(pw)) or np.any(pw <= 0):
-            raise BadWeights("weights must be finite and strictly positive")
-        if abs(float(pw.sum()) - 1.0) > tol.tol_trace:
-            raise BadWeights(f"weights sum to {pw.sum()!r}, expected 1")
+    pw = decomp.family.effective_weights()
     p_blocks = pw @ decomp.weights  # average probability per block
     per_block = []
     nonclassical = 0.0

@@ -34,7 +34,6 @@ from .linalg import (
     _hermitian_stack,
     _lapack,
     DEFAULT_TOL,
-    DensityMatrix,
     StateFamily,
     Tolerances,
     as_complex_matrix,
@@ -48,7 +47,6 @@ __all__ = [
     "KrausChannel",
     "kraus_channel",
     "identity_channel",
-    "apply_channel",
     "apply_to_matrix",
     "canonical_kraus",
     "PreservationReport",
@@ -64,11 +62,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators.
+
+    `kraus_ops` is the read-only k x d_out x d_in stack of the operators.
+    """
 
     input_dim: int
     output_dim: int
-    kraus_ops: tuple
+    kraus_ops: np.ndarray
 
     def __len__(self) -> int:
         return len(self.kraus_ops)
@@ -93,11 +94,22 @@ def kraus_channel(ops, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     if defect > tol.tol_psd * np.sqrt(d_in):
         raise ValidationError(f"channel is not trace preserving: defect {defect:.3e}")
     ops.setflags(write=False)
-    return KrausChannel(d_in, d_out, tuple(ops))
+    return KrausChannel(d_in, d_out, ops)
 
 
 def identity_channel(dim: int) -> KrausChannel:
     return kraus_channel([np.eye(dim, dtype=complex)])
+
+
+def _check_operands(channel: KrausChannel, *mats, same_space: bool = True) -> None:
+    """Raise DimensionMismatch unless every matrix is input_dim x input_dim
+    and, with `same_space`, the channel maps its input space to itself."""
+    d_in, d_out = channel.input_dim, channel.output_dim
+    if same_space and d_out != d_in:
+        raise DimensionMismatch(f"channel maps dim {d_in} to dim {d_out}; this predicate needs equal dims")
+    for m in mats:
+        if m.shape != (d_in, d_in):
+            raise DimensionMismatch(f"operator of shape {m.shape} does not match channel input dim {d_in}")
 
 
 def _apply_stack(channel: KrausChannel, mats: np.ndarray) -> np.ndarray:
@@ -109,12 +121,9 @@ def _apply_stack(channel: KrausChannel, mats: np.ndarray) -> np.ndarray:
     [K_1^dag; ...; K_k^dag]. Writing in place of regrouping a copy keeps
     the intermediate at one n k d_out d_in array.
     """
+    _check_operands(channel, mats[0], same_space=False)
     d_in, d_out = channel.input_dim, channel.output_dim
-    if mats.shape[1:] != (d_in, d_in):
-        raise DimensionMismatch(
-            f"operator of shape {mats.shape[1:]} does not match channel input dim {d_in}"
-        )
-    ops = np.stack(channel.kraus_ops)
+    ops = channel.kraus_ops
     k, n = ops.shape[0], mats.shape[0]
     side = np.empty((n, d_out, k, d_in), dtype=complex)
     np.matmul(ops, mats[:, None], out=side.swapaxes(1, 2))  # side[m, :, i] = K_i X_m
@@ -141,11 +150,6 @@ def apply_to_matrix(channel: KrausChannel, mat) -> np.ndarray:
     return _apply_stack(channel, as_complex_matrix(mat)[None])[0]
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    out = hermitian_part(apply_to_matrix(channel, rho.mat))
-    return DensityMatrix(out, float(np.trace(out).real), 0.0)
-
-
 def canonical_kraus(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     """Gauge-fixed Kraus representation from the Choi matrix's eigenvectors.
 
@@ -157,7 +161,7 @@ def canonical_kraus(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> Kra
     a Kraus operator scaled by the eigenvalue's square root, largest first.
     """
     d_in, d_out = channel.input_dim, channel.output_dim
-    vecs = np.stack(channel.kraus_ops).reshape(len(channel), -1).T
+    vecs = channel.kraus_ops.reshape(len(channel), -1).T
     with _lapack():
         u, s, _ = np.linalg.svd(vecs, full_matrices=False)
     keep = s**2 > tol.tol_zero * max(1.0, float(s[0]) ** 2)
@@ -188,10 +192,10 @@ def preserves_family(channel: KrausChannel, family, tol: Tolerances = DEFAULT_TO
 class BlockFormReport:
     ok: bool
     max_violation: float  # largest stacked defect over all matrix units
-    violations: tuple  # (block, row, col) triples whose defect exceeds tol_commute
+    violations: tuple  # (block, row, col) triples whose defect exceeds Tolerances.VERDICT
 
 
-def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: float = Tolerances.VERDICT, support=None) -> BlockFormReport:
+def has_block_form(channel: KrausChannel, structure: Structure, support=None) -> BlockFormReport:
     """Whether the channel is identity (x) redundant-channel on every block.
 
     Equivalent test: the channel's Kraus operators commute with every matrix
@@ -200,7 +204,7 @@ def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: flo
     over the given operators, which every isometric remix of the operators
     leaves unchanged, so verdicts and magnitudes do not depend on how the
     channel was presented. The triple (l, row, col) is reported in
-    `violations` when its defect exceeds tol_commute; `max_violation` is the
+    `violations` when its defect exceeds Tolerances.VERDICT; `max_violation` is the
     largest defect over all units.
 
     When the structure lives on a proper subspace of the channel's space,
@@ -221,6 +225,7 @@ def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: flo
         if channel.input_dim != structure.dim or channel.output_dim != structure.dim:
             raise DimensionMismatch("channel dimensions do not match the structure")
     else:
+        _check_operands(channel)
         emb = np.asarray(support, dtype=complex)
         if emb.shape != (channel.input_dim, structure.dim):
             raise DimensionMismatch(
@@ -228,7 +233,7 @@ def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: flo
                 f"({channel.input_dim}, {structure.dim})"
             )
         frame = emb @ frame
-    ops = np.stack(channel.kraus_ops)
+    ops = channel.kraus_ops
     row_part = frame.conj().T @ ops  # W^dag K
     k_frame = row_part @ frame  # K' = W^dag K W
     power = (np.abs(k_frame) ** 2).sum(axis=0)
@@ -263,7 +268,7 @@ def has_block_form(channel: KrausChannel, structure: Structure, tol_commute: flo
         gap = (np.abs(diag[:, :, None] - diag[:, None, :]) ** 2).sum(axis=(0, 3, 4))
         defect = np.maximum(np.sqrt(col_r[:, None] + row_c[None, :] + gap), leak)
         worst = max(worst, float(defect.max()))
-        violations.extend((l, int(r), int(c)) for r, c in np.argwhere(defect > tol_commute))
+        violations.extend((l, int(r), int(c)) for r, c in np.argwhere(defect > Tolerances.VERDICT))
     return BlockFormReport(not violations, worst, tuple(violations))
 
 
@@ -305,14 +310,14 @@ def block_channel(structure: Structure, per_block, red_states=None, tol: Toleran
     for l, (ch, (di, dr)) in enumerate(zip(per_block, structure.blocks)):
         off = structure.block_offset(l)
         sz = di * dr
-        inner[: len(ch), off : off + sz, off : off + sz] = np.kron(np.eye(di), np.stack(ch.kraus_ops))
+        inner[: len(ch), off : off + sz, off : off + sz] = np.kron(np.eye(di), ch.kraus_ops)
     g = structure.transform
     return kraus_channel(list(g.conj().T @ inner @ g), tol)
 
 
 def _stacked_leak(channel: KrausChannel, p: np.ndarray) -> float:
     """Stacked leakage sqrt(sum_i ||(I - P) K_i P||_F^2) out of projector P."""
-    kp = np.stack(channel.kraus_ops) @ p
+    kp = channel.kraus_ops @ p
     return float(np.linalg.norm(kp - p @ kp))
 
 
@@ -330,6 +335,7 @@ def confines_positive_part(channel: KrausChannel, obs, tol: Tolerances = DEFAULT
     checkable.
     """
     o = hermitian_part(obs)
+    _check_operands(channel, o)
     dev = float(np.linalg.norm(apply_to_matrix(channel, o) - o))
     if dev > Tolerances.VERDICT * max(1.0, float(np.linalg.norm(o))):
         raise NotPreserved(f"channel moves the observable by {dev:.3e}")
@@ -357,6 +363,7 @@ def confines_paired_subspace(channel: KrausChannel, rho, p1, p2, tol: Tolerances
     r = hermitian_part(rho)
     q1 = hermitian_part(p1)
     q2 = hermitian_part(p2)
+    _check_operands(channel, r, q1, q2)
     d = channel.input_dim
     for name, q in (("p1", q1), ("p2", q2)):
         if float(np.linalg.norm(q @ q - q)) > Tolerances.VERDICT * d:
@@ -385,8 +392,10 @@ def environment_state(channel: KrausChannel, rho) -> np.ndarray:
     i.e. the environment basis is tied to that list; compare environment
     states across inputs only for a fixed channel object.
     """
-    ops = np.stack(channel.kraus_ops)
+    r = as_complex_matrix(rho)
+    _check_operands(channel, r, same_space=False)
+    ops = channel.kraus_ops
     k = ops.shape[0]
     # Tr(K_i rho K_j^dag) = sum_ab (K_i rho)_ab conj(K_j)_ab
-    env = (ops @ as_complex_matrix(rho)).reshape(k, -1) @ ops.reshape(k, -1).conj().T
+    env = (ops @ r).reshape(k, -1) @ ops.reshape(k, -1).conj().T
     return hermitian_part(env)

@@ -5,7 +5,7 @@ inputs are never mutated, and all thresholds come from an explicit
 `Tolerances` value rather than hidden constants. Matrices are plain complex
 ndarrays (dense, row-major), in and out; only `density_matrix` and
 `state_family` wrap them, in `DensityMatrix` (Hermitian, PSD, unit trace)
-and `StateFamily`, which add validated metadata. The supported envelope is
+and `StateFamily`, which mark them as validated. The supported envelope is
 ambient dimension <= 64.
 """
 
@@ -128,11 +128,9 @@ def trace_norm(mat) -> float:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated Hermitian PSD unit-trace matrix with cached trace and symmetry defect."""
+    """Validated Hermitian PSD unit-trace matrix."""
 
     mat: np.ndarray
-    trace: float
-    hermiticity_defect: float
 
     @property
     def dim(self) -> int:
@@ -173,7 +171,7 @@ def _density_matrices(a: np.ndarray, tol: Tolerances, eigenvalues=None) -> list:
     if m < finite.size:
         raise ValidationError("matrix contains non-finite entries")
     h.setflags(write=False)
-    return [DensityMatrix(x, float(t), float(e)) for x, t, e in zip(h, traces, defects)]
+    return [DensityMatrix(x) for x in h]
 
 
 def density_matrix(mat, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:

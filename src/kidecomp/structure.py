@@ -102,6 +102,8 @@ class Structure:
         commute with; they satisfy the matrix-unit product rule and sum to
         the identity over (l, j, j).
         """
+        if not 0 <= l < len(self.blocks):
+            raise DimensionMismatch(f"block {l} out of range for {len(self.blocks)} blocks")
         di, dr = self.blocks[l]
         if not (0 <= row < di and 0 <= col < di):
             raise DimensionMismatch(f"matrix unit indices out of range for block {l}")
@@ -301,12 +303,6 @@ class DecomposedFamily:
         inner = g.conj().T @ self.block_matrix(s) @ g
         return self.support @ inner @ self.support.conj().T
 
-    def max_residual(self) -> float:
-        """Largest Frobenius distance between a member and its `reassemble`,
-        over all members; the block matrices are built as one stack."""
-        states = np.stack(self.family.mats())
-        return _reassembly_residual(self, states, _block_matrices(self, _component_stacks(self)))
-
 
 def _component_stacks(decomp: DecomposedFamily) -> list:
     """The stored components of all members, per block l: the weight column
@@ -342,11 +338,6 @@ def _block_matrices(decomp: DecomposedFamily, comps: list) -> np.ndarray:
         kron = _kron_pairs(infos, red.mat[None])
         blocks[:, off : off + sz, off : off + sz] = w[:, None, None] * kron
     return blocks
-
-
-def _reassembly_residual(decomp: DecomposedFamily, states: np.ndarray, blocks: np.ndarray) -> float:
-    emb = decomp.support @ decomp.structure.transform.conj().T
-    return float(np.linalg.norm(states - emb @ blocks @ emb.conj().T, axis=(1, 2)).max())
 
 
 def _fix_column_phases(u: np.ndarray) -> np.ndarray:
@@ -602,7 +593,8 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     states = np.stack(decomp.family.mats())
     comps = _component_stacks(decomp)
     stacked = _block_matrices(decomp, comps)
-    residual = _reassembly_residual(decomp, states, stacked)
+    emb = decomp.support @ decomp.structure.transform.conj().T
+    residual = float(np.linalg.norm(states - emb @ stacked @ emb.conj().T, axis=(1, 2)).max())
     if residual > Tolerances.CERTIFICATE:
         violated.append(("i",))
     pw = decomp.family.effective_weights()
@@ -639,13 +631,16 @@ def structures_equivalent(a: Structure, b: Structure, tol: Tolerances = DEFAULT_
     (red unitary); the factor test is a rank-1 realignment check at
     Tolerances.CERTIFICATE.
     `connector` defaults to the identity and lets callers reconcile two
-    different embeddings of the same underlying space.
+    different embeddings of the same underlying space; it must be
+    a.dim x a.dim (DimensionMismatch otherwise).
     """
     if a.dim != b.dim:
         return False
     if sorted(a.blocks) != sorted(b.blocks):
         return False
     conn = np.eye(a.dim, dtype=complex) if connector is None else as_complex_matrix(connector)
+    if conn.shape != (a.dim, a.dim):
+        raise DimensionMismatch(f"connector has shape {conn.shape}, expected ({a.dim}, {a.dim})")
     m = b.transform @ conn @ a.transform.conj().T
     matched = np.zeros_like(m)
     used = set()

@@ -662,8 +662,8 @@ def weights_match(got, want, atol=1e-6):
 
 
 def loop_max_residual(decomp):
-    """Reference for `DecomposedFamily.max_residual`: one `reassemble` per
-    member."""
+    """Reference for `check_maximal`'s `reassembly_residual`: one
+    `reassemble` per member."""
     worst = 0.0
     for s, state in enumerate(decomp.family.states):
         worst = max(worst, float(np.linalg.norm(state.mat - decomp.reassemble(s))))
@@ -731,10 +731,10 @@ def loop_tensor_structure(a, b, tol=DEFAULT_TOL):
     return _build_decomposition(fam, np.kron(a.support, b.support), entries)
 
 
-def loop_entropy_report(decomp, weights=None, tol=DEFAULT_TOL):
+def loop_entropy_report(decomp, tol=DEFAULT_TOL):
     """Reference for `entropy_report`: each block's weighted information
     average summed one state at a time."""
-    pw = decomp.family.effective_weights() if weights is None else np.asarray(weights, dtype=float)
+    pw = decomp.family.effective_weights()
     p_blocks = pw @ decomp.weights
     per_block = []
     for l, (di, _) in enumerate(decomp.structure.blocks):

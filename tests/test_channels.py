@@ -3,7 +3,6 @@ import pytest
 
 from kidecomp import channels
 from kidecomp.channels import (
-    apply_channel,
     apply_to_matrix,
     block_channel,
     canonical_kraus,
@@ -24,7 +23,7 @@ from kidecomp.exceptions import (
     ValidationError,
 )
 from kidecomp.linalg import density_matrix, trace_norm
-from kidecomp.structure import decompose, family_average
+from kidecomp.structure import Structure, decompose, family_average
 
 from helpers import (
     block_projector,
@@ -32,6 +31,7 @@ from helpers import (
     choi_of,
     count_linalg_calls,
     dense_block_form,
+    haar_unitary,
     kraus_from_choi,
     leaking_channel,
     lifted_preserving_channel,
@@ -89,14 +89,15 @@ def test_apply_to_matrix_linear_and_dim_checked():
         apply_to_matrix(ch, np.eye(4))
 
 
-def test_apply_channel_returns_state():
+def test_apply_to_matrix_maps_states_to_states():
     rng = np.random.default_rng(2)
     ch = random_cptp(rng, 4, 4, 3)
     rho = density_matrix(random_density(rng, 4))
-    out = apply_channel(ch, rho)
-    assert np.isclose(out.trace, 1.0)
-    assert np.allclose(out.mat, out.mat.conj().T)
-    assert np.linalg.eigvalsh(out.mat).min() > -1e-9
+    out = apply_to_matrix(ch, rho.mat)
+    assert np.isclose(np.trace(out).real, 1.0)
+    assert np.allclose(out, out.conj().T)
+    assert np.linalg.eigvalsh(out).min() > -1e-9
+    assert np.array_equal(density_matrix(out).mat, 0.5 * (out + out.conj().T))
 
 
 def test_choi_kraus_round_trip():
@@ -198,8 +199,8 @@ def test_projected_preserving_channels_have_block_form():
         ch = projected_preserving_channel(rng, built)
         rep = preserves_family(ch, built["states"])
         assert rep.max_deviation <= 1e-8, f"trial {trial}: {rep.max_deviation:.3e}"
-        bf = has_block_form(ch, decomp.structure, support=decomp.support, tol_commute=1e-7)
-        assert bf.ok, f"trial {trial}: violation {bf.max_violation:.3e}"
+        bf = has_block_form(ch, decomp.structure, support=decomp.support)
+        assert bf.max_violation <= 1e-7, f"trial {trial}: violation {bf.max_violation:.3e}"
 
 
 def test_rotated_info_channel_detected():
@@ -432,6 +433,32 @@ def test_has_block_form_dimension_checks():
         has_block_form(identity_channel(5), decomp.structure)
     with pytest.raises(DimensionMismatch):
         has_block_form(identity_channel(5), decomp.structure, support=np.eye(3, 2))
+
+
+def _mismatched_channel_calls():
+    """Calls whose channel or operand dimensions do not fit, by name."""
+    rng = np.random.default_rng(19)
+    wide = kraus_channel([haar_unitary(rng, 4)[:, :3]])  # a 4 x 3 isometry: C^3 -> C^4
+    square = identity_channel(3)
+    rho = np.eye(3, dtype=complex) / 3
+    p1, p2 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])
+    big = np.eye(4, dtype=complex) / 4
+    frame = Structure(3, ((3, 1),), np.eye(3, dtype=complex))
+    return {
+        "block-form-wide": lambda: has_block_form(wide, frame, support=np.eye(3)),
+        "positive-part-wide": lambda: confines_positive_part(wide, np.diag([1.0, -1.0, 0.0])),
+        "paired-wide": lambda: confines_paired_subspace(wide, rho, p1, p2),
+        "paired-rho": lambda: confines_paired_subspace(square, big, p1, p2),
+        "paired-p1": lambda: confines_paired_subspace(square, rho, np.diag([1.0, 0.0, 0.0, 0.0]), p2),
+        "paired-p2": lambda: confines_paired_subspace(square, rho, p1, np.diag([0.0, 1.0, 1.0, 0.0])),
+        "environment-rho": lambda: environment_state(wide, big),
+    }
+
+
+@pytest.mark.parametrize("case", list(_mismatched_channel_calls()))
+def test_channel_predicates_raise_dimension_mismatch(case):
+    with pytest.raises(DimensionMismatch):
+        _mismatched_channel_calls()[case]()
 
 
 def test_environment_state_constant_weights_input_independent():

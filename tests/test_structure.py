@@ -63,7 +63,7 @@ def test_decompose_classical_overlapping_pair():
     dec = decompose(fam)
     assert dec.structure.blocks == ((1, 1), (1, 1), (1, 1))
     assert np.allclose(dec.weights, [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], atol=1e-9)
-    assert dec.max_residual() < 1e-10
+    assert check_maximal(dec).reassembly_residual < 1e-10
 
 
 def test_decompose_bb84_single_block():
@@ -73,7 +73,7 @@ def test_decompose_bb84_single_block():
     dec = decompose(state_family([zero, one, plus, minus]))
     assert dec.structure.blocks == ((2, 1),)
     assert np.allclose(dec.weights, np.ones((4, 1)), atol=1e-9)
-    assert dec.max_residual() < 1e-12
+    assert check_maximal(dec).reassembly_residual < 1e-12
 
 
 def test_decompose_identical_pair_is_pure_redundancy():
@@ -82,7 +82,7 @@ def test_decompose_identical_pair_is_pure_redundancy():
     assert dec.structure.blocks == ((1, 2),)
     assert dec.support.shape == (4, 2)
     assert np.allclose(dec.red_spectra[0], [0.75, 0.25], atol=1e-12)
-    assert dec.max_residual() < 1e-12
+    assert check_maximal(dec).reassembly_residual < 1e-12
 
 
 def test_decompose_single_state():
@@ -114,8 +114,8 @@ def test_decompose_recovers_planted_structure():
         got = sorted(dec.structure.blocks)
         assert got == sorted(built["blocks"]), f"trial {trial}"
         assert weights_match(dec.weights, built["weights"], atol=1e-7)
-        assert dec.max_residual() < 1e-8
         rep = check_maximal(dec)
+        assert rep.reassembly_residual < 1e-8
         assert rep.ok
 
 
@@ -126,7 +126,7 @@ def test_decompose_with_support_deficient_family():
     assert dec.support.shape == (7, 4)
     assert np.allclose(dec.support.conj().T @ dec.support, np.eye(4), atol=1e-10)
     assert sorted(dec.structure.blocks) == [(1, 2), (2, 1)]
-    assert dec.max_residual() < 1e-8
+    assert check_maximal(dec).reassembly_residual < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -143,7 +143,7 @@ def test_decompose_recovers_families_whose_commutant_svd_failed(seed, blocks, pa
     dec = decompose(state_family(built["states"]))
     assert sorted(dec.structure.blocks) == sorted(built["blocks"])
     assert weights_match(dec.weights, built["weights"], atol=1e-7)
-    assert dec.max_residual() < 1e-7
+    assert check_maximal(dec).reassembly_residual < 1e-7
 
 
 @pytest.mark.parametrize(
@@ -166,8 +166,9 @@ def test_decompose_envelope(seed, blocks, n_states, pad_to):
     assert dec.support.shape == (built["dim"], built["planted_dim"])
     assert sorted(dec.structure.blocks) == sorted(built["blocks"])
     assert weights_match(dec.weights, built["weights"], atol=1e-7)
-    assert dec.max_residual() <= 1e-7
-    assert check_maximal(dec).ok
+    rep = check_maximal(dec)
+    assert rep.reassembly_residual <= 1e-7
+    assert rep.ok
 
 
 def merged_classical(blocks, weights):
@@ -293,7 +294,7 @@ def test_second_pass_runs_in_the_piece_frame(monkeypatch):
     assert np.diff(algebra._diagonal_blocks(rescaled)).tolist() == pieces
 
 
-def test_max_residual_matches_reassemble_loop():
+def test_reassembly_residual_matches_reassemble_loop():
     rng = np.random.default_rng(96)
     decs = [
         trivial_decomp_of([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]),
@@ -304,7 +305,7 @@ def test_max_residual_matches_reassemble_loop():
     decs.append(decompose(zero_weight_block_states(rng)))
     assert any(None in row for row in decs[-1].info_states)
     for dec in decs:
-        assert abs(dec.max_residual() - loop_max_residual(dec)) <= 1e-14
+        assert abs(check_maximal(dec).reassembly_residual - loop_max_residual(dec)) <= 1e-14
         for s in range(len(dec.family)):
             assert np.abs(dec.block_matrix(s) - loop_block_matrix(dec, s)).max() <= 1e-14
 
@@ -318,7 +319,7 @@ def test_decompose_classical_sectors_with_small_red_eigenvalues():
     built = build_family(np.random.default_rng(13), blocks, 4)
     dec = decompose(state_family(built["states"]))
     assert sorted(dec.structure.blocks) == sorted(blocks)
-    assert dec.max_residual() <= 1e-7
+    assert check_maximal(dec).reassembly_residual <= 1e-7
 
 
 def light_block_family(rng, weight, n_states=3):
@@ -357,7 +358,7 @@ def test_decompose_rejects_state_leaking_out_of_average_support():
 def test_decompose_handles_zero_weight_blocks():
     # first state misses the second block entirely
     dec = decompose(state_family(zero_weight_block_states(np.random.default_rng(53))))
-    assert dec.max_residual() < 1e-8
+    assert check_maximal(dec).reassembly_residual < 1e-8
     w = np.asarray(dec.weights)
     assert np.isclose(w[0].max(), 1.0, atol=1e-9)
     assert np.isclose(w[0].min(), 0.0, atol=1e-9)
@@ -385,6 +386,10 @@ def test_structure_validate_and_matrix_units():
     assert st.validate() < 1e-9
     with pytest.raises(DimensionMismatch):
         st.matrix_unit(0, 0, 5)
+    # a block index past the end, or negative, names no block
+    for l in (len(st.blocks), -1):
+        with pytest.raises(DimensionMismatch):
+            st.matrix_unit(l, 0, 0)
     # unit (l, a, b) maps like |a><b| on the info factor
     l = next(i for i, (di, _) in enumerate(st.blocks) if di == 2)
     u01 = st.matrix_unit(l, 0, 1)
@@ -533,7 +538,6 @@ def test_decompose_orders_known_chain():
 def test_check_maximal_flags_coarsened_structure():
     for diagonals in (([1.0, 0.0], [0.0, 1.0]), ([0.7, 0.3], [0.2, 0.8])):
         coarse = trivial_decomp_of([np.diag(x).astype(complex) for x in diagonals])
-        assert coarse.max_residual() < 1e-12
         rep = check_maximal(coarse)
         assert not rep.ok
         assert rep.violated == (("ii", 0),)
@@ -542,7 +546,6 @@ def test_check_maximal_flags_coarsened_structure():
 
 def test_check_maximal_flags_split_structure():
     split = split_decomp_identical_pair()
-    assert split.max_residual() < 1e-12
     rep = check_maximal(split)
     assert not rep.ok
     assert rep.violated == (("iii", 0, 1),)
@@ -587,8 +590,9 @@ def test_check_maximal_matches_the_per_block_and_per_pair_reference():
         (hand_decomp(np.full((3, 2), 0.5), [reducible, diagonal_infos(x, 1.0 - x, 0.0 * x)]), (("ii", 0), ("ii", 1))),
     ]
     for dec, want in wants:
-        assert dec.max_residual() == 0.0
-        assert check_maximal(dec).violated == loop_maximality_violations(dec) == want
+        rep = check_maximal(dec)
+        assert rep.reassembly_residual == 0.0
+        assert rep.violated == loop_maximality_violations(dec) == want
     direct_sum = diagonal_infos(x, 1.0 - x, x, 1.0 - x, 0.0 * x)
     maps = np.asarray(algebra._commutant_basis(direct_sum, Tolerances()))[:, 2:, :2]
     assert np.abs(maps).max() > 0.5
@@ -619,6 +623,9 @@ def test_structures_equivalent_block_permutation():
     # a genuinely different shape is not equivalent
     other = Structure(st.dim, ((4, 1),), np.eye(4, dtype=complex))
     assert not structures_equivalent(st, other)
+    # a connector must map the space of `a` to itself
+    with pytest.raises(DimensionMismatch):
+        structures_equivalent(st, swapped, connector=np.eye(st.dim - 1))
 
 
 def test_structures_equivalent_rejects_rotated_info_frame():
@@ -649,7 +656,7 @@ def test_tensor_structure_matches_direct_decompose():
         combined = tensor_structure(da, db)
         assert sorted(combined.structure.blocks) == sorted(direct.structure.blocks)
         assert decompositions_equivalent(combined, direct)
-        assert combined.max_residual() < 1e-8
+        assert check_maximal(combined).reassembly_residual < 1e-8
 
 
 def test_tensor_structure_matches_pairwise_loop():
