@@ -76,7 +76,7 @@ def is_broadcastable(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Br
             witness = l
             break
     defect = 0.0
-    mats = np.stack(fam.mats())
+    mats = fam.mats()
     for i in range(len(mats) - 1):
         rest = mats[i + 1 :]
         comm = np.linalg.norm(mats[i] @ rest - rest @ mats[i], axis=(1, 2))
@@ -120,7 +120,7 @@ def broadcast_states(decomp: DecomposedFamily, mode: str = "product", tol: Toler
         lift = np.kron(embed, embed)
         lifted.append(lift @ zeta @ lift.conj().T)
     chis = np.tensordot(decomp.weights.clip(0.0), np.stack(lifted), axes=1)
-    rhos = np.stack(decomp.family.mats())
+    rhos = decomp.family.mats()
     worst = max(
         float(np.linalg.norm(partial_trace(chis, d0, d0, keep=keep) - rhos, axis=(1, 2)).max())
         for keep in ("left", "right")

@@ -184,7 +184,7 @@ def preserves_family(channel: KrausChannel, family, tol: Tolerances = DEFAULT_TO
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     if channel.input_dim != fam.dim or channel.output_dim != fam.dim:
         raise DimensionMismatch("channel dimensions do not match the family")
-    worst = float(_trace_deviations(channel, np.stack(fam.mats())).max())
+    worst = float(_trace_deviations(channel, fam.mats()).max())
     return PreservationReport(worst <= Tolerances.VERDICT, worst)
 
 

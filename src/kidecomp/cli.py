@@ -43,7 +43,6 @@ from .io import (
     load_family_file,
     load_kraus_file,
     matrix_to_pairs,
-    merge_tolerances,
     parse_tolerance_overrides,
 )
 from .linalg import Tolerances, von_neumann_entropy
@@ -166,7 +165,7 @@ def _structure_summary(decomp, labels) -> dict:
 
 def _entropy_payload(rep, family, tol) -> dict:
     # decompose has already validated the family's average
-    average = np.tensordot(family.effective_weights(), np.stack(family.mats()), axes=1)
+    average = np.tensordot(family.effective_weights(), family.mats(), axes=1)
     return {
         "classical_bits": float(rep.classical),
         "nonclassical_bits": float(rep.nonclassical),
@@ -285,9 +284,13 @@ def _run_entropy(args, seed: int, cli_tol: dict) -> dict:
     if args.tensor:
         first = load_family_file(args.tensor[0], cli_tol)
         second = load_family_file(args.tensor[1], cli_tol)
-        da = decompose(first.family, seed=seed, tol=first.tolerances)
-        db = decompose(second.family, seed=seed, tol=second.tolerances)
-        tol = merge_tolerances(cli_tol)
+        # one Tolerances for both factors, their product and the report
+        tol = first.tolerances
+        differ = [name for name in _TOL_NAMES if getattr(tol, name) != getattr(second.tolerances, name)]
+        if differ:
+            raise ValidationError(f"--tensor: A and B set different tolerances: {', '.join(differ)}")
+        da = decompose(first.family, seed=seed, tol=tol)
+        db = decompose(second.family, seed=seed, tol=tol)
         decomp = tensor_structure(da, db, tol=tol)
         labels = [f"{a}*{b}" for a in first.labels for b in second.labels]
     else:

@@ -11,7 +11,7 @@ ambient dimension <= 64.
 
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import ClassVar
 
@@ -192,12 +192,14 @@ class StateFamily:
     states: tuple
     weights: np.ndarray | None
     dim: int
+    _stack: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.states)
 
-    def mats(self) -> list:
-        return [s.mat for s in self.states]
+    def mats(self) -> np.ndarray:
+        """The members' matrices as one read-only n x d x d array."""
+        return self._stack
 
     def effective_weights(self) -> np.ndarray:
         if self.weights is not None:
@@ -242,7 +244,9 @@ def state_family(states, weights=None, tol: Tolerances = DEFAULT_TOL) -> StateFa
             raise BadWeights("weights must be finite and strictly positive")
         w = w / w.sum()
         w.setflags(write=False)
-    return StateFamily(out, w, dim)
+    stack = np.stack([s.mat for s in out])
+    stack.setflags(write=False)
+    return StateFamily(out, w, dim, stack)
 
 
 def hermitian_eig(mat, tol: Tolerances = DEFAULT_TOL):

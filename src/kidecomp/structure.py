@@ -83,11 +83,18 @@ class Structure:
     blocks: tuple  # ((d_info, d_red), ...)
     transform: np.ndarray
 
+    def _block(self, l: int) -> tuple:
+        """(d_info, d_red) of block l; DimensionMismatch unless 0 <= l < len(blocks)."""
+        if not 0 <= l < len(self.blocks):
+            raise DimensionMismatch(f"block {l} out of range for {len(self.blocks)} blocks")
+        return self.blocks[l]
+
     def block_offset(self, l: int) -> int:
+        self._block(l)
         return sum(di * dr for di, dr in self.blocks[:l])
 
     def block_size(self, l: int) -> int:
-        di, dr = self.blocks[l]
+        di, dr = self._block(l)
         return di * dr
 
     def block_basis(self, l: int) -> np.ndarray:
@@ -102,9 +109,7 @@ class Structure:
         commute with; they satisfy the matrix-unit product rule and sum to
         the identity over (l, j, j).
         """
-        if not 0 <= l < len(self.blocks):
-            raise DimensionMismatch(f"block {l} out of range for {len(self.blocks)} blocks")
-        di, dr = self.blocks[l]
+        di, dr = self._block(l)
         if not (0 <= row < di and 0 <= col < di):
             raise DimensionMismatch(f"matrix unit indices out of range for block {l}")
         off = self.block_offset(l)
@@ -154,7 +159,7 @@ def _average_and_support(family, tol: Tolerances):
     `support_basis`.
     """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
-    mats = np.stack(fam.mats())
+    mats = fam.mats()
     avg_mat = np.tensordot(fam.effective_weights(), mats, axes=1)
     w, v = hermitian_eig(avg_mat, tol)
     (avg,) = _density_matrices(avg_mat[None], tol, eigenvalues=w[None])
@@ -340,20 +345,16 @@ def _block_matrices(decomp: DecomposedFamily, comps: list) -> np.ndarray:
     return blocks
 
 
-def _fix_column_phases(u: np.ndarray) -> np.ndarray:
-    out = np.array(u, copy=True)
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        mags = np.abs(col)
-        idx = int(np.nonzero(mags > Tolerances.VERDICT * mags.max())[0][0])
-        out[:, c] = col / (col[idx] / mags[idx])
-    return out
-
-
 def _descending_eigbasis(mat: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Eigenvectors of a Hermitian matrix, eigenvalues descending, each
+    column's phase set so that its first entry above VERDICT times the
+    column's largest magnitude is real positive."""
     w, u = hermitian_eig(mat, tol)
-    order = np.argsort(-w, kind="stable")
-    return _fix_column_phases(u[:, order])
+    u = u[:, np.argsort(-w, kind="stable")]
+    mags = np.abs(u)
+    first = np.argmax(mags > Tolerances.VERDICT * mags.max(axis=0), axis=0)
+    cols = np.arange(u.shape[1])
+    return u / (u[first, cols] / mags[first, cols])
 
 
 def _nearest_density(mats: np.ndarray, tol: Tolerances) -> tuple:
@@ -376,18 +377,6 @@ def _nearest_density(mats: np.ndarray, tol: Tolerances) -> tuple:
     return _density_matrices(out, tol, eigenvalues=w), w
 
 
-def _canonical_sort(entries):
-    def key(e):
-        return (
-            -e["p_all"],
-            -e["d_info"],
-            -e["d_red"],
-            tuple(-x for x in e["weights"]),
-        )
-
-    return sorted(entries, key=key)
-
-
 def _build_decomposition(fam: StateFamily, support: np.ndarray, entries) -> DecomposedFamily:
     """Assemble blocks given as entries with the keys d_info, d_red, iso
     (the block's isometry), weights (its raw weight column), live (the mask
@@ -398,15 +387,14 @@ def _build_decomposition(fam: StateFamily, support: np.ndarray, entries) -> Deco
     for e in entries:
         e["weights"] = np.where(e["live"], e["weights"], 0.0)
         e["p_all"] = float(pw @ e["weights"])
-    entries = _canonical_sort(entries)
+    # canonical order: descending average weight, d_info, d_red, weight column
+    entries = sorted(entries, key=lambda e: (-e["p_all"], -e["d_info"], -e["d_red"], tuple(-e["weights"])))
     dim = sum(e["d_info"] * e["d_red"] for e in entries)
     transform = np.vstack([e["iso"].conj().T for e in entries])
     transform.setflags(write=False)
     blocks = tuple((e["d_info"], e["d_red"]) for e in entries)
     n = len(fam)
-    weights = np.zeros((n, len(entries)))
-    for l, e in enumerate(entries):
-        weights[:, l] = e["weights"]
+    weights = np.column_stack([e["weights"] for e in entries])
     weights.setflags(write=False)
     columns = []
     for e in entries:
@@ -447,23 +435,27 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     pass's simple pieces, where the rescaled family keeps only each piece's
     own block and is exactly block diagonal, so its commutant solve splits
     into one small system per pair of pieces; its bases are mapped back
-    through that frame. Then fix the gauge (information basis diagonalizes the
-    weighted average information state, redundant basis diagonalizes the
-    redundant state, both descending, column phases pinned). Blocks are
-    ordered by descending average weight, then d_info, d_red, and the
-    weight column.
+    through that frame. Each block then takes one product with the
+    members, which gives their blocks and, from the traces, the weights.
+    The gauge comes from the two marginals of the weighted average block:
+    the information basis diagonalizes one and the redundant basis the
+    other, both descending, column phases pinned. Being a product unitary,
+    it is applied factor by factor, to the averaged redundant marginal
+    (the redundant state) and to each member's information marginal.
+    Blocks are ordered by descending average weight, then d_info, d_red,
+    and the weight column.
 
     The result is self-certified with `check_maximal`;
     MaximalityCheckFailed signals a tolerance breakdown, never a silent
     wrong answer.
     """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
-    avg, sup = _average_and_support(fam, tol)
+    _, sup = _average_and_support(fam, tol)
     d0, da = fam.dim, sup.shape[1]
     if da == d0:
         sup = np.eye(d0, dtype=complex)
-    gens = _hermitian_stack(sup.conj().T @ np.stack(fam.mats()) @ sup)
-    avg_r = hermitian_part(sup.conj().T @ avg.mat @ sup)
+    gens = _hermitian_stack(sup.conj().T @ fam.mats() @ sup)
+    pw = fam.effective_weights()
 
     iso1 = isotypic_decompose(gens, seed=seed, tol=tol)
     # rescale in the frame of the simple pieces, keeping only each piece's
@@ -472,7 +464,8 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     # roundoff between pieces, which 1/c_m would amplify toward the commutant
     # solve's rank floor, is gone
     frame = np.hstack([v for comp in iso1.components for v in comp.submodule_bases])
-    avg_f = np.einsum("ij,ij->j", frame.conj(), avg_r @ frame).real
+    inner = frame.conj().T @ gens @ frame
+    avg_f = np.einsum("s,sjj->j", pw, inner).real
     inv_c, start = [], 0
     for comp in iso1.components:
         size = comp.multiplicity * comp.simple_dim
@@ -483,7 +476,7 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
         inv_c += [1.0 / c_m] * size
     sizes = [comp.simple_dim for comp in iso1.components for _ in comp.submodule_bases]
     piece = np.repeat(np.arange(len(sizes)), sizes)
-    inner = (frame.conj().T @ gens @ frame) * np.array(inv_c)[:, None]
+    inner *= np.array(inv_c)[:, None]
     rescaled = _hermitian_stack(np.where(piece[:, None] == piece[None, :], inner, 0.0))
 
     iso2 = isotypic_decompose(rescaled, seed=seed + _ISO_SEED_STRIDE, tol=tol)
@@ -495,27 +488,22 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
         # the copies come aligned; column j * d_red + k is column j of copy k
         e_l = frame @ np.stack(comp.submodule_bases, axis=2).reshape(da, d_info * d_red)
 
-        b_all = hermitian_part(e_l.conj().T @ avg_r @ e_l)
-        p_all = float(np.trace(b_all).real)
-        info_avg = partial_trace(b_all, d_info, d_red, keep="left")
-        red_raw = partial_trace(b_all, d_info, d_red, keep="right") / p_all
-        u_info = _descending_eigbasis(info_avg, tol)
-        u_red = _descending_eigbasis(red_raw, tol)
-        e_l = e_l @ np.kron(u_info, u_red)
-
-        b_all = hermitian_part(e_l.conj().T @ avg_r @ e_l)
-        (red,), (w_red,) = _nearest_density(partial_trace(b_all, d_info, d_red, keep="right")[None], tol)
-
-        # every member's block: weight, then information marginal
+        # the members' blocks, formed once; the gauge u_info (x) u_red
+        # rotates each marginal by its own factor
         b = _hermitian_stack(e_l.conj().T @ gens @ e_l)
         p = np.trace(b, axis1=1, axis2=2).real
+        b_avg = np.tensordot(pw, b, axes=1)
+        red_avg = partial_trace(b_avg, d_info, d_red, keep="right")
+        u_info = _descending_eigbasis(partial_trace(b_avg, d_info, d_red, keep="left"), tol)
+        u_red = _descending_eigbasis(red_avg, tol)
+        (red,), (w_red,) = _nearest_density((u_red.conj().T @ red_avg @ u_red)[None], tol)
         live = p > tol.tol_zero
-        marg = partial_trace(b[live], d_info, d_red, keep="left")
+        marg = u_info.conj().T @ partial_trace(b[live], d_info, d_red, keep="left") @ u_info
         entries.append(
             {
                 "d_info": d_info,
                 "d_red": d_red,
-                "iso": e_l,
+                "iso": e_l @ np.kron(u_info, u_red),
                 "weights": p,
                 "live": live,
                 "info": _nearest_density(marg / p[live, None, None], tol)[0],
@@ -590,7 +578,7 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     roundoff. Violations are reported per condition with block indices.
     """
     violated = []
-    states = np.stack(decomp.family.mats())
+    states = decomp.family.mats()
     comps = _component_stacks(decomp)
     stacked = _block_matrices(decomp, comps)
     emb = decomp.support @ decomp.structure.transform.conj().T
@@ -695,7 +683,7 @@ def tensor_structure(a: DecomposedFamily, b: DecomposedFamily, tol: Tolerances =
     """
     weighted = a.family.weights is not None or b.family.weights is not None
     pw = np.outer(a.family.effective_weights(), b.family.effective_weights()).reshape(-1)
-    states = _kron_pairs(np.stack(a.family.mats()), np.stack(b.family.mats()))
+    states = _kron_pairs(a.family.mats(), b.family.mats())
     fam = state_family(states, weights=pw if weighted else None, tol=tol)
     comps_b = _component_stacks(b)
     entries = []

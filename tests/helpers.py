@@ -42,6 +42,10 @@ from kidecomp.linalg import (
 )
 from kidecomp.structure import DecomposedFamily, Structure, _build_decomposition, _component_stacks
 
+# planted shapes at the envelope's d = 64
+ENVELOPE_64 = [(6, 3), (4, 4), (3, 4), (2, 3), (1, 4), (1, 2), (2, 2), (1, 2)]
+CLASSICAL_64 = [(1, 8), (1, 7), (1, 6), (1, 6)] + [(1, 5)] * 5 + [(1, 4)] * 3  # spans 12 dims
+
 
 def cli_env():
     """Environment for a CLI subprocess that runs the `kidecomp` under test.

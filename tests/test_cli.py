@@ -395,6 +395,28 @@ def test_entropy_tensor_additive(tmp_path, capsys):
     assert code == 2
 
 
+def test_entropy_tensor_uses_one_set_of_tolerances(tmp_path, capsys):
+    # each factor's file sets its own tolerances; the product is reported
+    # under them only when the two agree
+    loose = json.loads((DATA / "uniform_pair.json").read_text())
+    loose["tolerances"] = {"rank": 1e-6}
+    a = tmp_path / "loose.json"
+    a.write_text(json.dumps(loose))
+    b = DATA / "orthogonal_pair.json"
+    code, out, err = run_cli(capsys, ["entropy", "--tensor", str(a), str(b)])
+    assert code == 2 and out == ""
+    assert "different tolerances: tol_rank" in err
+    # the --tol override, on top of both files, makes them agree
+    code, out, _ = run_cli(capsys, ["entropy", "--tensor", str(a), str(b), "--tol", "rank=1e-7"])
+    assert code == 0
+    assert json.loads(out)["tolerances"]["tol_rank"] == 1e-7
+    code, out, _ = run_cli(capsys, ["entropy", "--tensor", str(a), str(a)])
+    assert code == 0
+    code, alone, _ = run_cli(capsys, ["entropy", str(a)])
+    assert json.loads(out)["tolerances"] == json.loads(alone)["tolerances"]
+    assert json.loads(out)["tolerances"]["tol_rank"] == 1e-6
+
+
 def test_decompose_report_reassembles_input(tmp_path, capsys):
     # the report carries everything needed to rebuild the states
     rng = np.random.default_rng(54)

@@ -214,6 +214,18 @@ def test_state_family_mixed_density_and_raw_members():
         assert not s.mat.flags.writeable
 
 
+def test_state_family_mats_is_one_read_only_stack_of_the_members():
+    other = np.diag([0.2, 0.2, 0.6]).astype(complex)
+    fam = state_family([density_matrix(other), GOOD, other], weights=[1.0, 2.0, 1.0])
+    mats = fam.mats()
+    assert mats.shape == (3, 3, 3) and mats is fam.mats()
+    assert not mats.flags.writeable
+    for got, s in zip(mats, fam.states):
+        assert np.array_equal(got, s.mat)
+    with pytest.raises(ValueError):
+        mats[0, 0, 0] = 1.0
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_state_family_names_the_member_of_wrong_dimension(k):
     members = [density_matrix(GOOD), GOOD, GOOD, GOOD]

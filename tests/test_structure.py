@@ -27,6 +27,8 @@ from kidecomp.exceptions import (
 )
 
 from helpers import (
+    CLASSICAL_64,
+    ENVELOPE_64,
     build_family,
     haar_unitary,
     hand_decomp,
@@ -46,8 +48,6 @@ from helpers import (
 )
 
 
-ENVELOPE_64 = [(6, 3), (4, 4), (3, 4), (2, 3), (1, 4), (1, 2), (2, 2), (1, 2)]
-CLASSICAL_64 = [(1, 8), (1, 7), (1, 6), (1, 6)] + [(1, 5)] * 5 + [(1, 4)] * 3  # spans 12 dims
 PADDED_64 = [(5, 3), (4, 3), (3, 2), (2, 3), (1, 4), (1, 2), (2, 2)]  # 49 dims
 
 
@@ -395,6 +395,15 @@ def test_structure_validate_and_matrix_units():
     u01 = st.matrix_unit(l, 0, 1)
     u10 = st.matrix_unit(l, 1, 0)
     assert np.allclose(u01.conj().T, u10, atol=1e-12)
+
+
+@pytest.mark.parametrize("l", [-1, 2, 5])
+def test_structure_block_methods_reject_an_index_out_of_range(l):
+    st = Structure(3, ((1, 1), (2, 1)), np.eye(3, dtype=complex))
+    calls = [st.block_offset, st.block_size, st.block_basis, lambda l: st.matrix_unit(l, 0, 0)]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match=f"block {l} out of range for 2 blocks"):
+            call(l)
 
 
 def test_structure_validate_rejects():
