@@ -22,11 +22,9 @@ from .linalg import (
     _hermitian_stack,
     _lapack,
     DEFAULT_TOL,
-    StateFamily,
     Tolerances,
     as_complex_matrix,
     entropy_of_spectrum,
-    hermitian_part,
     partial_trace,
     state_family,
     von_neumann_entropy,
@@ -68,15 +66,14 @@ def is_broadcastable(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Br
     That holds exactly when the states all commute, so the report carries
     the largest pairwise commutator norm as an independent cross-check.
     """
-    fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
-    decomp = decompose(fam, seed=seed, tol=tol)
+    decomp = decompose(family, seed=seed, tol=tol)
     witness = None
     for l, (di, _) in enumerate(decomp.structure.blocks):
         if di > 1:
             witness = l
             break
     defect = 0.0
-    mats = fam.mats()
+    mats = decomp.family.mats()
     for i in range(len(mats) - 1):
         rest = mats[i + 1 :]
         comm = np.linalg.norm(mats[i] @ rest - rest @ mats[i], axis=(1, 2))
@@ -143,8 +140,7 @@ def no_imprinting_holds(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) ->
     states (within Tolerances.VERDICT); the first offending (s, s', block)
     is reported otherwise.
     """
-    fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
-    decomp = decompose(fam, seed=seed, tol=tol)
+    decomp = decompose(family, seed=seed, tol=tol)
     offending, worst = _weight_gaps(decomp.weights)
     return ImprintReport(offending is None, offending, worst, decomp)
 
@@ -268,16 +264,13 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
     2 (x) 2 it says True while the residues overlap by 0.577. Which one
     sequential cloning means is an open question.
     """
-    mats = [as_complex_matrix(c) for c in chis]
-    if len(mats) < 2:
+    fam = state_family(chis, tol=tol)
+    if len(fam) < 2:
         raise ValidationError("need at least two states to clone against each other")
     d = d_first * d_second
-    for i, m in enumerate(mats):
-        if m.shape != (d, d):
-            raise DimensionMismatch(
-                f"state {i} has shape {m.shape}, expected ({d}, {d})"
-            )
-    stacked = np.stack(mats)
+    if fam.dim != d:
+        raise DimensionMismatch(f"states have dim {fam.dim}, expected {d} = {d_first} x {d_second}")
+    stacked = fam.mats()
     marginals = partial_trace(stacked, d_first, d_second, keep="left")
     decomp = decompose(state_family(marginals, tol=tol), seed=seed, tol=tol)
 
@@ -291,8 +284,8 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
 
     worst = 0.0
     for l in range(decomp.n_blocks):
-        for s in range(len(mats)):
-            for t in range(s + 1, len(mats)):
+        for s in range(len(fam)):
+            for t in range(s + 1, len(fam)):
                 a, b = residues[s][l], residues[t][l]
                 na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
                 if na <= tol.tol_zero or nb <= tol.tol_zero:
@@ -302,12 +295,12 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
     clonable = worst <= Tolerances.VERDICT
 
     with _lapack():
-        ranks = [np.linalg.matrix_rank(m, tol=tol.tol_rank * max(1.0, float(np.linalg.norm(m)))) for m in mats]
+        ranks = [np.linalg.matrix_rank(m, tol=tol.tol_rank * max(1.0, float(np.linalg.norm(m)))) for m in stacked]
     if all(r == 1 for r in ranks):
         vecs = []
-        for m in mats:
+        for m in stacked:
             with _lapack():
-                w, v = np.linalg.eigh(hermitian_part(m))
+                w, v = np.linalg.eigh(m)
             vecs.append(v[:, -1] * np.sqrt(max(float(w[-1]), 0.0)))
         clonable = True
         for s in range(len(vecs)):

@@ -25,7 +25,16 @@ __all__ = [
 
 
 class KidecompError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    `member` is the index of the family member that an error is about, when
+    it is about one (the first failing member of a validated stack), else
+    None.
+    """
+
+    def __init__(self, *args, member: int | None = None):
+        super().__init__(*args)
+        self.member = member
 
 
 class DimensionMismatch(KidecompError):

@@ -15,15 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import KrausChannel, kraus_channel
-from .exceptions import (
-    BadWeights,
-    DimensionMismatch,
-    EmptyFamily,
-    KidecompError,
-    NoConvergence,
-    ParseError,
-    ValidationError,
-)
+from .exceptions import KidecompError, ParseError, ValidationError
 from .linalg import DEFAULT_TOL, StateFamily, Tolerances, state_family
 
 __all__ = [
@@ -128,13 +120,9 @@ def merge_tolerances(*override_maps) -> Tolerances:
     for one in override_maps:
         merged.update(one)
     try:
-        return Tolerances(**{**_defaults(), **merged})
+        return Tolerances(**merged)
     except ValueError as err:
         raise ValidationError(str(err)) from err
-
-
-def _defaults() -> dict:
-    return {name: getattr(DEFAULT_TOL, name) for name in _TOL_NAMES}
 
 
 def load_family_file(path, tol_overrides=None) -> LoadedFamily:
@@ -203,24 +191,11 @@ def load_family_file(path, tol_overrides=None) -> LoadedFamily:
         family = state_family(
             mats, weights=weights if weights else None, tol=active_tol
         )
-    except (BadWeights, EmptyFamily, DimensionMismatch, NoConvergence):
-        raise
     except KidecompError as err:
-        # name the first offending state for the error message
-        label = _first_bad_state(labels, mats, active_tol) or labels[0]
-        raise ValidationError(f"state {label!r}: {err}") from err
+        if err.member is None:
+            raise
+        raise ValidationError(f"state {labels[err.member]!r}: {err}") from err
     return LoadedFamily(family, tuple(labels), active_tol, factor_dims, version)
-
-
-def _first_bad_state(labels, mats, tol):
-    from .linalg import density_matrix
-
-    for label, mat in zip(labels, mats):
-        try:
-            density_matrix(mat, tol)
-        except Exception:
-            return label
-    return None
 
 
 def load_kraus_file(path, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:

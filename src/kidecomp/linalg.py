@@ -12,7 +12,6 @@ ambient dimension <= 64.
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import ClassVar
 
 import numpy as np
@@ -21,6 +20,7 @@ from .exceptions import (
     BadWeights,
     DimensionMismatch,
     EmptyFamily,
+    KidecompError,
     NoConvergence,
     NotHermitian,
     NotNormalized,
@@ -142,8 +142,9 @@ def _density_matrices(a: np.ndarray, tol: Tolerances, eigenvalues=None) -> list:
 
     Returns a DensityMatrix per member. A failing stack raises, for its
     first failing member, the error that `density_matrix` raises on that
-    member alone. A caller that built the stack from known eigenvalues
-    passes them (m x d, ascending) and saves the eigvalsh.
+    member alone, with the member's index as its `member`. A caller that
+    built the stack from known eigenvalues passes them (m x d, ascending)
+    and saves the eigvalsh.
     """
     finite = np.isfinite(a).all(axis=(1, 2))
     m = a.shape[0] if finite.all() else int(np.argmin(finite))
@@ -164,12 +165,12 @@ def _density_matrices(a: np.ndarray, tol: Tolerances, eigenvalues=None) -> list:
     if bad.any():
         k = int(np.argmax(bad))
         if not_herm[k]:
-            raise NotHermitian(f"hermiticity defect {defects[k]:.3e} exceeds tol_sym={tol.tol_sym:.3e}")
+            raise NotHermitian(f"hermiticity defect {defects[k]:.3e} exceeds tol_sym={tol.tol_sym:.3e}", member=k)
         if not_psd[k]:
-            raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[k, 0]:.3e})")
-        raise NotNormalized(f"trace {float(traces[k])!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}")
+            raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[k, 0]:.3e})", member=k)
+        raise NotNormalized(f"trace {float(traces[k])!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}", member=k)
     if m < finite.size:
-        raise ValidationError("matrix contains non-finite entries")
+        raise ValidationError("matrix contains non-finite entries", member=m)
     h.setflags(write=False)
     return [DensityMatrix(x) for x in h]
 
@@ -187,15 +188,18 @@ def density_matrix(mat, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Finite list of same-dimension density matrices with optional weights."""
+    """Validated same-dimension density matrices, held as one read-only
+    n x d x d array, with optional weights."""
 
-    states: tuple
-    weights: np.ndarray | None
-    dim: int
     _stack: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray | None
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self._stack.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self._stack.shape[1]
 
     def mats(self) -> np.ndarray:
         """The members' matrices as one read-only n x d x d array."""
@@ -204,49 +208,48 @@ class StateFamily:
     def effective_weights(self) -> np.ndarray:
         if self.weights is not None:
             return self.weights
-        n = len(self.states)
-        return np.full(n, 1.0 / n)
+        return np.full(len(self), 1.0 / len(self))
 
 
 def state_family(states, weights=None, tol: Tolerances = DEFAULT_TOL) -> StateFamily:
     """Build a StateFamily; weights are normalized to sum to 1.
 
-    Members already given as DensityMatrix are kept as they are. The raw
-    members are validated as one stack per run of equal shapes, with the
-    checks of `density_matrix`: the first failing member raises the error
-    that `density_matrix` raises on it alone. Members of different
-    dimensions raise DimensionMismatch naming the first one off.
+    Every member goes through one path; a DensityMatrix is read through its
+    `mat` and checked like any other member. Shapes are checked first: the
+    first member that is not a square matrix raises what `density_matrix`
+    raises on it, and the first one of another dimension than member 0
+    raises DimensionMismatch naming it. Then the members are validated as
+    one stack with the checks of `density_matrix`: the first failing member
+    raises the error that `density_matrix` raises on it alone. Either way
+    the error's `member` is that member's index. Only an input with two
+    different faults can report another fault than a member-by-member
+    `density_matrix` walk would: a shape fault wins over an earlier
+    member's value fault.
     """
-    states = list(states)
-    if not states:
+    mats = [np.asarray(s.mat if isinstance(s, DensityMatrix) else s, dtype=complex) for s in states]
+    if not mats:
         raise EmptyFamily("a state family needs at least one state")
-    raw = [s if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex) for s in states]
-    out = []
-    for shape, run in groupby(raw, key=lambda s: None if isinstance(s, DensityMatrix) else s.shape):
-        run = list(run)
-        if shape is None:
-            out.extend(run)
-            continue
-        if len(shape) != 2 or 0 in shape or shape[0] != shape[1]:
-            _square(run[0])  # raises what density_matrix raises on this member
-        out.extend(_density_matrices(np.stack(run), tol))
-    out = tuple(out)
-    dim = out[0].dim
-    for k, s in enumerate(out):
-        if s.dim != dim:
-            raise DimensionMismatch(f"state {k} has dim {s.dim}, expected {dim}")
+    for k, m in enumerate(mats):
+        try:
+            if m.ndim != 2 or 0 in m.shape or m.shape[0] != m.shape[1]:
+                _square(m)  # raises what density_matrix raises on this member
+            if m.shape != mats[0].shape:
+                raise DimensionMismatch(f"state {k} has dim {m.shape[0]}, expected {mats[0].shape[0]}")
+        except KidecompError as err:
+            err.member = k
+            raise
+    stack = np.stack([s.mat for s in _density_matrices(np.stack(mats), tol)])
+    stack.setflags(write=False)
     w = None
     if weights is not None:
         w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.shape[0] != len(out):
-            raise BadWeights(f"need {len(out)} weights, got shape {w.shape}")
+        if w.ndim != 1 or w.shape[0] != len(mats):
+            raise BadWeights(f"need {len(mats)} weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise BadWeights("weights must be finite and strictly positive")
         w = w / w.sum()
         w.setflags(write=False)
-    stack = np.stack([s.mat for s in out])
-    stack.setflags(write=False)
-    return StateFamily(out, w, dim, stack)
+    return StateFamily(stack, w)
 
 
 def hermitian_eig(mat, tol: Tolerances = DEFAULT_TOL):

@@ -387,8 +387,14 @@ def _build_decomposition(fam: StateFamily, support: np.ndarray, entries) -> Deco
     for e in entries:
         e["weights"] = np.where(e["live"], e["weights"], 0.0)
         e["p_all"] = float(pw @ e["weights"])
-    # canonical order: descending average weight, d_info, d_red, weight column
-    entries = sorted(entries, key=lambda e: (-e["p_all"], -e["d_info"], -e["d_red"], tuple(-e["weights"])))
+    # canonical order: descending average weight, d_info, d_red, weight column;
+    # weights compare on a grid of Tolerances.VERDICT, so that blocks tying in
+    # exact arithmetic keep their input order instead of one set by roundoff
+    def key(e):
+        grid = np.round(np.append(e["p_all"], e["weights"]) / Tolerances.VERDICT)
+        return (-grid[0], -e["d_info"], -e["d_red"], tuple(-grid[1:]))
+
+    entries = sorted(entries, key=key)
     dim = sum(e["d_info"] * e["d_red"] for e in entries)
     transform = np.vstack([e["iso"].conj().T for e in entries])
     transform.setflags(write=False)
@@ -443,7 +449,9 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
     it is applied factor by factor, to the averaged redundant marginal
     (the redundant state) and to each member's information marginal.
     Blocks are ordered by descending average weight, then d_info, d_red,
-    and the weight column.
+    and the weight column, with weights compared on a grid of
+    Tolerances.VERDICT: blocks that tie in exact arithmetic keep the order
+    in which the second isotypic pass found them, not one set by roundoff.
 
     The result is self-certified with `check_maximal`;
     MaximalityCheckFailed signals a tolerance breakdown, never a silent

@@ -669,8 +669,8 @@ def loop_max_residual(decomp):
     """Reference for `check_maximal`'s `reassembly_residual`: one
     `reassemble` per member."""
     worst = 0.0
-    for s, state in enumerate(decomp.family.states):
-        worst = max(worst, float(np.linalg.norm(state.mat - decomp.reassemble(s))))
+    for s, state in enumerate(decomp.family.mats()):
+        worst = max(worst, float(np.linalg.norm(state - decomp.reassemble(s))))
     return worst
 
 
@@ -703,7 +703,7 @@ def loop_tensor_structure(a, b, tol=DEFAULT_TOL):
     from an index loop."""
     na, nb = len(a.family), len(b.family)
     pw = np.outer(a.family.effective_weights(), b.family.effective_weights()).reshape(-1)
-    states = [np.kron(x.mat, y.mat) for x in a.family.states for y in b.family.states]
+    states = [np.kron(x, y) for x in a.family.mats() for y in b.family.mats()]
     weighted = a.family.weights is not None or b.family.weights is not None
     fam = state_family(states, weights=pw if weighted else None, tol=tol)
     entries = []
@@ -763,7 +763,7 @@ def loop_broadcast_states(decomp, mode, tol=DEFAULT_TOL):
     its lifted two-party state and adds it to the state's output."""
     d0 = decomp.family.dim
     chis, worst = [], 0.0
-    for s, state in enumerate(decomp.family.states):
+    for s, state in enumerate(decomp.family.mats()):
         chi = np.zeros((d0 * d0, d0 * d0), dtype=complex)
         for l, (_, dr) in enumerate(decomp.structure.blocks):
             w = float(decomp.weights[s, l])
@@ -785,7 +785,7 @@ def loop_broadcast_states(decomp, mode, tol=DEFAULT_TOL):
             lift = np.kron(embed, embed)
             chi += w * (lift @ zeta @ lift.conj().T)
         for keep in ("left", "right"):
-            worst = max(worst, float(np.linalg.norm(partial_trace(chi, d0, d0, keep=keep) - state.mat)))
+            worst = max(worst, float(np.linalg.norm(partial_trace(chi, d0, d0, keep=keep) - state)))
         chis.append(density_matrix(hermitian_part(chi), tol))
     return BroadcastOutput(mode, tuple(chis), worst)
 

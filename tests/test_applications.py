@@ -15,6 +15,7 @@ from kidecomp.channels import environment_state
 from kidecomp.exceptions import (
     DimensionMismatch,
     NotBroadcastable,
+    NotHermitian,
     ValidationError,
 )
 from kidecomp.linalg import partial_trace, state_family, von_neumann_entropy
@@ -365,6 +366,15 @@ def test_sequential_clonability_validation():
         sequential_clonability([np.eye(4) / 4.0], 2, 2)
     with pytest.raises(DimensionMismatch):
         sequential_clonability([np.eye(4) / 4.0, np.eye(6) / 6.0], 2, 2)
+    with pytest.raises(DimensionMismatch):
+        sequential_clonability([np.eye(6) / 6.0, np.eye(6) / 6.0], 2, 2)
+    # the inputs are checked as states, not only through their marginals:
+    # |00><01| has a Hermitian first-party marginal
+    askew = np.eye(4, dtype=complex) / 4.0
+    askew[0, 1] = 0.1
+    with pytest.raises(NotHermitian) as err:
+        sequential_clonability([np.eye(4) / 4.0, askew], 2, 2)
+    assert err.value.member == 1
 
 
 def test_entropy_report_classical_pair():
@@ -425,7 +435,7 @@ def test_entropy_report_matches_per_state_loop():
     decs.append(tensor_structure(decs[0], decs[2]))
     for decomp in decs:
         n = len(decomp.family)
-        weighted = decompose(state_family(decomp.family.states, weights=rng.dirichlet([2.0] * n)))
+        weighted = decompose(state_family(decomp.family.mats(), weights=rng.dirichlet([2.0] * n)))
         for d in (decomp, weighted):
             got, want = entropy_report(d), loop_entropy_report(d)
             for name in ("classical", "nonclassical", "redundant"):

@@ -179,6 +179,17 @@ def test_input_error_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["decompose", str(path)])
     assert code == 2
     assert "askew" in err
+    # a non-finite entry is named by its field
+    payload = json.loads(path.read_text())
+    payload["states"][1]["matrix"][0][1][0] = float("nan")
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, ["decompose", str(path)])
+    assert code == 2 and out == ""
+    assert "states[1].matrix[0][1]: value must be finite" in err
+    # an --output path that cannot be written
+    code, out, err = run_cli(capsys, ["decompose", str(DATA / "orthogonal_pair.json"), "--output", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert "kidecomp: error:" in err
 
 
 def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):

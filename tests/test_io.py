@@ -157,6 +157,7 @@ def test_load_family_names_bad_state(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_family_file(path)
     assert "'broken'" in str(err.value)
+    assert err.value.__cause__.member == 1
 
 
 def test_load_kraus_file(tmp_path):

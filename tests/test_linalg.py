@@ -37,6 +37,7 @@ from kidecomp.exceptions import (
     ValidationError,
 )
 from kidecomp.linalg import (
+    DensityMatrix,
     entropy_of_spectrum,
     hermitian_part,
     polar_offblock,
@@ -192,6 +193,7 @@ def test_state_family_raises_the_scalar_error_of_a_bad_member(kind, k):
         state_family(members)
     assert type(got.value) is type(want)
     assert str(got.value) == str(want)
+    assert got.value.member == k
 
 
 @pytest.mark.parametrize("first, second", [("non-psd", "non-hermitian"), ("non-hermitian", "non-finite"), ("non-finite", "wrong-trace")])
@@ -201,17 +203,29 @@ def test_state_family_reports_the_first_bad_member(first, second):
     with pytest.raises(type(want)) as got:
         state_family(members)
     assert str(got.value) == str(want)
+    assert got.value.member == 2
 
 
 def test_state_family_mixed_density_and_raw_members():
     other = np.diag([0.2, 0.2, 0.6]).astype(complex)
     given = density_matrix(other)
     fam = state_family([given, GOOD, GOOD, given, other])
-    assert fam.states[0] is given and fam.states[3] is given
-    for s, m in zip(fam.states, [other, GOOD, GOOD, other, other]):
-        ref = density_matrix(m)
-        assert np.array_equal(s.mat, ref.mat)
-        assert not s.mat.flags.writeable
+    assert not fam.mats().flags.writeable
+    for got, m in zip(fam.mats(), [other, GOOD, GOOD, other, other], strict=True):
+        assert np.array_equal(got, density_matrix(m).mat)
+
+
+def test_state_family_checks_density_matrix_members_like_raw_ones():
+    # a DensityMatrix built around an invalid matrix, or validated under
+    # looser tolerances, is checked again under the family's own
+    with pytest.raises(ValidationError, match="positive semidefinite") as err:
+        state_family([DensityMatrix(np.diag([3.0, -1.0])), np.eye(2) / 2])
+    assert err.value.member == 0
+    loose = density_matrix(np.diag([0.504, 0.5]), Tolerances(tol_trace=1e-2))
+    with pytest.raises(NotNormalized) as err:
+        state_family([np.eye(2) / 2, loose])
+    assert err.value.member == 1
+    assert len(state_family([np.eye(2) / 2, loose], tol=Tolerances(tol_trace=1e-2))) == 2
 
 
 def test_state_family_mats_is_one_read_only_stack_of_the_members():
@@ -219,9 +233,10 @@ def test_state_family_mats_is_one_read_only_stack_of_the_members():
     fam = state_family([density_matrix(other), GOOD, other], weights=[1.0, 2.0, 1.0])
     mats = fam.mats()
     assert mats.shape == (3, 3, 3) and mats is fam.mats()
+    assert fam.dim == 3 and len(fam) == 3
     assert not mats.flags.writeable
-    for got, s in zip(mats, fam.states):
-        assert np.array_equal(got, s.mat)
+    for got, m in zip(mats, [other, GOOD, other], strict=True):
+        assert np.array_equal(got, density_matrix(m).mat)
     with pytest.raises(ValueError):
         mats[0, 0, 0] = 1.0
 
@@ -230,8 +245,9 @@ def test_state_family_mats_is_one_read_only_stack_of_the_members():
 def test_state_family_names_the_member_of_wrong_dimension(k):
     members = [density_matrix(GOOD), GOOD, GOOD, GOOD]
     members[k] = np.eye(2) / 2.0
-    with pytest.raises(DimensionMismatch, match=f"state {k} has dim 2, expected 3"):
+    with pytest.raises(DimensionMismatch, match=f"state {k} has dim 2, expected 3") as err:
         state_family(members)
+    assert err.value.member == k
 
 
 def test_hermitian_eig_orders_ascending():

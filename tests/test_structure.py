@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -544,6 +546,28 @@ def test_decompose_orders_known_chain():
     assert decompose(state_family([a, b, plus, minus])).structure.blocks == ((2, 1),)
 
 
+def one_member_entries(weights):
+    """_build_decomposition entries for a one-member family: one (1, 1)
+    block per weight, on the standard basis vectors in the given order."""
+    d = len(weights)
+    one = density_matrix(np.eye(1))
+    return [
+        {"d_info": 1, "d_red": 1, "iso": np.eye(d, dtype=complex)[:, [k]], "weights": np.array([w]),
+         "live": np.array([True]), "info": [one], "red": one, "spectrum": [1.0]}
+        for k, w in enumerate(weights)
+    ]
+
+
+@pytest.mark.parametrize("direction", [np.inf, -np.inf])
+def test_block_order_does_not_follow_a_one_ulp_tie(direction):
+    fam = state_family([np.diag([0.5, 0.5])])
+    sup = np.eye(2, dtype=complex)
+    dec = structure._build_decomposition(fam, sup, one_member_entries([0.5, np.nextafter(0.5, direction)]))
+    # the tie keeps the input order: block 0 is the first entry's basis vector
+    assert np.array_equal(dec.structure.transform, np.eye(2))
+    assert dec.weights[0, 0] == 0.5
+
+
 def test_check_maximal_flags_coarsened_structure():
     for diagonals in (([1.0, 0.0], [0.0, 1.0]), ([0.7, 0.3], [0.2, 0.8])):
         coarse = trivial_decomp_of([np.diag(x).astype(complex) for x in diagonals])
@@ -605,6 +629,17 @@ def test_check_maximal_matches_the_per_block_and_per_pair_reference():
     direct_sum = diagonal_infos(x, 1.0 - x, x, 1.0 - x, 0.0 * x)
     maps = np.asarray(algebra._commutant_basis(direct_sum, Tolerances()))[:, 2:, :2]
     assert np.abs(maps).max() > 0.5
+
+
+def test_check_maximal_flags_a_global_reassembly_failure():
+    dec = decompose(build_family(np.random.default_rng(0), [(2, 2), (1, 3)], 4)["states"])
+    weights = np.array(dec.weights)
+    weights[0] *= 1.01
+    rep = check_maximal(dataclasses.replace(dec, weights=weights))
+    assert not rep.ok
+    assert rep.violated[0] == ("i",)
+    assert ("i", 0) in rep.violated
+    assert Tolerances.CERTIFICATE < rep.reassembly_residual < 1e-2
 
 
 def test_check_maximal_passes_on_decompose_output():
@@ -686,8 +721,7 @@ def test_tensor_structure_matches_pairwise_loop():
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.support, want.support)
             assert np.array_equal(got.family.effective_weights(), want.family.effective_weights())
-            for x, y in zip(got.family.states, want.family.states):
-                assert np.abs(x.mat - y.mat).max() <= 1e-14
+            assert np.abs(got.family.mats() - want.family.mats()).max() <= 1e-14
             for x, y in zip(got.red_states, want.red_states):
                 assert np.abs(x.mat - y.mat).max() <= 1e-14
             for row_got, row_want in zip(got.info_states, want.info_states):
