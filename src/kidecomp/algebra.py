@@ -12,13 +12,18 @@ families the solve runs in the eigenbasis of a fixed random element G of
 the family's span (after Murota, Kanno, Kojima & Kojima, Japan J. Indust.
 Appl. Math. 27, 2010): every commutant element also commutes with G, so it
 only links eigenvalues that agree, and a commutant with eigenvalue
-multiplicities m_c has sum m_c^2 unknowns instead of d^2. The rows come
-straight from the n nonzero members, each normalized, so the system has
-n d^2 rows. A family that is exactly block diagonal, with consecutive
-diagonal blocks read off its nonzero pattern, is diagonalized block by
-block, and the solve splits into one system per pair of blocks with kept
-unknowns, n sp sq rows each for blocks of sizes sp and sq; the pairs of
-one shape and one set of kept unknowns are solved as one stack.
+multiplicities m_c has sum m_c^2 unknowns instead of d^2. In that frame a
+row (a, b) of X m_i - m_i X reads only the (gamma, delta) block of m_i,
+gamma and delta the eigenvalue clusters of a and b, so the n nonzero
+members, each normalized, are compressed cluster pair by cluster pair to
+the rows of the R factor of their stacked blocks: an orthogonal transform
+of the rows, which keeps every singular value, and a system whose size
+does not grow with n (one row per entry, at most d (d - 1) rows, when G
+has a simple spectrum). A family that is exactly block diagonal, with
+consecutive diagonal blocks read off its nonzero pattern, is diagonalized
+block by block, and the solve splits into one system per pair of blocks
+with kept unknowns; the pairs of one shape and one set of kept unknowns
+are solved as one stack.
 Blocks that are diagonal only after a permutation are not detected: such a
 family is solved as fewer, larger blocks. The isotypic split makes that
 solve once, for the commutant of the whole family, and reads everything
@@ -92,7 +97,11 @@ def _null_space_floor(row_blocks, cutoff: float) -> list:
     Returns one c x z_j matrix per system, z_j its own null dimension. The
     stack holds the block-pair systems of one shape and one set of kept
     unknowns (`_commutant_basis`); a family with no consecutive diagonal
-    blocks is a stack of one.
+    blocks is a stack of one. The systems of a stack share their row
+    positions, and a row that vanishes in only some of them is an exact
+    zero row there (`_pair_rows`), which changes no singular value. A
+    system with fewer rows than unknowns keeps its whole null space: the
+    SVD is full, so every right singular vector past the rank is returned.
 
     `_commutant_basis` normalizes its generators, so genuine constraints
     have singular values of order 1. A cutoff relative to the largest
@@ -108,20 +117,21 @@ def _null_space_floor(row_blocks, cutoff: float) -> list:
     From the second block on, R and the block are written into one buffer
     in the column-major order that LAPACK reads, so a block given as the
     transpose of a C-ordered m x c x rows array is copied there row by row.
-    A LAPACK failure raises NoConvergence.
+    A block is let go once it is copied, so the next one is built while
+    only R and the buffer are held. A LAPACK failure raises NoConvergence.
     """
     with _lapack():
         r = buf = None
         for block in row_blocks:
-            if r is None:
-                r = np.linalg.qr(block, mode="r")
-                continue
-            top, rows = r.shape[1], r.shape[1] + block.shape[1]
-            if buf is None or buf.shape[2] < rows:
-                buf = np.empty((block.shape[0], block.shape[2], block.shape[2] + block.shape[1]), dtype=complex)
-            buf[:, :, :top] = r.transpose(0, 2, 1)
-            buf[:, :, top:rows] = block.transpose(0, 2, 1)
-            r = np.linalg.qr(buf[:, :, :rows].transpose(0, 2, 1), mode="r")
+            if r is not None:
+                top, rows = r.shape[1], r.shape[1] + block.shape[1]
+                if buf is None or buf.shape[2] < rows:
+                    buf = np.empty((block.shape[0], block.shape[2], block.shape[2] + block.shape[1]), dtype=complex)
+                buf[:, :, :top] = r.transpose(0, 2, 1)
+                buf[:, :, top:rows] = block.transpose(0, 2, 1)
+                block = buf[:, :, :rows].transpose(0, 2, 1)
+            r = np.linalg.qr(block, mode="r")
+            del block  # not held while the next block is built
         _, s, vh = np.linalg.svd(r)
     ranks = np.sum(s > cutoff, axis=1)
     return [v[rank:, :].conj().T for v, rank in zip(vh, ranks)]
@@ -195,52 +205,113 @@ def _spectral_frame(mats: np.ndarray, tol: Tolerances):
     return edges, u, label[:, None] == label[None, :]
 
 
-def _pair_rows(mq: np.ndarray, mp: np.ndarray, ps: np.ndarray, qs: np.ndarray):
-    """The rows of a stack of m block-pair systems, m x rows x len(ps) each,
-    `per` generators at a time (about _BLOCK_ENTRIES entries a block).
+def _compressed_generators(gens: np.ndarray, u: np.ndarray, edges: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The generators in the frame of `_spectral_frame`, compressed by
+    cluster pair: a J x k x k stack that gives every commutation system the
+    Gram matrix the n generators give it.
 
-    mq is m x n x sq x sq and mp m x n x sp x sp, the generators' blocks Q
-    and P of the pairs (P, Q) in the spectral frame; (ps, qs) are the kept
-    entries, the same for the whole stack. The column of entry (p, q) stacks
-    E_pq m'_Q - m'_P E_pq over the generators. Each block is the transpose
-    of a C-ordered array, as `_null_space_floor` reads it fastest.
+    In that frame a kept unknown (p, q) has p and q in one cluster of G, so
+    the row (a, b) of X' m' - m' X' reads only the generators' (gamma, delta)
+    block, gamma and delta the clusters of a and b, and is linear in it.
+    Within the diagonal blocks that block has f entries (the others are
+    exact zeros); the n x f stack of the n generators' entries is replaced by
+    the min(n, f) rows of its R factor, which is an orthogonal transform of
+    every row group that reads the block, and of any part of it a block-pair
+    system reads. Row j of the stack carries the j-th R row of every cluster
+    pair that has one and exact zeros elsewhere, so its rows of a cluster
+    pair without a j-th R row vanish. With singleton clusters f = 1, the R
+    factor is the norm of the column: entry (a, b) keeps the coefficient
+    ||m'_ab||, and its rows read ||m'_ab|| (e_a - e_b) on the diagonal
+    unknowns. The generators go into the frame once; the R factors come
+    from one stacked norm (f = 1) or QR (f > 1) per value of f. A LAPACK
+    failure raises NoConvergence.
+    """
+    n, k = gens.shape[0], gens.shape[1]
+    flat = (u.conj().T @ gens @ u).reshape(n, k * k)
+    label = mask.argmax(axis=1)  # each index's cluster, named by its first index
+    block = np.repeat(np.arange(edges.size - 1), np.diff(edges))
+    a, b = np.nonzero(block[:, None] == block[None, :])
+    key = label[a] * k + label[b]
+    order = np.argsort(key, kind="stable")
+    pos, key = (a * k + b)[order], key[order]
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    sizes = np.diff(np.append(starts, key.size))
+    out = np.zeros((min(n, int(sizes.max())), k * k), dtype=complex)
+    for f in np.unique(sizes).tolist():
+        at = pos[starts[sizes == f, None] + np.arange(f)]  # cluster pairs x entries
+        stack = flat[:, at].transpose(1, 0, 2)
+        if f == 1:  # the R factor of one column is its norm
+            r = np.linalg.norm(stack, axis=1, keepdims=True)
+        else:
+            with _lapack():
+                r = np.linalg.qr(stack, mode="r")
+        out[: r.shape[1], at] = r.transpose(1, 0, 2)
+    return out.reshape(-1, k, k)
+
+
+def _pair_rows(mq: np.ndarray, mp: np.ndarray, ps: np.ndarray, qs: np.ndarray):
+    """The nonzero rows of a stack of m block-pair systems, m x rows x
+    len(ps) each, `per` generators at a time (about _BLOCK_ENTRIES entries a
+    block).
+
+    mq is m x J x sq x sq and mp m x J x sp x sp, the Q and P blocks of the
+    compressed generators (`_compressed_generators`) of the pairs (P, Q);
+    (ps, qs) are the kept entries, the same for the whole stack. The column
+    of entry (p, q) stacks E_pq m'_Q - m'_P E_pq over the generators. Rows
+    that are exactly zero in every system of the stack are dropped: those
+    of cluster pairs without that R row, and the cancelling rows (a, a) of
+    a singleton cluster. A row that vanishes in only some systems stays, an
+    exact zero row there, and a block keeps at least one row. Each block is
+    the transpose of a C-ordered array, as `_null_space_floor` reads it
+    fastest.
     """
     m, n, sq, sp = mq.shape[0], mq.shape[1], mq.shape[2], mp.shape[2]
     k = np.arange(ps.size)
     per = max(1, _BLOCK_ENTRIES // (m * sp * sq * ps.size))
-    for start in range(0, n, per):
-        bq, bp = mq[:, start : start + per], mp[:, start : start + per]
+
+    def rows(bq, bp):
         cols = np.zeros((m, ps.size, bq.shape[1], sp, sq), dtype=complex)
         cols[:, k, :, ps, :] = bq[:, :, qs, :].transpose(2, 0, 1, 3)  # E_pq m'_Q: row p is m'_Q[q, :]
         cols[:, k, :, :, qs] -= bp[:, :, :, ps].transpose(3, 0, 1, 2)  # m'_P E_pq: column q is m'_P[:, p]
-        yield cols.reshape(m, ps.size, -1).transpose(0, 2, 1)
+        cols = cols.reshape(m, ps.size, -1)
+        live = cols.any(axis=(0, 1))
+        if live.all():
+            return cols
+        return cols[:, :, live] if live.any() else cols[:, :, :1]
+
+    # a block is held by its consumer alone, which frees it once it is read
+    for start in range(0, n, per):
+        yield rows(mq[:, start : start + per], mp[:, start : start + per]).transpose(0, 2, 1)
 
 
-def _commutant_basis(mats, tol: Tolerances) -> list:
+def _commutant_basis(mats, tol: Tolerances) -> np.ndarray:
     """Orthonormal basis of {X : X m_i = m_i X for every m_i in mats}, as
-    k x k matrices.
+    one z x k x k stack.
 
     Members of norm at most tol_zero impose nothing and are dropped; the
-    n others are normalized, since the rank floor tol_rank is absolute,
-    and each gives its own rows. The system is solved for X' = u^dag X u in
-    `_spectral_frame`, over the kept entries only, one system per block
-    pair: in that frame every generator is block diagonal over the
-    consecutive blocks of the stack, so an unknown (p, q) meets only the
-    rows (a, b) with a in p's block and b in q's, and the system splits into
-    one system per pair (P, Q) of blocks with kept entries, n sp sq rows
-    for blocks of sizes sp and sq. The pairs with the same shape and the
-    same kept entries are solved as one stack (`_null_space_floor`); a
-    family with no blocks is one pair in a stack of one. If every member is
-    dropped, one zero member stands for them and the whole k x k space is
-    returned. Only consecutive blocks are detected (`_diagonal_blocks`).
-    The singular values are those of the whole system, so every rank
-    decision is the one a single solve would make. The basis is orthonormal
-    under the Hilbert-Schmidt inner product, and every basis matrix is
-    nonzero on exactly one block pair (P, Q), so a caller can count the
-    solutions per pair from their nonzero pattern. For a direct sum of
-    families, by Schur's lemma, the matrices on the pair (B, A) of two
-    summands are a basis of the intertwiners from A to B
-    (`intertwiner_space`, `structure.check_maximal`).
+    n others are normalized, since the rank floor tol_rank is absolute.
+    The system is solved for X' = u^dag X u in `_spectral_frame`, over the
+    kept entries only, one system per block pair: in that frame every
+    generator is block diagonal over the consecutive blocks of the stack,
+    so an unknown (p, q) meets only the rows (a, b) with a in p's block and
+    b in q's, and the system splits into one system per pair (P, Q) of
+    blocks with kept entries. Its rows come from the generators compressed
+    by cluster pair (`_compressed_generators`), so they do not grow with n,
+    and the rows that vanish are dropped (`_pair_rows`). The pairs with the
+    same shape and the same kept entries are solved as one stack
+    (`_null_space_floor`); a family with no blocks is one pair in a stack
+    of one. If every member is dropped, one zero member stands for them and
+    the whole k x k space is returned. Only consecutive blocks are detected
+    (`_diagonal_blocks`). The compression is an orthogonal transform of
+    each row group, and the singular values are those of the whole system,
+    so every rank decision is the one a single solve of the n k^2 rows
+    would make, in exact arithmetic. The basis is orthonormal under the
+    Hilbert-Schmidt inner product, and every basis matrix is nonzero on
+    exactly one block pair (P, Q), so a caller can count the solutions per
+    pair from their nonzero pattern. For a direct sum of families, by
+    Schur's lemma, the matrices on the pair (B, A) of two summands are a
+    basis of the intertwiners from A to B (`intertwiner_space`,
+    `structure.check_maximal`).
     """
     stacked = np.asarray(mats, dtype=complex)
     norms = np.linalg.norm(stacked, axis=(1, 2))
@@ -251,6 +322,7 @@ def _commutant_basis(mats, tol: Tolerances) -> list:
         gens = stacked[keep] / norms[keep, None, None]
     k = gens.shape[1]
     edges, u, mask = _spectral_frame(gens, tol)
+    comp = _compressed_generators(gens, u, edges, mask)
     kept = np.add.reduceat(np.add.reduceat(mask, edges[:-1], axis=0), edges[:-1], axis=1)
     edges = edges.tolist()
     groups = {}  # (shape, kept entries) -> (kept entries, the pairs' first rows and columns)
@@ -264,22 +336,21 @@ def _commutant_basis(mats, tol: Tolerances) -> list:
         first_p, first_q = np.array(starts).T
         ip = first_p[:, None] + np.arange(sub.shape[0])
         iq = first_q[:, None] + np.arange(sub.shape[1])
-        up, uq = _blocks_at(u, ip), _blocks_at(u, iq)
-        mq = uq.conj().swapaxes(1, 2)[:, None] @ _blocks_at(gens, iq).swapaxes(0, 1) @ uq[:, None]
-        mp = up.conj().swapaxes(1, 2)[:, None] @ _blocks_at(gens, ip).swapaxes(0, 1) @ up[:, None]
+        mq, mp = _blocks_at(comp, iq).swapaxes(0, 1), _blocks_at(comp, ip).swapaxes(0, 1)
         nulls = _null_space_floor(_pair_rows(mq, mp, ps, qs), tol.tol_rank)
         owner = np.repeat(np.arange(len(starts)), [v.shape[1] for v in nulls])
         if owner.size:
             xf = np.zeros((owner.size,) + sub.shape, dtype=complex)
             xf[:, ps, qs] = np.concatenate(nulls, axis=1).T
-            found.append((up[owner] @ xf @ uq[owner].conj().swapaxes(1, 2), ip[owner], iq[owner]))
+            up, uq = _blocks_at(u, ip[owner]), _blocks_at(u, iq[owner])
+            found.append((up @ xf @ uq.conj().swapaxes(1, 2), ip[owner], iq[owner]))
     out = np.zeros((sum(f[0].shape[0] for f in found), k, k), dtype=complex)
     z = 0
     for blocks, ip, iq in found:
         rows = np.arange(z, z + blocks.shape[0])
         out[rows[:, None, None], ip[:, :, None], iq[:, None, :]] = blocks
         z += blocks.shape[0]
-    return list(out)
+    return out
 
 
 def commutant_of_family(generators, tol: Tolerances = DEFAULT_TOL) -> tuple:
@@ -383,7 +454,7 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
         raise SupportDeficient(
             f"generators span a {ranks}-dim subspace of the {d}-dim ambient space"
         )
-    comm = np.asarray(_commutant_basis(mats, tol))
+    comm = _commutant_basis(mats, tol)
 
     def draw(s: int) -> np.ndarray:
         x = _project_onto_span(seeded_random_hermitian(d, s), comm)

@@ -22,6 +22,7 @@ from .linalg import (
     _hermitian_stack,
     _lapack,
     DEFAULT_TOL,
+    StateFamily,
     Tolerances,
     as_complex_matrix,
     entropy_of_spectrum,
@@ -263,8 +264,11 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
     instead. The two are not equivalent: for |00> and (|10> + |+1>)/norm on
     2 (x) 2 it says True while the residues overlap by 0.577. Which one
     sequential cloning means is an open question.
+
+    `chis` is a StateFamily, taken as it is, or a list of matrices, which
+    is validated with `state_family`.
     """
-    fam = state_family(chis, tol=tol)
+    fam = chis if isinstance(chis, StateFamily) else state_family(chis, tol=tol)
     if len(fam) < 2:
         raise ValidationError("need at least two states to clone against each other")
     d = d_first * d_second

@@ -246,9 +246,7 @@ def _run_check(args, seed: int, cli_tol: dict) -> dict:
                 "check clone needs \"factor_dims\": [d_first, d_second] in the family file"
             )
         d_first, d_second = loaded.factor_dims
-        rep = sequential_clonability(
-            loaded.family.mats(), d_first, d_second, seed=seed, tol=tol
-        )
+        rep = sequential_clonability(loaded.family, d_first, d_second, seed=seed, tol=tol)
         payload = _meta("check clone", seed, tol)
         payload.update(_structure_summary(rep.marginal_decomposition, loaded.labels))
         payload["ok"] = bool(rep.clonable)

@@ -603,7 +603,7 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     direct = np.zeros((len(states), edges[-1], edges[-1]), dtype=complex)
     for (w, infos), p, a, b in zip(comps, p_all.clip(tol.tol_zero), edges[:-1], edges[1:]):
         direct[:, a:b, a:b] = (w / p)[:, None, None] * infos
-    basis = np.asarray(_commutant_basis(direct, tol))
+    basis = _commutant_basis(direct, tol)
     # counts[l', l]: basis matrices on block pair (l', l), each on exactly one
     per_pair = np.add.reduceat(np.add.reduceat(np.abs(basis), edges[:-1], axis=1), edges[:-1], axis=2)
     counts = np.count_nonzero(per_pair, axis=0)

@@ -55,7 +55,8 @@ def _families():
     for label, shape in (("envelope", ENVELOPE_64), ("classical", CLASSICAL_64)):
         for n in (4, 60):
             out[f"{label}64-{n}"] = ("d64", lambda shape=shape, n=n: build_family(np.random.default_rng(92), shape, n))
-    out["envelope64-mixed-4"] = ("d64", lambda: build_family(np.random.default_rng(92), ENVELOPE_64, 4, mixed_red=True))
+    for n in (4, 60):
+        out[f"envelope64-mixed-{n}"] = ("d64", lambda n=n: build_family(np.random.default_rng(92), ENVELOPE_64, n, mixed_red=True))
     return out
 
 

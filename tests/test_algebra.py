@@ -3,6 +3,7 @@ import pytest
 
 from kidecomp import (
     commutant_of_family,
+    decompose,
     intertwiner_space,
     isotypic_decompose,
     seeded_random_hermitian,
@@ -19,6 +20,7 @@ from kidecomp.exceptions import (
 from kidecomp.linalg import DEFAULT_TOL
 
 from helpers import (
+    ENVELOPE_64,
     build_family,
     component_projector,
     dense_intertwiners,
@@ -615,6 +617,97 @@ def test_intertwiners_split_block_diagonal_families_into_stacked_pair_solves(mon
     assert sorted(seen) == stacks
     assert len(got) == count
     assert_same_span(got, dense_intertwiners(list(xs), list(ys)))
+
+
+def record_null_space_systems(monkeypatch):
+    """Record the systems every `_null_space_floor` call solves, as one
+    m x rows x unknowns array per call, its row blocks joined."""
+    seen = []
+    real = algebra._null_space_floor
+
+    def recorded(row_blocks, cutoff):
+        blocks = list(row_blocks)
+        seen.append(np.concatenate(blocks, axis=1))
+        return real(iter(blocks), cutoff)
+
+    monkeypatch.setattr(algebra, "_null_space_floor", recorded)
+    return seen
+
+
+def dense_frame_system(xs):
+    """The uncompressed system in the frame of `_spectral_frame`: n k^2 rows,
+    one column E_pq m' - m' E_pq per kept unknown (p, q), stacked over the
+    normalized nonzero members."""
+    gens = np.asarray([x / np.linalg.norm(x) for x in xs if np.linalg.norm(x) > DEFAULT_TOL.tol_zero])
+    _, u, mask = _spectral_frame(gens, DEFAULT_TOL)
+    m = u.conj().T @ gens @ u
+    cols = []
+    for p, q in zip(*np.nonzero(mask)):
+        e = np.zeros(mask.shape)
+        e[p, q] = 1.0
+        cols.append((e @ m - m @ e).reshape(-1))
+    return np.array(cols).T
+
+
+def padded_singular_values(system):
+    """All `unknowns` singular values of a rows x unknowns system: those of
+    the SVD, then zeros when it has fewer rows than unknowns."""
+    s = np.linalg.svd(system, compute_uv=False)
+    return np.concatenate([s, np.zeros(system.shape[1] - s.size)])
+
+
+def compression_cases():
+    rng = np.random.default_rng(230)
+    h, g = hermitians(232, 3, n=5), hermitians(240, 2, n=5)
+    return [
+        ("generic-4", build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 4)["states"]),
+        ("generic-60", build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 60)["states"]),
+        # pass 2's kept pattern: exactly block diagonal, with equal copies
+        ("copies", list(block_diagonal(h, h, conjugated(h, 5), g))),
+        # maximally mixed redundant factors: clusters of 2 and 3 eigenvalues
+        ("clusters", build_family(rng, [(2, 2), (1, 3), (2, 1)], 5, mixed_red=True)["states"]),
+        ("clusters-60", build_family(rng, [(2, 3), (1, 2)], 60, mixed_red=True)["states"]),
+        # every eigenvalue in one cluster: the identity plus noise far below
+        # the rank floor, and a non-Hermitian family, which keeps the
+        # identity frame; their R factors have more than one row of weight
+        ("one-cluster", [np.eye(4) + 1e-12 * seeded_random_hermitian(4, 252 + s) for s in range(3)]),
+        ("non-hermitian", list(rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))),
+        ("k2", list(hermitians(250, 2))),
+        ("k2-commuting", [conjugated(np.diag(rng.uniform(0.1, 1.0, 2))[None], 6)[0] for _ in range(3)]),
+    ]
+
+
+@pytest.mark.parametrize("name, xs", compression_cases(), ids=[c[0] for c in compression_cases()])
+def test_compressed_systems_are_the_dense_system(monkeypatch, name, xs):
+    # each cluster pair's rows are an orthogonal transform of the dense rows,
+    # so the compressed block-pair systems together have the singular values
+    # of the dense n k^2 system and make its rank decisions
+    seen = record_null_space_systems(monkeypatch)
+    got = _commutant_basis(xs, DEFAULT_TOL)
+    dense = dense_frame_system(xs)
+    want = np.sort(padded_singular_values(dense))
+    have = np.sort(np.concatenate([padded_singular_values(x) for stack in seen for x in stack]))
+    assert have.shape == want.shape
+    # the members have unit norm, so roundoff is relative to 1 where every
+    # constraint is noise
+    assert np.abs(have - want).max() <= 1e-12 * max(want[-1], 1.0)
+    rows = sum(stack.shape[0] * stack.shape[1] for stack in seen)
+    assert rows <= dense.shape[0]
+    floor = DEFAULT_TOL.tol_rank
+    assert len(got) == np.sum(want <= floor) == np.sum(have <= floor)
+    assert_same_span(got, dense_intertwiners(unit(xs), unit(xs)))
+
+
+def test_envelope_pass_one_rows_do_not_grow_with_the_member_count(monkeypatch):
+    # the d = 64 envelope family with 60 states: the dense system of the
+    # first isotypic pass has 60 * 64^2 = 245760 rows on the 64 diagonal
+    # unknowns; compressed, entry (a, b) keeps one row and the diagonal
+    # rows (a, a) vanish
+    states = build_family(np.random.default_rng(92), ENVELOPE_64, 60)["states"]
+    seen = record_null_space_systems(monkeypatch)
+    decompose(states)
+    assert seen[0].shape[0] == 1 and seen[0].shape[2] == 64
+    assert seen[0].shape[1] <= 64 * 63
 
 
 def contract_cases():

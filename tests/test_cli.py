@@ -16,6 +16,7 @@ from kidecomp.exceptions import NoConvergence
 from helpers import (
     build_family,
     cli_env,
+    count_linalg_calls,
     fail_lapack_at,
     haar_unitary,
     lifted_preserving_channel,
@@ -212,6 +213,7 @@ def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
         ("isotypic_decompose", "matrix_rank"),
         ("isotypic_decompose", "eigh"),
         ("_spectral_frame", "eigh"),
+        ("_compressed_generators", "qr"),
         ("_null_space_floor", "qr"),
         ("_null_space_floor", "svd"),
         ("_unitary_polish", "svd"),
@@ -329,6 +331,15 @@ def test_check_clone(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["check", "clone", str(path2)])
     assert code == 2
     assert "factor_dims" in err
+
+
+def test_check_clone_validates_its_family_once(monkeypatch, capsys):
+    # the loaded family reaches sequential_clonability as it is: one stacked
+    # eigvalsh checks the states, one their first-party marginals
+    counts = count_linalg_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, ["check", "clone", str(DATA / "clone_pair.json")])
+    assert code == 0
+    assert counts["eigvalsh"] == 2
 
 
 def test_check_channel(tmp_path, capsys):

@@ -190,6 +190,9 @@ def merged_classical(blocks, weights):
         (96, 4, {"equal_weights": True}),  # the d_info = 1 blocks merge into (1, 8)
         (96, 60, {"equal_weights": True}),
         (98, 4, {"mixed_red": True}),  # maximally mixed redundant factors: pass 1 is non-abelian
+        # the same with 60 states, where the cluster pairs' R factors carry
+        # pass 1: about 1 s on 2 vCPUs
+        (98, 60, {"mixed_red": True}),
     ],
 )
 def test_decompose_envelope_variants(seed, n_states, options):
