@@ -9,200 +9,27 @@ operational predicates in `applications`: broadcastability, imprinting,
 sequential clonability, and blind-compression entropy accounting. The
 `channels` module characterizes the quantum channels fixing the family, and
 `cli` wraps everything for batch use.
+
+The package root publishes each library module's `__all__`, and nothing
+else but `__version__`.
 """
 
-from .algebra import (
-    IsotypicComponent,
-    IsotypicDecomposition,
-    commutant_of_family,
-    intertwiner_space,
-    isotypic_decompose,
-)
-from .applications import (
-    BlockEntropy,
-    BroadcastOutput,
-    BroadcastReport,
-    EntropyReport,
-    GeneralizedImprintReport,
-    ImprintReport,
-    ImprintingParts,
-    SequentialCloneReport,
-    broadcast_states,
-    entropy_report,
-    generalized_no_imprinting,
-    imprinting_parts,
-    is_broadcastable,
-    no_imprinting_holds,
-    sequential_clonability,
-)
-from .channels import (
-    BlockFormReport,
-    KrausChannel,
-    PreservationReport,
-    apply_to_matrix,
-    block_channel,
-    canonical_kraus,
-    confines_paired_subspace,
-    confines_positive_part,
-    environment_state,
-    has_block_form,
-    identity_channel,
-    kraus_channel,
-    preserves_family,
-)
-from .exceptions import (
-    BadWeights,
-    DegenerateSample,
-    DimensionMismatch,
-    EmptyFamily,
-    HypothesisFailed,
-    KidecompError,
-    KStateNotFixed,
-    MaximalityCheckFailed,
-    NoConvergence,
-    NotBroadcastable,
-    NotHermitian,
-    NotInvariant,
-    NotNormalized,
-    NotPreserved,
-    ParseError,
-    StatesIdentical,
-    SupportDeficient,
-    ValidationError,
-    ZeroOffBlock,
-    ZeroOperator,
-)
-from .io import (
-    LoadedFamily,
-    dumps_canonical,
-    dumps_text,
-    load_family_file,
-    load_kraus_file,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    DensityMatrix,
-    StateFamily,
-    Tolerances,
-    density_matrix,
-    hermitian_eig,
-    partial_trace,
-    seeded_random_hermitian,
-    state_family,
-    support_basis,
-    support_projector,
-    trace_norm,
-    von_neumann_entropy,
-)
-from .structure import (
-    DecomposedFamily,
-    MaximalityReport,
-    PairingResult,
-    SplitResult,
-    Structure,
-    check_maximal,
-    coherence_pairing,
-    decompose,
-    decompositions_equivalent,
-    difference_split,
-    family_average,
-    structures_equivalent,
-    tensor_structure,
-)
+from . import algebra, applications, channels, exceptions, io, linalg, structure
+from .algebra import *  # noqa: F403
+from .applications import *  # noqa: F403
+from .channels import *  # noqa: F403
+from .exceptions import *  # noqa: F403
+from .io import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .structure import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # linalg
-    "DEFAULT_TOL",
-    "Tolerances",
-    "DensityMatrix",
-    "StateFamily",
-    "density_matrix",
-    "state_family",
-    "hermitian_eig",
-    "support_basis",
-    "support_projector",
-    "partial_trace",
-    "trace_norm",
-    "von_neumann_entropy",
-    "seeded_random_hermitian",
-    # algebra
-    "IsotypicComponent",
-    "IsotypicDecomposition",
-    "commutant_of_family",
-    "isotypic_decompose",
-    "intertwiner_space",
-    # structure
-    "Structure",
-    "DecomposedFamily",
-    "MaximalityReport",
-    "SplitResult",
-    "PairingResult",
-    "decompose",
-    "check_maximal",
-    "family_average",
-    "difference_split",
-    "coherence_pairing",
-    "structures_equivalent",
-    "decompositions_equivalent",
-    "tensor_structure",
-    # channels
-    "KrausChannel",
-    "PreservationReport",
-    "BlockFormReport",
-    "kraus_channel",
-    "identity_channel",
-    "apply_to_matrix",
-    "canonical_kraus",
-    "preserves_family",
-    "has_block_form",
-    "block_channel",
-    "confines_positive_part",
-    "confines_paired_subspace",
-    "environment_state",
-    # applications
-    "BroadcastReport",
-    "BroadcastOutput",
-    "ImprintReport",
-    "ImprintingParts",
-    "GeneralizedImprintReport",
-    "SequentialCloneReport",
-    "EntropyReport",
-    "BlockEntropy",
-    "is_broadcastable",
-    "broadcast_states",
-    "no_imprinting_holds",
-    "imprinting_parts",
-    "generalized_no_imprinting",
-    "sequential_clonability",
-    "entropy_report",
-    # io
-    "LoadedFamily",
-    "load_family_file",
-    "load_kraus_file",
-    "dumps_canonical",
-    "dumps_text",
-    # exceptions
-    "KidecompError",
-    "DimensionMismatch",
-    "NotHermitian",
-    "NoConvergence",
-    "ZeroOperator",
-    "ZeroOffBlock",
-    "NotNormalized",
-    "ValidationError",
-    "ParseError",
-    "EmptyFamily",
-    "BadWeights",
-    "SupportDeficient",
-    "DegenerateSample",
-    "NotInvariant",
-    "StatesIdentical",
-    "MaximalityCheckFailed",
-    "KStateNotFixed",
-    "NotPreserved",
-    "HypothesisFailed",
-    "NotBroadcastable",
-]
+__all__ = ["__version__"]
+__all__ += linalg.__all__
+__all__ += algebra.__all__
+__all__ += structure.__all__
+__all__ += channels.__all__
+__all__ += applications.__all__
+__all__ += io.__all__
+__all__ += exceptions.__all__

@@ -6,6 +6,11 @@ fixing them nevertheless leave a trace of the state label in its
 environment, can a bipartite family be cloned sequentially, and how many
 classical/quantum/redundant bits does the family carry. Each predicate here
 answers one of them, returning a small report with the witnesses.
+
+A family is validated where it enters (a StateFamily is taken as it is);
+the marginals and block averages built from it are not checked again.
+`broadcast_states` still validates its outputs, because they depend on a
+decomposition's weights, which nothing validates.
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,11 @@ from .exceptions import (
     ValidationError,
 )
 from .linalg import (
+    _as_densities,
+    _as_family,
     _density_matrices,
+    _eigh,
+    _entropy_bits,
     _hermitian_stack,
     _lapack,
     DEFAULT_TOL,
@@ -28,7 +37,6 @@ from .linalg import (
     entropy_of_spectrum,
     partial_trace,
     state_family,
-    von_neumann_entropy,
 )
 from .structure import DecomposedFamily, _component_stacks, decompose
 
@@ -123,7 +131,7 @@ def broadcast_states(decomp: DecomposedFamily, mode: str = "product", tol: Toler
         float(np.linalg.norm(partial_trace(chis, d0, d0, keep=keep) - rhos, axis=(1, 2)).max())
         for keep in ("left", "right")
     )
-    return BroadcastOutput(mode, tuple(_density_matrices(_hermitian_stack(chis), tol)), worst)
+    return BroadcastOutput(mode, tuple(_as_densities(_density_matrices(_hermitian_stack(chis), tol))), worst)
 
 
 @dataclass(frozen=True)
@@ -261,7 +269,10 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
     normalized overlap (the worst is `orthogonality_defect`) is at most
     Tolerances.VERDICT. When all inputs are pure, a pairwise-overlap test
     (|<chi_s|chi_t>| within Tolerances.VERDICT of 0 or 1) sets the flag
-    instead. The two are not equivalent: for |00> and (|10> + |+1>)/norm on
+    instead. An input counts as pure when exactly one eigenvalue exceeds
+    tol_rank * max(1, ||chi_s||_F) in absolute value, the rule of
+    `np.linalg.matrix_rank` read off one stacked eigh. The two tests are
+    not equivalent: for |00> and (|10> + |+1>)/norm on
     2 (x) 2 it says True while the residues overlap by 0.577. Which one
     sequential cloning means is an open question.
 
@@ -276,7 +287,7 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
         raise DimensionMismatch(f"states have dim {fam.dim}, expected {d} = {d_first} x {d_second}")
     stacked = fam.mats()
     marginals = partial_trace(stacked, d_first, d_second, keep="left")
-    decomp = decompose(state_family(marginals, tol=tol), seed=seed, tol=tol)
+    decomp = decompose(_as_family(_hermitian_stack(marginals)), seed=seed, tol=tol)
 
     per_block = []
     for l, (di, dr) in enumerate(decomp.structure.blocks):
@@ -299,13 +310,10 @@ def sequential_clonability(chis, d_first: int, d_second: int, seed: int = 0, tol
     clonable = worst <= Tolerances.VERDICT
 
     with _lapack():
-        ranks = [np.linalg.matrix_rank(m, tol=tol.tol_rank * max(1.0, float(np.linalg.norm(m)))) for m in stacked]
-    if all(r == 1 for r in ranks):
-        vecs = []
-        for m in stacked:
-            with _lapack():
-                w, v = np.linalg.eigh(m)
-            vecs.append(v[:, -1] * np.sqrt(max(float(w[-1]), 0.0)))
+        w, v = np.linalg.eigh(stacked)
+    cut = tol.tol_rank * np.maximum(1.0, np.linalg.norm(stacked, axis=(1, 2)))
+    if (np.count_nonzero(np.abs(w) > cut[:, None], axis=1) == 1).all():
+        vecs = v[:, :, -1] * np.sqrt(np.clip(w[:, -1], 0.0, None))[:, None]
         clonable = True
         for s in range(len(vecs)):
             for t in range(s + 1, len(vecs)):
@@ -375,7 +383,7 @@ def entropy_report(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> E
         p_l = float(p_blocks[l])
         acc = np.tensordot(pw * w, infos, axes=1)
         if p_l > tol.tol_zero:
-            info_bits = von_neumann_entropy(acc / p_l, tol)
+            info_bits = _entropy_bits(_eigh(acc / p_l)[0], tol)
         else:
             info_bits = 0.0
         red_bits = entropy_of_spectrum(decomp.red_spectra[l])

@@ -159,13 +159,17 @@ def canonical_kraus(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> Kra
     eigenvector a column of U, so the Choi matrix is never formed. Each
     eigenvector with eigenvalue above tol_zero times max(1, largest) becomes
     a Kraus operator scaled by the eigenvalue's square root, largest first.
+    The result represents the validated input channel, so it is not
+    checked again.
     """
     d_in, d_out = channel.input_dim, channel.output_dim
     vecs = channel.kraus_ops.reshape(len(channel), -1).T
     with _lapack():
         u, s, _ = np.linalg.svd(vecs, full_matrices=False)
     keep = s**2 > tol.tol_zero * max(1.0, float(s[0]) ** 2)
-    return kraus_channel([s[i] * u[:, i].reshape(d_out, d_in) for i in np.flatnonzero(keep)], tol)
+    ops = (u[:, keep] * s[keep]).T.reshape(-1, d_out, d_in)
+    ops.setflags(write=False)
+    return KrausChannel(d_in, d_out, ops)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .io import (
     matrix_to_pairs,
     parse_tolerance_overrides,
 )
-from .linalg import Tolerances, von_neumann_entropy
+from .linalg import _eigh, _entropy_bits, Tolerances
 from .structure import check_maximal, decompose, tensor_structure
 
 __all__ = ["main"]
@@ -164,14 +164,14 @@ def _structure_summary(decomp, labels) -> dict:
 
 
 def _entropy_payload(rep, family, tol) -> dict:
-    # decompose has already validated the family's average
+    # the average of a validated family is a density matrix by construction
     average = np.tensordot(family.effective_weights(), family.mats(), axes=1)
     return {
         "classical_bits": float(rep.classical),
         "nonclassical_bits": float(rep.nonclassical),
         "redundant_bits": float(rep.redundant),
         "total_bits": float(rep.total),
-        "average_state_bits": float(von_neumann_entropy(average, tol)),
+        "average_state_bits": _entropy_bits(_eigh(average)[0], tol),
         "compression_qubits": float(rep.compression_qubits),
         "classical_replaceable_bits": float(rep.classical_replaceable_bits),
         "teleport_ebits": float(rep.teleport_ebits),

@@ -22,10 +22,6 @@ __all__ = [
     "LoadedFamily",
     "load_family_file",
     "load_kraus_file",
-    "parse_tolerance_overrides",
-    "merge_tolerances",
-    "matrix_to_pairs",
-    "format_float",
     "dumps_canonical",
     "dumps_text",
 ]
@@ -45,6 +41,16 @@ class LoadedFamily:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ParseError(msg)
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _version(data: dict) -> str:
+    version = data.get("version")
+    _require(isinstance(version, str), "version: required and must be a string")
+    return version
 
 
 def _as_float(value, where: str) -> float:
@@ -134,13 +140,9 @@ def load_family_file(path, tol_overrides=None) -> LoadedFamily:
     own `tolerances` section; both sit on top of the defaults.
     """
     data = _load_json(path)
-    version = data.get("version")
-    _require(isinstance(version, str), "version: required and must be a string")
+    version = _version(data)
     dim = data.get("dim")
-    _require(
-        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
-        "dim: required and must be a positive integer",
-    )
+    _require(_is_positive_int(dim), "dim: required and must be a positive integer")
     file_overrides = {}
     if "tolerances" in data:
         file_overrides = parse_tolerance_overrides(data["tolerances"])
@@ -150,9 +152,7 @@ def load_family_file(path, tol_overrides=None) -> LoadedFamily:
     if "factor_dims" in data:
         raw = data["factor_dims"]
         _require(
-            isinstance(raw, list)
-            and len(raw) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in raw),
+            isinstance(raw, list) and len(raw) == 2 and all(_is_positive_int(v) for v in raw),
             "factor_dims: must be a pair of positive integers",
         )
         _require(
@@ -201,18 +201,11 @@ def load_family_file(path, tol_overrides=None) -> LoadedFamily:
 def load_kraus_file(path, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     """Parse a channel file holding a list of Kraus operators."""
     data = _load_json(path)
-    version = data.get("version")
-    _require(isinstance(version, str), "version: required and must be a string")
+    _version(data)
     d_in = data.get("input_dim")
-    _require(
-        isinstance(d_in, int) and not isinstance(d_in, bool) and d_in >= 1,
-        "input_dim: required and must be a positive integer",
-    )
+    _require(_is_positive_int(d_in), "input_dim: required and must be a positive integer")
     d_out = data.get("output_dim", d_in)
-    _require(
-        isinstance(d_out, int) and not isinstance(d_out, bool) and d_out >= 1,
-        "output_dim: must be a positive integer",
-    )
+    _require(_is_positive_int(d_out), "output_dim: must be a positive integer")
     raw = data.get("kraus")
     _require(
         isinstance(raw, list) and len(raw) >= 1,

@@ -7,6 +7,13 @@ ndarrays (dense, row-major), in and out; only `density_matrix` and
 `state_family` wrap them, in `DensityMatrix` (Hermitian, PSD, unit trace)
 and `StateFamily`, which mark them as validated. The supported envelope is
 ambient dimension <= 64.
+
+Inputs are validated once, where they enter: `tol_sym`, `tol_psd` and
+`tol_trace` apply to what a caller hands in. A value that the package
+builds from validated values (an average, a marginal, a product, an
+eigenvalue-snapped component) is wrapped or diagonalized unchecked, through
+the private `_as_densities`, `_as_family` and `_eigh`, so a strict
+tolerance does not reject its roundoff.
 """
 
 import numbers
@@ -34,18 +41,14 @@ __all__ = [
     "DEFAULT_TOL",
     "DensityMatrix",
     "StateFamily",
-    "as_complex_matrix",
-    "hermitian_part",
     "trace_norm",
     "density_matrix",
     "state_family",
     "hermitian_eig",
     "support_projector",
     "support_basis",
-    "polar_offblock",
     "partial_trace",
     "von_neumann_entropy",
-    "entropy_of_spectrum",
     "seeded_random_hermitian",
 ]
 
@@ -137,25 +140,27 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def _density_matrices(a: np.ndarray, tol: Tolerances, eigenvalues=None) -> list:
+def _as_densities(h: np.ndarray) -> list:
+    """A DensityMatrix per member of a Hermitian m x d x d stack, unchecked:
+    for stacks built from validated values. The stack becomes read-only."""
+    h.setflags(write=False)
+    return [DensityMatrix(x) for x in h]
+
+
+def _density_matrices(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Run the checks of `density_matrix` on an m x d x d stack at once.
 
-    Returns a DensityMatrix per member. A failing stack raises, for its
-    first failing member, the error that `density_matrix` raises on that
-    member alone, with the member's index as its `member`. A caller that
-    built the stack from known eigenvalues passes them (m x d, ascending)
-    and saves the eigvalsh.
+    Returns the members' Hermitian parts as one stack. A failing stack
+    raises, for its first failing member, the error that `density_matrix`
+    raises on that member alone, with the member's index as its `member`.
     """
     finite = np.isfinite(a).all(axis=(1, 2))
     m = a.shape[0] if finite.all() else int(np.argmin(finite))
     a = a[:m]
     defects = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(1, 2))
     h = _hermitian_stack(a)
-    if eigenvalues is None:
-        with _lapack():
-            w = np.linalg.eigvalsh(h)
-    else:
-        w = eigenvalues[:m]
+    with _lapack():
+        w = np.linalg.eigvalsh(h)
     traces = np.trace(h, axis1=1, axis2=2).real
     floors = -tol.tol_psd * np.maximum(1.0, np.abs(w[:, -1]))
     not_herm = defects > tol.tol_sym
@@ -171,8 +176,7 @@ def _density_matrices(a: np.ndarray, tol: Tolerances, eigenvalues=None) -> list:
         raise NotNormalized(f"trace {float(traces[k])!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}", member=k)
     if m < finite.size:
         raise ValidationError("matrix contains non-finite entries", member=m)
-    h.setflags(write=False)
-    return [DensityMatrix(x) for x in h]
+    return h
 
 
 def density_matrix(mat, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -183,7 +187,7 @@ def density_matrix(mat, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     max(1, largest eigenvalue)), and NotNormalized when the trace strays from
     1 by more than tol_trace.
     """
-    return _density_matrices(_square(mat)[None], tol)[0]
+    return _as_densities(_density_matrices(_square(mat)[None], tol))[0]
 
 
 @dataclass(frozen=True)
@@ -238,18 +242,25 @@ def state_family(states, weights=None, tol: Tolerances = DEFAULT_TOL) -> StateFa
         except KidecompError as err:
             err.member = k
             raise
-    stack = np.stack([s.mat for s in _density_matrices(np.stack(mats), tol)])
-    stack.setflags(write=False)
-    w = None
+    stack = _density_matrices(np.stack(mats), tol)
     if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.shape[0] != len(mats):
-            raise BadWeights(f"need {len(mats)} weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1 or weights.shape[0] != len(mats):
+            raise BadWeights(f"need {len(mats)} weights, got shape {weights.shape}")
+        if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
             raise BadWeights("weights must be finite and strictly positive")
-        w = w / w.sum()
-        w.setflags(write=False)
-    return StateFamily(stack, w)
+    return _as_family(stack, weights)
+
+
+def _as_family(h: np.ndarray, weights=None) -> StateFamily:
+    """A StateFamily of a Hermitian n x d x d stack and positive weights (or
+    None), unchecked: for families built from validated values. The weights
+    are normalized to sum to 1; the stack becomes read-only."""
+    h.setflags(write=False)
+    if weights is not None:
+        weights = weights / weights.sum()
+        weights.setflags(write=False)
+    return StateFamily(h, weights)
 
 
 def hermitian_eig(mat, tol: Tolerances = DEFAULT_TOL):
@@ -263,10 +274,14 @@ def hermitian_eig(mat, tol: Tolerances = DEFAULT_TOL):
     defect = float(np.linalg.norm(a - a.conj().T))
     if defect > tol.tol_sym:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol_sym={tol.tol_sym:.3e}")
-    h = 0.5 * (a + a.conj().T)
+    return _eigh(a)
+
+
+def _eigh(a: np.ndarray):
+    """`np.linalg.eigh` of the Hermitian part of a matrix or a stack,
+    unchecked: for matrices built from validated values."""
     with _lapack():
-        w, v = np.linalg.eigh(h)
-    return w, v
+        return np.linalg.eigh(_hermitian_stack(a))
 
 
 def support_basis(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -352,9 +367,12 @@ def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOL) -> float:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > tol.tol_trace:
         raise NotNormalized(f"trace {tr!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}")
-    w, _ = hermitian_eig(m, tol)
-    w = np.where(w <= tol.tol_zero, 0.0, w)
-    return entropy_of_spectrum(w)
+    return _entropy_bits(hermitian_eig(m, tol)[0], tol)
+
+
+def _entropy_bits(w: np.ndarray, tol: Tolerances) -> float:
+    """`von_neumann_entropy` from the eigenvalues w of a density matrix."""
+    return entropy_of_spectrum(np.where(w <= tol.tol_zero, 0.0, w))
 
 
 def seeded_random_hermitian(d: int, seed: int) -> np.ndarray:

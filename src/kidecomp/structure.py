@@ -17,7 +17,11 @@ compares two structures up to the inherent gauge freedom (block permutation
 and per-block local unitaries); `tensor_structure` combines decompositions of
 independent families.
 
-All functions are pure; returned dataclasses hold read-only arrays.
+All functions are pure; returned dataclasses hold read-only arrays. A
+family or matrix is validated where it enters, by `state_family` or the
+function it is handed to; what the pipeline builds from it (the average,
+the snapped components, a product family) is not checked again, so strict
+`tol_sym`, `tol_psd` or `tol_trace` values act on inputs only.
 """
 
 from dataclasses import dataclass
@@ -33,7 +37,9 @@ from .exceptions import (
     ZeroOperator,
 )
 from .linalg import (
-    _density_matrices,
+    _as_densities,
+    _as_family,
+    _eigh,
     _hermitian_stack,
     _lapack,
     _support_of,
@@ -42,8 +48,6 @@ from .linalg import (
     StateFamily,
     Tolerances,
     as_complex_matrix,
-    density_matrix,
-    hermitian_eig,
     hermitian_part,
     partial_trace,
     polar_offblock,
@@ -154,15 +158,15 @@ def family_average(family, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
 def _average_and_support(family, tol: Tolerances):
     """`family_average` and the support basis of the average.
 
-    The average is diagonalized once: its eigenvalues validate it as a
-    density matrix, and its eigenpairs give the support by the rule of
-    `support_basis`.
+    The average of validated members is a density matrix by construction,
+    so it is not checked again; it is diagonalized once, and its eigenpairs
+    give the support by the rule of `support_basis`.
     """
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     mats = fam.mats()
-    avg_mat = np.tensordot(fam.effective_weights(), mats, axes=1)
-    w, v = hermitian_eig(avg_mat, tol)
-    (avg,) = _density_matrices(avg_mat[None], tol, eigenvalues=w[None])
+    avg_mat = _hermitian_stack(np.tensordot(fam.effective_weights(), mats, axes=1))
+    w, v = _eigh(avg_mat)
+    (avg,) = _as_densities(avg_mat[None])
     sup = _support_of(w, v, tol)
     proj = _hermitian_stack(sup @ sup.conj().T)
     leaks = np.linalg.norm(mats - proj @ mats @ proj, axis=(1, 2))
@@ -202,7 +206,7 @@ def difference_split(rho, rho_prime, tol: Tolerances = DEFAULT_TOL) -> SplitResu
     if float(np.linalg.norm(witness)) <= tol.tol_zero:
         raise StatesIdentical("normalized states coincide; nothing to split")
     vs = support_basis(a + b, tol)
-    w, u = hermitian_eig(vs.conj().T @ witness @ vs, tol)
+    w, u = _eigh(vs.conj().T @ witness @ vs)
     lmax = float(np.abs(w).max())
     pos = w > tol.tol_rank * lmax
     basis_pos = vs @ u[:, pos]
@@ -260,8 +264,8 @@ def coherence_pairing(rho, basis1, basis2, tol: Tolerances = DEFAULT_TOL) -> Pai
     wwd = w @ w.conj().T
     p_plus = 0.5 * (wdw + wwd + (w + w.conj().T))
     p_minus = 0.5 * (wdw + wwd - (w + w.conj().T))
-    k1 = support_basis(wdw, tol)
-    k2 = support_basis(wwd, tol)
+    k1 = _support_of(*_eigh(wdw), tol)
+    k2 = _support_of(*_eigh(wwd), tol)
     return PairingResult(
         w=w,
         n=n,
@@ -345,11 +349,11 @@ def _block_matrices(decomp: DecomposedFamily, comps: list) -> np.ndarray:
     return blocks
 
 
-def _descending_eigbasis(mat: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _descending_eigbasis(mat: np.ndarray) -> np.ndarray:
     """Eigenvectors of a Hermitian matrix, eigenvalues descending, each
     column's phase set so that its first entry above VERDICT times the
     column's largest magnitude is real positive."""
-    w, u = hermitian_eig(mat, tol)
+    w, u = _eigh(mat)
     u = u[:, np.argsort(-w, kind="stable")]
     mags = np.abs(u)
     first = np.argmax(mags > Tolerances.VERDICT * mags.max(axis=0), axis=0)
@@ -361,10 +365,10 @@ def _nearest_density(mats: np.ndarray, tol: Tolerances) -> tuple:
     """Snap a stack of numerically noisy components to exact density matrices.
 
     One stacked eigh: each member's Hermitian part loses its negative
-    eigenvalues and is scaled to trace 1, and the results are validated as
-    one stack, against the eigenvalues they were built from. Returns a
-    DensityMatrix per member and those eigenvalues, m x d and ascending;
-    ZeroOperator when a member has no weight left to normalize.
+    eigenvalues and is scaled to trace 1. The results are density matrices
+    by construction and are not checked again. Returns a DensityMatrix per
+    member and their eigenvalues, m x d and ascending; ZeroOperator when a
+    member has no weight left to normalize.
     """
     with _lapack():
         w, v = np.linalg.eigh(_hermitian_stack(mats))
@@ -374,7 +378,7 @@ def _nearest_density(mats: np.ndarray, tol: Tolerances) -> tuple:
         raise ZeroOperator("component has no weight to normalize")
     w = w / total[:, None]
     out = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return _density_matrices(out, tol, eigenvalues=w), w
+    return _as_densities(_hermitian_stack(out)), w
 
 
 def _build_decomposition(fam: StateFamily, support: np.ndarray, entries) -> DecomposedFamily:
@@ -502,8 +506,8 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
         p = np.trace(b, axis1=1, axis2=2).real
         b_avg = np.tensordot(pw, b, axes=1)
         red_avg = partial_trace(b_avg, d_info, d_red, keep="right")
-        u_info = _descending_eigbasis(partial_trace(b_avg, d_info, d_red, keep="left"), tol)
-        u_red = _descending_eigbasis(red_avg, tol)
+        u_info = _descending_eigbasis(partial_trace(b_avg, d_info, d_red, keep="left"))
+        u_red = _descending_eigbasis(red_avg)
         (red,), (w_red,) = _nearest_density((u_red.conj().T @ red_avg @ u_red)[None], tol)
         live = p > tol.tol_zero
         marg = u_info.conj().T @ partial_trace(b[live], d_info, d_red, keep="left") @ u_info
@@ -687,12 +691,12 @@ def tensor_structure(a: DecomposedFamily, b: DecomposedFamily, tol: Tolerances =
     The product of members (s, t) decomposes along block pairs (l1, l2)
     with multiplied weights, tensored information and redundant factors.
     Pair states are ordered with the first family's index major; blocks are
-    re-sorted into the canonical order.
+    re-sorted into the canonical order. Products of the two decompositions'
+    states are states, so none of them is validated again.
     """
     weighted = a.family.weights is not None or b.family.weights is not None
     pw = np.outer(a.family.effective_weights(), b.family.effective_weights()).reshape(-1)
-    states = _kron_pairs(a.family.mats(), b.family.mats())
-    fam = state_family(states, weights=pw if weighted else None, tol=tol)
+    fam = _as_family(_hermitian_stack(_kron_pairs(a.family.mats(), b.family.mats())), pw if weighted else None)
     comps_b = _component_stacks(b)
     entries = []
     for l1, ((d1, r1), (wa, ia)) in enumerate(zip(a.structure.blocks, _component_stacks(a))):
@@ -709,8 +713,8 @@ def tensor_structure(a: DecomposedFamily, b: DecomposedFamily, tol: Tolerances =
                     "iso": iso[:, order.reshape(-1)],
                     "weights": w_col,
                     "live": live,
-                    "info": _density_matrices(_kron_pairs(ia, ib)[live], tol),
-                    "red": density_matrix(np.kron(a.red_states[l1].mat, b.red_states[l2].mat), tol),
+                    "info": _as_densities(_hermitian_stack(_kron_pairs(ia, ib)[live])),
+                    "red": _as_densities(_hermitian_stack(np.kron(a.red_states[l1].mat, b.red_states[l2].mat)[None]))[0],
                     "spectrum": np.kron(a.red_spectra[l1], b.red_spectra[l2]),
                 }
             )

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,27 @@ def test_sequential_clonability_pure_shortcut():
     perp = abs(np.vdot(v, x))
     assert np.isclose(perp, 0.0)
     assert rep3.clonable
+
+
+def test_sequential_clonability_reads_purity_off_one_stacked_eigh(monkeypatch):
+    # the pure-input test takes every member's spectrum and top eigenvector
+    # from one eigh of the stack, with matrix_rank's cut on |eigenvalue|
+    rng = np.random.default_rng(33)
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
+    chis = [np.outer(v, v.conj()) for v in [bell, bell] + [random_pure(rng, 4) for _ in range(3)]]
+    want = [np.linalg.matrix_rank(m, tol=1e-9 * max(1.0, np.linalg.norm(m))) for m in chis]
+    callers = []
+
+    def eigh(*args, _real=np.linalg.eigh, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert want == [1] * 5
+    assert not sequential_clonability(chis, 2, 2).clonable
+    assert sequential_clonability(chis[:2], 2, 2).clonable
+    assert callers.count("sequential_clonability") == 2
 
 
 def test_sequential_clonability_validation():

@@ -22,7 +22,7 @@ from kidecomp.exceptions import (
     NotPreserved,
     ValidationError,
 )
-from kidecomp.linalg import density_matrix, trace_norm
+from kidecomp.linalg import Tolerances, density_matrix, trace_norm
 from kidecomp.structure import Structure, decompose, family_average
 
 from helpers import (
@@ -618,3 +618,12 @@ def test_confines_paired_subspace_sees_leak_in_any_operator():
     for ops in ([half * np.eye(4), half * swap], [half * swap, half * np.eye(4)]):
         with pytest.raises(HypothesisFailed, match="leaks out of p1 by 1.000e"):
             confines_paired_subspace(kraus_channel(ops), flat, p1, p2)
+
+
+@pytest.mark.parametrize("name", ["tol_sym", "tol_trace", "tol_psd"])
+def test_canonical_kraus_under_a_zero_boundary_tolerance(name):
+    # the rebuilt operators represent the validated channel; a zero tolerance
+    # does not check them again
+    ch = random_cptp(np.random.default_rng(4), 4, 4, 5)
+    strict = canonical_kraus(ch, Tolerances(**{name: 0.0}))
+    assert np.array_equal(strict.kraus_ops, canonical_kraus(ch).kraus_ops)

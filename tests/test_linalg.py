@@ -382,7 +382,7 @@ def _pairing_with_complement():
             lambda: confines_positive_part(identity_channel(2), np.diag([1.0, -1.0])),
         ),
         (
-            "hermitian_eig",
+            "_eigh",
             "eigh",
             lambda: confines_paired_subspace(
                 identity_channel(2), np.diag([0.5, 0.5]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])

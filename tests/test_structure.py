@@ -749,3 +749,20 @@ def test_tensor_structure_weights_multiply():
     assert np.allclose(w[0], w[1], atol=1e-10)
     assert np.allclose(w[2], w[3], atol=1e-10)
     assert np.allclose(w[0] + w[2], [1.0, 1.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["tol_sym", "tol_trace", "tol_psd"])
+def test_zero_boundary_tolerance_reaches_no_built_value(name):
+    # the family is validated once, at the default tolerances; a zero
+    # tol_sym, tol_trace or tol_psd then changes nothing the pipeline builds
+    strict = Tolerances(**{name: 0.0})
+    states = build_family(np.random.default_rng(23), [(2, 2), (1, 3), (2, 1)], 4)["states"]
+    fam = state_family(states)
+    base, got = decompose(fam), decompose(fam, tol=strict)
+    assert np.array_equal(got.weights, base.weights)
+    assert np.array_equal(got.structure.transform, base.structure.transform)
+    split, strict_split = difference_split(states[0], states[1]), difference_split(states[0], states[1], strict)
+    assert np.array_equal(strict_split.basis_pos, split.basis_pos)
+    pair, strict_pair = tensor_structure(base, base), tensor_structure(base, base, strict)
+    assert np.array_equal(strict_pair.weights, pair.weights)
+    assert np.array_equal(strict_pair.structure.transform, pair.structure.transform)
