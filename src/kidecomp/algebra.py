@@ -47,7 +47,7 @@ from .exceptions import (
     NotInvariant,
     SupportDeficient,
 )
-from .linalg import DEFAULT_TOL, Tolerances, _lapack, as_complex_matrix, seeded_random_hermitian
+from .linalg import DEFAULT_TOL, Tolerances, _hermitian_stack, _lapack, as_complex_matrix, seeded_random_hermitian
 
 __all__ = [
     "IsotypicComponent",
@@ -57,7 +57,6 @@ __all__ = [
     "intertwiner_space",
 ]
 
-_RETRY_BUDGET = 8
 _FRAME_SEED = 0  # coefficients of the random family element in `_spectral_frame`
 _BLOCK_ENTRIES = 1 << 21  # matrix entries per row block of a commutation system (32 MB)
 
@@ -433,11 +432,12 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
       when the block V_b^dag X2 V_a is nonzero, i.e. its Frobenius norm
       exceeds tol_rank * ||X2||_F; a piece joins the first class whose first
       piece V_0 it has a nonzero block with, and otherwise opens a class;
-    - the draw is accepted when the classes account for the whole
-      commutant, sum_c multiplicity_c^2 = dim commutant. Coinciding
-      eigenvalues of X1 or a vanishing block of X2 break that count; the
-      pair is then redrawn from the next two seeds (attempt k uses seed + 2k
-      and seed + 2k + 1), and after 8 attempts DegenerateSample is raised.
+    - the classes must account for the whole commutant, sum_c
+      multiplicity_c^2 = dim commutant. Coinciding eigenvalues of X1 or a
+      vanishing block of X2 break that count; DegenerateSample is then
+      raised at once, with the counts. X1 and X2 are drawn from seeds
+      `seed` and `seed + 1`, and a commutant of the identity alone is one
+      simple piece with no draw.
 
     The copies of a class come out aligned: V_0 is kept and every other copy
     V_j is rotated by the unitary factor of V_j^dag X2 V_0, an intertwiner
@@ -456,33 +456,30 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
         )
     comm = _commutant_basis(mats, tol)
 
-    def draw(s: int) -> np.ndarray:
-        x = _project_onto_span(seeded_random_hermitian(d, s), comm)
-        return 0.5 * (x + x.conj().T)
-
-    for attempt in range(_RETRY_BUDGET):
-        s = int(seed) + 2 * attempt
-        with _lapack():
-            w, u = np.linalg.eigh(draw(s))
-        pieces = _cluster_ascending(w, tol)
-        x2 = u.conj().T @ draw(s + 1) @ u
-        # norms[b, a] = ||V_b^dag X2 V_a||_F; pieces are runs of consecutive columns
-        starts = [cl[0] for cl in pieces]
-        norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(x2) ** 2, starts, 0), starts, 1))
-        cut = tol.tol_rank * float(np.linalg.norm(x2))
-        classes = []
-        for a, cl in enumerate(pieces):
-            for cls in classes:
-                if len(pieces[cls[0]]) == len(cl) and norms[a, cls[0]] > cut:
-                    cls.append(a)
-                    break
-            else:
-                classes.append([a])
-        if sum(len(cls) ** 2 for cls in classes) == len(comm):
-            break
-    else:
+    if len(comm) == 1:  # the identity alone: one simple piece, nothing to draw
+        return IsotypicDecomposition(d, (IsotypicComponent((np.eye(d, dtype=complex),), d),))
+    x1, x2 = (_hermitian_stack(_project_onto_span(seeded_random_hermitian(d, int(seed) + j), comm)) for j in (0, 1))
+    with _lapack():
+        w, u = np.linalg.eigh(x1)
+    pieces = _cluster_ascending(w, tol)
+    x2 = u.conj().T @ x2 @ u
+    # norms[b, a] = ||V_b^dag X2 V_a||_F; pieces are runs of consecutive columns
+    starts = [cl[0] for cl in pieces]
+    norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(x2) ** 2, starts, 0), starts, 1))
+    cut = tol.tol_rank * float(np.linalg.norm(x2))
+    classes = []
+    for a, cl in enumerate(pieces):
+        for cls in classes:
+            if len(pieces[cls[0]]) == len(cl) and norms[a, cls[0]] > cut:
+                cls.append(a)
+                break
+        else:
+            classes.append([a])
+    count = sum(len(cls) ** 2 for cls in classes)
+    if count != len(comm):
         raise DegenerateSample(
-            f"commutant samples stayed degenerate after {_RETRY_BUDGET} attempts"
+            f"degenerate commutant sample: pieces {len(pieces)}, classes {len(classes)}, "
+            f"sum m_c^2 {count}, commutant dimension {len(comm)}"
         )
 
     components = []

@@ -8,9 +8,9 @@ classical/quantum/redundant bits does the family carry. Each predicate here
 answers one of them, returning a small report with the witnesses.
 
 A family is validated where it enters (a StateFamily is taken as it is);
-the marginals and block averages built from it are not checked again.
-`broadcast_states` still validates its outputs, because they depend on a
-decomposition's weights, which nothing validates.
+the marginals, block averages and broadcast outputs built from it are not
+checked again. `broadcast_states` builds each output as a state: weights
+clipped at 0, trace scaled to 1; its `marginal_defect` is the output check.
 """
 
 from dataclasses import dataclass
@@ -21,11 +21,11 @@ from .exceptions import (
     DimensionMismatch,
     NotBroadcastable,
     ValidationError,
+    ZeroOperator,
 )
 from .linalg import (
     _as_densities,
     _as_family,
-    _density_matrices,
     _eigh,
     _entropy_bits,
     _hermitian_stack,
@@ -104,7 +104,10 @@ def broadcast_states(decomp: DecomposedFamily, mode: str = "product", tol: Toler
     The output is block diagonal over pairs of matching blocks, with the
     per-block two-party state chosen by mode: "product" uses red (x) red,
     "classical" perfectly correlates the redundant eigenbasis, "quantum"
-    purifies it into an entangled pair (all phases zero).
+    purifies it into an entangled pair (all phases zero). Each output is a
+    state by construction: the weights are clipped at 0 and the trace is
+    scaled to 1 (ZeroOperator when it is at most tol_zero); the outputs are
+    not checked against tol_trace or tol_psd.
     """
     if mode not in BROADCAST_MODES:
         raise ValueError(f"mode must be one of {BROADCAST_MODES}, got {mode!r}")
@@ -125,13 +128,17 @@ def broadcast_states(decomp: DecomposedFamily, mode: str = "product", tol: Toler
         embed = decomp.support @ decomp.structure.block_basis(l)
         lift = np.kron(embed, embed)
         lifted.append(lift @ zeta @ lift.conj().T)
-    chis = np.tensordot(decomp.weights.clip(0.0), np.stack(lifted), axes=1)
+    chis = _hermitian_stack(np.tensordot(decomp.weights.clip(0.0), np.stack(lifted), axes=1))
+    traces = np.trace(chis, axis1=1, axis2=2).real
+    if np.any(traces <= tol.tol_zero):
+        raise ZeroOperator("a member's two-party output has no weight to normalize")
+    chis /= traces[:, None, None]
     rhos = decomp.family.mats()
     worst = max(
         float(np.linalg.norm(partial_trace(chis, d0, d0, keep=keep) - rhos, axis=(1, 2)).max())
         for keep in ("left", "right")
     )
-    return BroadcastOutput(mode, tuple(_as_densities(_density_matrices(_hermitian_stack(chis), tol))), worst)
+    return BroadcastOutput(mode, tuple(_as_densities(chis)), worst)
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ class SupportDeficient(KidecompError):
 
 
 class DegenerateSample(KidecompError):
-    """Random commutant samples stayed degenerate after the retry budget."""
+    """A random commutant sample gave classes that do not account for the commutant."""
 
 
 class NotInvariant(KidecompError):

@@ -147,6 +147,40 @@ def _as_densities(h: np.ndarray) -> list:
     return [DensityMatrix(x) for x in h]
 
 
+def _hermitian_psd(a: np.ndarray, tol: Tolerances):
+    """The hermiticity and PSD checks of `density_matrix` on an m x d x d
+    stack, unraised. Returns the Hermitian parts of its members up to the
+    first non-finite one, and their faults in the order `density_matrix`
+    checks them, each a (mask, error of member k) pair."""
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a = a[: a.shape[0] if finite.all() else int(np.argmin(finite))]
+    defects = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(1, 2))
+    h = _hermitian_stack(a)
+    with _lapack():
+        w = np.linalg.eigvalsh(h)
+    floors = -tol.tol_psd * np.maximum(1.0, np.abs(w[:, -1]))
+
+    def not_herm(k):
+        return NotHermitian(f"hermiticity defect {defects[k]:.3e} exceeds tol_sym={tol.tol_sym:.3e}", member=k)
+
+    def not_psd(k):
+        return ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[k, 0]:.3e})", member=k)
+
+    return h, [(defects > tol.tol_sym, not_herm), (w[:, 0] < floors, not_psd)]
+
+
+def _raise_first(a: np.ndarray, h: np.ndarray, faults: list) -> np.ndarray:
+    """Raise the first fault of the first member of `a` that has one, else
+    the non-finite error of the first member that `h` lacks; returns h."""
+    bad = np.any([mask for mask, _ in faults], axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise next(error(k) for mask, error in faults if mask[k])
+    if h.shape[0] < a.shape[0]:
+        raise ValidationError("matrix contains non-finite entries", member=h.shape[0])
+    return h
+
+
 def _density_matrices(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Run the checks of `density_matrix` on an m x d x d stack at once.
 
@@ -154,29 +188,21 @@ def _density_matrices(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     raises, for its first failing member, the error that `density_matrix`
     raises on that member alone, with the member's index as its `member`.
     """
-    finite = np.isfinite(a).all(axis=(1, 2))
-    m = a.shape[0] if finite.all() else int(np.argmin(finite))
-    a = a[:m]
-    defects = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(1, 2))
-    h = _hermitian_stack(a)
-    with _lapack():
-        w = np.linalg.eigvalsh(h)
+    h, faults = _hermitian_psd(a, tol)
     traces = np.trace(h, axis1=1, axis2=2).real
-    floors = -tol.tol_psd * np.maximum(1.0, np.abs(w[:, -1]))
-    not_herm = defects > tol.tol_sym
-    not_psd = w[:, 0] < floors
-    bad_trace = np.abs(traces - 1.0) > tol.tol_trace
-    bad = not_herm | not_psd | bad_trace
-    if bad.any():
-        k = int(np.argmax(bad))
-        if not_herm[k]:
-            raise NotHermitian(f"hermiticity defect {defects[k]:.3e} exceeds tol_sym={tol.tol_sym:.3e}", member=k)
-        if not_psd[k]:
-            raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {w[k, 0]:.3e})", member=k)
-        raise NotNormalized(f"trace {float(traces[k])!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}", member=k)
-    if m < finite.size:
-        raise ValidationError("matrix contains non-finite entries", member=m)
-    return h
+
+    def bad_trace(k):
+        return NotNormalized(f"trace {float(traces[k])!r} differs from 1 beyond tol_trace={tol.tol_trace:.3e}", member=k)
+
+    return _raise_first(a, h, faults + [(np.abs(traces - 1.0) > tol.tol_trace, bad_trace)])
+
+
+def _psd_matrix(mat, tol: Tolerances) -> np.ndarray:
+    """The Hermitian part of a square matrix that passes the hermiticity and
+    PSD checks of `density_matrix`, which raise as there; its trace is not
+    checked. For states given with any positive trace."""
+    a = _square(mat)[None]
+    return _raise_first(a, *_hermitian_psd(a, tol))[0]
 
 
 def density_matrix(mat, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:

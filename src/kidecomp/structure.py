@@ -42,6 +42,7 @@ from .linalg import (
     _eigh,
     _hermitian_stack,
     _lapack,
+    _psd_matrix,
     _support_of,
     DEFAULT_TOL,
     DensityMatrix,
@@ -71,7 +72,7 @@ __all__ = [
     "tensor_structure",
 ]
 
-_ISO_SEED_STRIDE = 1000003  # keeps the two isotypic passes on disjoint seed ranges
+_ISO_SEED_STRIDE = 1000003  # pass 2 draws from seed + this; another value would move its draws and the transforms
 
 
 @dataclass(frozen=True)
@@ -192,11 +193,12 @@ def difference_split(rho, rho_prime, tol: Tolerances = DEFAULT_TOL) -> SplitResu
     """Split the joint support by the sign of the normalized difference.
 
     Any channel fixing both states can never move weight between the two
-    returned subspaces. Raises StatesIdentical when the normalized states
+    returned subspaces. The states may have any positive trace; each must
+    pass the hermiticity and PSD checks of `density_matrix` (NotHermitian,
+    ValidationError). Raises StatesIdentical when the normalized states
     coincide within tol_zero, and ZeroOperator when an input is zero.
     """
-    a = hermitian_part(rho)
-    b = hermitian_part(rho_prime)
+    a, b = _psd_matrix(rho, tol), _psd_matrix(rho_prime, tol)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     ta, tb = float(np.trace(a).real), float(np.trace(b).real)
@@ -246,10 +248,12 @@ def coherence_pairing(rho, basis1, basis2, tol: Tolerances = DEFAULT_TOL) -> Pai
     With P_i the projectors onto the given subspaces, take the polar
     decomposition P2 rho P1 = W N. Any channel fixing rho must respect the
     resulting +/- eigenspace projectors P_plus and P_minus, and the paired
-    parts k1/k2 behave as one doubled subspace. Raises ZeroOffBlock when the
-    off-diagonal block vanishes (the subspaces carry no mutual coherence).
+    parts k1/k2 behave as one doubled subspace. rho must pass the
+    hermiticity and PSD checks of `density_matrix`; its trace is free.
+    Raises ZeroOffBlock when the off-diagonal block vanishes (the subspaces
+    carry no mutual coherence).
     """
-    r = hermitian_part(rho)
+    r = _psd_matrix(rho, tol)
     b1 = as_complex_matrix(basis1)
     b2 = as_complex_matrix(basis2)
     if b1.shape[0] != r.shape[0] or b2.shape[0] != r.shape[0]:

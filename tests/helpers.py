@@ -24,7 +24,6 @@ from kidecomp import (
 )
 from kidecomp.applications import BlockEntropy, BroadcastOutput, EntropyReport
 from kidecomp.algebra import (
-    _RETRY_BUDGET,
     _cluster_ascending,
     _commutant_basis,
     _project_onto_span,
@@ -842,6 +841,7 @@ def recursive_isotypic_split(generators, seed=0, tol=DEFAULT_TOL):
     has a nonzero intertwiner with. Returns the classes as lists of
     d x simple_dim isometries; copies are not aligned.
     """
+    attempts = 8  # draws per piece before the reference gives up
     mats = np.asarray(generators, dtype=complex)
     mats = mats / np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2)))[:, None, None]
     seeds = itertools.count(seed)
@@ -852,7 +852,7 @@ def recursive_isotypic_split(generators, seed=0, tol=DEFAULT_TOL):
         if len(comm) <= 1:
             simples.append(iso)
             return
-        for _ in range(_RETRY_BUDGET):
+        for _ in range(attempts):
             x = _project_onto_span(seeded_random_hermitian(iso.shape[1], next(seeds)), comm)
             w, u = np.linalg.eigh(0.5 * (x + x.conj().T))
             clusters = _cluster_ascending(w, tol)

@@ -298,26 +298,44 @@ def test_isotypic_makes_one_commutant_solve(monkeypatch, gens):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("failing", [2, algebra._RETRY_BUDGET - 1, algebra._RETRY_BUDGET])
-def test_isotypic_reseeds_then_raises_degenerate_sample(monkeypatch, failing):
+def full_algebra_gens():
+    # three generic states on C^6 generate all 6 x 6 matrices: only the
+    # identity commutes with them
+    rng = np.random.default_rng(7)
+    return [random_density(rng, 6) for _ in range(3)]
+
+
+def test_isotypic_commutant_of_the_identity_alone_draws_nothing(monkeypatch):
+    def draw(d, seed):
+        raise AssertionError("a commutant of dimension 1 needs no draw")
+
+    monkeypatch.setattr(algebra, "seeded_random_hermitian", draw)
+    dec = isotypic_decompose(full_algebra_gens())
+    assert [(c.simple_dim, c.multiplicity) for c in dec.components] == [(6, 1)]
+    assert np.array_equal(dec.components[0].submodule_bases[0], np.eye(6))
+
+
+def test_isotypic_degenerate_draw_raises_at_once(monkeypatch):
     # an identity draw leaves the reducible space in one piece, which fails
-    # the count sum_c m_c^2 = dim commutant; each attempt takes two fresh seeds
+    # the count sum_c m_c^2 = dim commutant (1 against 2^2 + 1^2)
     seeds = []
-    real = algebra.seeded_random_hermitian
 
     def draw(d, seed):
         seeds.append(seed)
-        return np.eye(d, dtype=complex) if len(seeds) <= 2 * failing else real(d, seed)
+        return np.eye(d, dtype=complex)
 
     monkeypatch.setattr(algebra, "seeded_random_hermitian", draw)
-    if failing == algebra._RETRY_BUDGET:
-        with pytest.raises(DegenerateSample):
-            isotypic_decompose(two_class_gens(), seed=5)
-    else:
-        dec = isotypic_decompose(two_class_gens(), seed=5)
-        assert sorted((c.simple_dim, c.multiplicity) for c in dec.components) == [(2, 1), (2, 2)]
-    attempts = min(failing + 1, algebra._RETRY_BUDGET)
-    assert seeds == list(range(5, 5 + 2 * attempts))
+    with pytest.raises(DegenerateSample, match=r"pieces 1, classes 1, sum m_c\^2 1, commutant dimension 5"):
+        isotypic_decompose(two_class_gens(), seed=5)
+    assert seeds == [5, 6]
+
+
+def test_decompose_of_a_full_algebra_family_does_not_depend_on_the_seed():
+    gens = full_algebra_gens()
+    decs = [decompose(gens, seed=s) for s in range(4)]
+    assert {dec.structure.blocks for dec in decs} == {((6, 1),)}
+    for dec in decs[1:]:
+        assert np.array_equal(dec.structure.transform, decs[0].structure.transform)
 
 
 def test_intertwiner_space_schur():

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,8 +20,9 @@ from kidecomp.exceptions import (
     NotBroadcastable,
     NotHermitian,
     ValidationError,
+    ZeroOperator,
 )
-from kidecomp.linalg import partial_trace, state_family, von_neumann_entropy
+from kidecomp.linalg import Tolerances, partial_trace, state_family, von_neumann_entropy
 from kidecomp.structure import decompose, tensor_structure
 
 from helpers import (
@@ -109,6 +111,23 @@ def test_broadcast_states_matches_per_state_loop():
             for x, y in zip(got.chi, want.chi, strict=True):
                 assert np.abs(x.mat - y.mat).max() <= 1e-14
                 assert abs(np.trace(x.mat).real - np.trace(y.mat).real) <= 1e-14
+
+
+@pytest.mark.parametrize("strict", [Tolerances(tol_trace=0.0), Tolerances(tol_psd=0.0)], ids=["tol_trace", "tol_psd"])
+def test_broadcast_states_under_a_zero_output_tolerance(strict):
+    # the outputs are states by construction, so a strict tolerance finds
+    # no roundoff of theirs to reject
+    for seed in range(20):
+        decomp = decompose(build_family(np.random.default_rng(seed), [(1, 2), (1, 3), (1, 1)], 4)["states"])
+        for mode in ("product", "classical", "quantum"):
+            base, got = broadcast_states(decomp, mode), broadcast_states(decomp, mode, strict)
+            assert abs(got.marginal_defect - base.marginal_defect) <= 1e-12
+
+
+def test_broadcast_states_raises_zero_operator_for_an_output_without_weight():
+    decomp = decompose([np.diag([0.7, 0.3]), np.diag([0.3, 0.7])])
+    with pytest.raises(ZeroOperator):
+        broadcast_states(dataclasses.replace(decomp, weights=np.zeros_like(decomp.weights)))
 
 
 def test_broadcast_states_block_diagonal():

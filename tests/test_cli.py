@@ -225,7 +225,7 @@ def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "site, routine",
     [
-        ("_density_matrices", "eigvalsh"),
+        ("_hermitian_psd", "eigvalsh"),
         ("_eigh", "eigh"),
         ("isotypic_decompose", "matrix_rank"),
         ("isotypic_decompose", "eigh"),

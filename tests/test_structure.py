@@ -22,12 +22,14 @@ from kidecomp import algebra, structure
 from kidecomp.exceptions import (
     DimensionMismatch,
     MaximalityCheckFailed,
+    NotHermitian,
     StatesIdentical,
     ValidationError,
     ZeroOffBlock,
     ZeroOperator,
 )
 
+import noise_band
 from helpers import (
     CLASSICAL_64,
     ENVELOPE_64,
@@ -467,6 +469,29 @@ def test_difference_split_degenerate_inputs():
         difference_split(rho, np.zeros((2, 2)))
 
 
+def test_raw_state_inputs_are_checked_where_they_enter():
+    # the hermiticity and PSD checks of density_matrix, with any trace
+    sigma = np.diag([0.2, 0.3, 0.5])
+    with pytest.raises(ValidationError, match="not positive semidefinite"):
+        difference_split(np.diag([2.0, -1.0, 0.0]), sigma)
+    with pytest.raises(NotHermitian, match="hermiticity defect 5.657e-01"):
+        difference_split(np.diag([0.2, 0.8]), [[0.7, 0.4], [0.0, 0.3]])
+    b1, b2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+    with pytest.raises(ValidationError, match="not positive semidefinite"):
+        coherence_pairing([[0.5, 0.9], [0.9, 0.5]], b1, b2)
+    # the trace is free: a scaled state passes both checks
+    assert difference_split(3.0 * np.diag([0.7, 0.3]), sigma[:2, :2]).basis_pos.shape == (2, 1)
+    assert coherence_pairing(2.0 * np.full((2, 2), 0.5), b1, b2).w.shape == (2, 2)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-6])
+@pytest.mark.parametrize("seed", range(5))
+def test_noise_above_the_rank_floor_gives_the_trivial_structure(seed, eps):
+    # a slice of the noise band (tests/noise_band.py): the noisy members
+    # generate the full matrix algebra, so one (20, 1) block comes back
+    assert noise_band.outcome(seed, eps) == "trivial"
+
+
 def coherent_two_block_state(rng, d1, d2, extra=0):
     """Random state on C^(d1+d2+extra) with nonzero coherence between the
     first two subspace slots."""
@@ -761,7 +786,9 @@ def test_zero_boundary_tolerance_reaches_no_built_value(name):
     base, got = decompose(fam), decompose(fam, tol=strict)
     assert np.array_equal(got.weights, base.weights)
     assert np.array_equal(got.structure.transform, base.structure.transform)
-    split, strict_split = difference_split(states[0], states[1]), difference_split(states[0], states[1], strict)
+    # difference_split checks its raw inputs, so it takes the validated members
+    rho, sigma = fam.mats()[:2]
+    split, strict_split = difference_split(rho, sigma), difference_split(rho, sigma, strict)
     assert np.array_equal(strict_split.basis_pos, split.basis_pos)
     pair, strict_pair = tensor_structure(base, base), tensor_structure(base, base, strict)
     assert np.array_equal(strict_pair.weights, pair.weights)
