@@ -15,15 +15,16 @@ only links eigenvalues that agree, and a commutant with eigenvalue
 multiplicities m_c has sum m_c^2 unknowns instead of d^2. In that frame a
 row (a, b) of X m_i - m_i X reads only the (gamma, delta) block of m_i,
 gamma and delta the eigenvalue clusters of a and b, so the n nonzero
-members, each normalized, are compressed cluster pair by cluster pair to
-the rows of the R factor of their stacked blocks: an orthogonal transform
-of the rows, which keeps every singular value, and a system whose size
-does not grow with n (one row per entry, at most d (d - 1) rows, when G
-has a simple spectrum). A family that is exactly block diagonal, with
-consecutive diagonal blocks read off its nonzero pattern, is diagonalized
-block by block, and the solve splits into one system per pair of blocks
-with kept unknowns; the pairs of one shape and one set of kept unknowns
-are solved as one stack.
+members, each normalized and centered, are compressed cluster pair by
+cluster pair to the rows of the SVD of their stacked blocks that carry a
+joint norm above tol_zero. The system grows neither with n (at most
+d (d - 1) rows when G has a simple spectrum) nor with the multiplicities
+that clusters come from (one generator row when every cluster block has
+rank 1). A family that is exactly block diagonal, with consecutive
+diagonal blocks read off its nonzero pattern, is diagonalized block by
+block, and the solve splits into one system per pair of blocks with kept
+unknowns; the pairs of one shape and one set of kept unknowns are solved
+as one stack.
 Blocks that are diagonal only after a permutation are not detected: such a
 family is solved as fewer, larger blocks. The isotypic split makes that
 solve once, for the commutant of the whole family, and reads everything
@@ -58,7 +59,6 @@ __all__ = [
 ]
 
 _FRAME_SEED = 0  # coefficients of the random family element in `_spectral_frame`
-_BLOCK_ENTRIES = 1 << 21  # matrix entries per row block of a commutation system (32 MB)
 
 
 def _check_square_family(mats):
@@ -89,9 +89,9 @@ def _check_square_family(mats):
     return np.stack(out), d
 
 
-def _null_space_floor(row_blocks, cutoff: float) -> list:
-    """Null spaces, with an absolute singular-value cutoff, of a stack of m
-    equal-shape systems whose rows come in the given m x rows x c blocks.
+def _null_space_floor(systems: np.ndarray, cutoff: float) -> list:
+    """Null spaces, with an absolute singular-value cutoff, of an m x rows x c
+    stack of equal-shape systems.
 
     Returns one c x z_j matrix per system, z_j its own null dimension. The
     stack holds the block-pair systems of one shape and one set of kept
@@ -109,29 +109,12 @@ def _null_space_floor(row_blocks, cutoff: float) -> list:
     rank zero. A family of commuting members, such as a classical family in
     the first pass of `structure.decompose`, gives only such systems: every
     unknown its spectral frame keeps commutes with every member. The SVD is
-    taken of the R factor of each system, which has the system's singular
-    values and right singular vectors without forming a tall U. R is
-    accumulated block by block, as the R factor of [R; block], with one
-    stacked QR per block and one stacked SVD, so no system is held at once.
-    From the second block on, R and the block are written into one buffer
-    in the column-major order that LAPACK reads, so a block given as the
-    transpose of a C-ordered m x c x rows array is copied there row by row.
-    A block is let go once it is copied, so the next one is built while
-    only R and the buffer are held. A LAPACK failure raises NoConvergence.
+    taken of the R factor of each system, from one stacked QR, which has
+    the system's singular values and right singular vectors without forming
+    a tall U. A LAPACK failure raises NoConvergence.
     """
     with _lapack():
-        r = buf = None
-        for block in row_blocks:
-            if r is not None:
-                top, rows = r.shape[1], r.shape[1] + block.shape[1]
-                if buf is None or buf.shape[2] < rows:
-                    buf = np.empty((block.shape[0], block.shape[2], block.shape[2] + block.shape[1]), dtype=complex)
-                buf[:, :, :top] = r.transpose(0, 2, 1)
-                buf[:, :, top:rows] = block.transpose(0, 2, 1)
-                block = buf[:, :, :rows].transpose(0, 2, 1)
-            r = np.linalg.qr(block, mode="r")
-            del block  # not held while the next block is built
-        _, s, vh = np.linalg.svd(r)
+        _, s, vh = np.linalg.svd(np.linalg.qr(systems, mode="r"))
     ranks = np.sum(s > cutoff, axis=1)
     return [v[rank:, :].conj().T for v, rank in zip(vh, ranks)]
 
@@ -204,29 +187,38 @@ def _spectral_frame(mats: np.ndarray, tol: Tolerances):
     return edges, u, label[:, None] == label[None, :]
 
 
-def _compressed_generators(gens: np.ndarray, u: np.ndarray, edges: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The generators in the frame of `_spectral_frame`, compressed by
-    cluster pair: a J x k x k stack that gives every commutation system the
-    Gram matrix the n generators give it.
+def _compressed_generators(gens: np.ndarray, u: np.ndarray, edges: np.ndarray, mask: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The generators in the frame of `_spectral_frame`, centered and
+    compressed by cluster pair: a J x k x k stack that gives every
+    commutation system the Gram matrix the n generators give it, up to the
+    rows dropped below.
 
-    In that frame a kept unknown (p, q) has p and q in one cluster of G, so
-    the row (a, b) of X' m' - m' X' reads only the generators' (gamma, delta)
-    block, gamma and delta the clusters of a and b, and is linear in it.
-    Within the diagonal blocks that block has f entries (the others are
-    exact zeros); the n x f stack of the n generators' entries is replaced by
-    the min(n, f) rows of its R factor, which is an orthogonal transform of
-    every row group that reads the block, and of any part of it a block-pair
-    system reads. Row j of the stack carries the j-th R row of every cluster
-    pair that has one and exact zeros elsewhere, so its rows of a cluster
-    pair without a j-th R row vanish. With singleton clusters f = 1, the R
-    factor is the norm of the column: entry (a, b) keeps the coefficient
-    ||m'_ab||, and its rows read ||m'_ab|| (e_a - e_b) on the diagonal
-    unknowns. The generators go into the frame once; the R factors come
-    from one stacked norm (f = 1) or QR (f > 1) per value of f. A LAPACK
-    failure raises NoConvergence.
+    A kept unknown (p, q) has p and q in one cluster of G, so it commutes
+    with c P_gamma, P_gamma the projector onto a cluster gamma: each
+    generator's diagonal block (gamma, gamma) loses its mean diagonal entry,
+    and the system's operator stays as it was. The row (a, b) of
+    X' m' - m' X' reads only the (gamma, delta) block, gamma and delta the
+    clusters of a and b, and is linear in it. Within the diagonal blocks
+    that block has f entries (the others are exact zeros); the n x f stack
+    of the generators' entries becomes the min(n, f) rows S V^dag of its
+    SVD, an orthogonal transform of every row group that reads the block.
+    Its trailing rows are dropped while their joint norm eps is at most
+    tol_zero; for clusters that come from multiplicities, all rows but the
+    first are roundoff. Dropped rows E give the system rows
+    X'_gg E - E X'_dd, of norm at most 2 ||E|| ||X'||, so by Weyl's
+    inequality each singular value of the system moves by at most
+    2 (sum over cluster pairs of eps^2)^(1/2) (Stewart & Sun, Matrix
+    Perturbation Theory, 1990). Row j of the stack carries the j-th row of
+    every cluster pair that keeps one; rows zero everywhere are dropped,
+    but one is kept. With singleton clusters f = 1: entry (a, b) keeps
+    ||m'_ab||, whose rows read ||m'_ab|| (e_a - e_b) on the diagonal
+    unknowns. One stacked norm (f = 1) or SVD (f > 1) per value of f. A
+    LAPACK failure raises NoConvergence.
     """
     n, k = gens.shape[0], gens.shape[1]
     flat = (u.conj().T @ gens @ u).reshape(n, k * k)
+    diag = flat[:, :: k + 1]  # a view of the diagonals
+    diag -= diag @ mask / mask.sum(axis=0)
     label = mask.argmax(axis=1)  # each index's cluster, named by its first index
     block = np.repeat(np.arange(edges.size - 1), np.diff(edges))
     a, b = np.nonzero(block[:, None] == block[None, :])
@@ -239,48 +231,45 @@ def _compressed_generators(gens: np.ndarray, u: np.ndarray, edges: np.ndarray, m
     for f in np.unique(sizes).tolist():
         at = pos[starts[sizes == f, None] + np.arange(f)]  # cluster pairs x entries
         stack = flat[:, at].transpose(1, 0, 2)
-        if f == 1:  # the R factor of one column is its norm
-            r = np.linalg.norm(stack, axis=1, keepdims=True)
+        if f == 1:  # S V^dag of one column is its norm
+            s = np.linalg.norm(stack, axis=1)
+            r = s[:, :, None]
         else:
             with _lapack():
-                r = np.linalg.qr(stack, mode="r")
+                _, s, vh = np.linalg.svd(stack, full_matrices=False)
+            r = s[:, :, None] * vh
+        tail = np.sqrt(np.cumsum(s[:, ::-1] ** 2, axis=1))[:, ::-1]  # joint norm of rows j onwards
+        r[tail <= tol.tol_zero] = 0
         out[: r.shape[1], at] = r.transpose(1, 0, 2)
-    return out.reshape(-1, k, k)
+    live = out.any(axis=1)
+    return (out[live] if live.any() else out[:1]).reshape(-1, k, k)
 
 
-def _pair_rows(mq: np.ndarray, mp: np.ndarray, ps: np.ndarray, qs: np.ndarray):
-    """The nonzero rows of a stack of m block-pair systems, m x rows x
-    len(ps) each, `per` generators at a time (about _BLOCK_ENTRIES entries a
-    block).
+def _pair_rows(mq: np.ndarray, mp: np.ndarray, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """The nonzero rows of a stack of m block-pair systems, as one m x rows x
+    len(ps) array.
 
     mq is m x J x sq x sq and mp m x J x sp x sp, the Q and P blocks of the
     compressed generators (`_compressed_generators`) of the pairs (P, Q);
     (ps, qs) are the kept entries, the same for the whole stack. The column
     of entry (p, q) stacks E_pq m'_Q - m'_P E_pq over the generators. Rows
     that are exactly zero in every system of the stack are dropped: those
-    of cluster pairs without that R row, and the cancelling rows (a, a) of
-    a singleton cluster. A row that vanishes in only some systems stays, an
-    exact zero row there, and a block keeps at least one row. Each block is
-    the transpose of a C-ordered array, as `_null_space_floor` reads it
+    of cluster pairs without that row, and the cancelling rows (a, a) of a
+    singleton cluster. A row that vanishes in only some systems stays, an
+    exact zero row there, and the stack keeps at least one row. The array
+    is the transpose of a C-ordered one, as `_null_space_floor` reads it
     fastest.
     """
     m, n, sq, sp = mq.shape[0], mq.shape[1], mq.shape[2], mp.shape[2]
     k = np.arange(ps.size)
-    per = max(1, _BLOCK_ENTRIES // (m * sp * sq * ps.size))
-
-    def rows(bq, bp):
-        cols = np.zeros((m, ps.size, bq.shape[1], sp, sq), dtype=complex)
-        cols[:, k, :, ps, :] = bq[:, :, qs, :].transpose(2, 0, 1, 3)  # E_pq m'_Q: row p is m'_Q[q, :]
-        cols[:, k, :, :, qs] -= bp[:, :, :, ps].transpose(3, 0, 1, 2)  # m'_P E_pq: column q is m'_P[:, p]
-        cols = cols.reshape(m, ps.size, -1)
-        live = cols.any(axis=(0, 1))
-        if live.all():
-            return cols
-        return cols[:, :, live] if live.any() else cols[:, :, :1]
-
-    # a block is held by its consumer alone, which frees it once it is read
-    for start in range(0, n, per):
-        yield rows(mq[:, start : start + per], mp[:, start : start + per]).transpose(0, 2, 1)
+    cols = np.zeros((m, ps.size, n, sp, sq), dtype=complex)
+    cols[:, k, :, ps, :] = mq[:, :, qs, :].transpose(2, 0, 1, 3)  # E_pq m'_Q: row p is m'_Q[q, :]
+    cols[:, k, :, :, qs] -= mp[:, :, :, ps].transpose(3, 0, 1, 2)  # m'_P E_pq: column q is m'_P[:, p]
+    cols = cols.reshape(m, ps.size, -1)
+    live = cols.any(axis=(0, 1))
+    if not live.all():
+        cols = cols[:, :, live] if live.any() else cols[:, :, :1]
+    return cols.transpose(0, 2, 1)
 
 
 def _commutant_basis(mats, tol: Tolerances) -> np.ndarray:
@@ -294,23 +283,25 @@ def _commutant_basis(mats, tol: Tolerances) -> np.ndarray:
     generator is block diagonal over the consecutive blocks of the stack,
     so an unknown (p, q) meets only the rows (a, b) with a in p's block and
     b in q's, and the system splits into one system per pair (P, Q) of
-    blocks with kept entries. Its rows come from the generators compressed
-    by cluster pair (`_compressed_generators`), so they do not grow with n,
-    and the rows that vanish are dropped (`_pair_rows`). The pairs with the
-    same shape and the same kept entries are solved as one stack
-    (`_null_space_floor`); a family with no blocks is one pair in a stack
-    of one. If every member is dropped, one zero member stands for them and
-    the whole k x k space is returned. Only consecutive blocks are detected
-    (`_diagonal_blocks`). The compression is an orthogonal transform of
-    each row group, and the singular values are those of the whole system,
-    so every rank decision is the one a single solve of the n k^2 rows
-    would make, in exact arithmetic. The basis is orthonormal under the
-    Hilbert-Schmidt inner product, and every basis matrix is nonzero on
-    exactly one block pair (P, Q), so a caller can count the solutions per
-    pair from their nonzero pattern. For a direct sum of families, by
-    Schur's lemma, the matrices on the pair (B, A) of two summands are a
-    basis of the intertwiners from A to B (`intertwiner_space`,
-    `structure.check_maximal`).
+    blocks with kept entries. Its rows come from the generators centered
+    and compressed by cluster pair (`_compressed_generators`), so they do
+    not grow with n, and the rows that vanish are dropped (`_pair_rows`).
+    The pairs with the same shape and the same kept entries are solved as
+    one stack (`_null_space_floor`); a family with no blocks is one pair in
+    a stack of one. If every member is dropped, one zero member stands for
+    them and the whole k x k space is returned. Only consecutive blocks are
+    detected (`_diagonal_blocks`). The centering keeps the system's
+    operator, the compression is an orthogonal transform of each row
+    group, and its truncation moves each singular value of the whole
+    system by at most 2 sqrt(pairs) tol_zero, so every rank decision is the
+    one a single solve of the n k^2 rows would make, unless that solve has
+    a singular value within that bound of tol_rank. The basis is
+    orthonormal under the Hilbert-Schmidt inner product, and every basis
+    matrix is nonzero on exactly one block pair (P, Q), so a caller can
+    count the solutions per pair from their nonzero pattern. For a direct
+    sum of families, by Schur's lemma, the matrices on the pair (B, A) of
+    two summands are a basis of the intertwiners from A to B
+    (`intertwiner_space`, `structure.check_maximal`).
     """
     stacked = np.asarray(mats, dtype=complex)
     norms = np.linalg.norm(stacked, axis=(1, 2))
@@ -321,7 +312,7 @@ def _commutant_basis(mats, tol: Tolerances) -> np.ndarray:
         gens = stacked[keep] / norms[keep, None, None]
     k = gens.shape[1]
     edges, u, mask = _spectral_frame(gens, tol)
-    comp = _compressed_generators(gens, u, edges, mask)
+    comp = _compressed_generators(gens, u, edges, mask, tol)
     kept = np.add.reduceat(np.add.reduceat(mask, edges[:-1], axis=0), edges[:-1], axis=1)
     edges = edges.tolist()
     groups = {}  # (shape, kept entries) -> (kept entries, the pairs' first rows and columns)

@@ -276,13 +276,17 @@ def has_block_form(channel: KrausChannel, structure: Structure, support=None) ->
     return BlockFormReport(not violations, worst, tuple(violations))
 
 
-def block_channel(structure: Structure, per_block, red_states=None, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
+def block_channel(structure: Structure, per_block, red_states=None) -> KrausChannel:
     """Assemble the channel acting as identity (x) per_block[l] on block l.
 
     Global Kraus operator i is the direct sum over blocks of each block
     channel's i-th Kraus operator (shorter lists are padded with zeros), so
     cross-block coherences are handled consistently and the result is trace
-    preserving whenever every block channel is. When `red_states` is given
+    preserving whenever every block channel is and the structure's
+    transform G is unitary. The block channels are validated channels, so
+    only G is checked: its defect ||G^dag G - I||_F must be at most
+    Tolerances.CERTIFICATE * sqrt(d) (ValidationError otherwise), and the
+    assembled operators are not checked again. When `red_states` is given
     (one state per block, ValidationError otherwise), each block channel
     must fix its state, read through its Hermitian part, within
     Tolerances.VERDICT in trace norm (KStateNotFixed otherwise) -- exactly
@@ -309,14 +313,19 @@ def block_channel(structure: Structure, per_block, red_states=None, tol: Toleran
                 raise KStateNotFixed(
                     f"block {l} channel moves its redundant state by {dev:.3e}"
                 )
+    g = structure.transform
+    defect = float(np.linalg.norm(g.conj().T @ g - np.eye(structure.dim)))
+    if defect > Tolerances.CERTIFICATE * np.sqrt(structure.dim):
+        raise ValidationError(f"structure transform is not unitary: defect {defect:.3e}")
     n_ops = max(len(ch.kraus_ops) for ch in per_block)
     inner = np.zeros((n_ops, structure.dim, structure.dim), dtype=complex)
     for l, (ch, (di, dr)) in enumerate(zip(per_block, structure.blocks)):
         off = structure.block_offset(l)
         sz = di * dr
         inner[: len(ch), off : off + sz, off : off + sz] = np.kron(np.eye(di), ch.kraus_ops)
-    g = structure.transform
-    return kraus_channel(list(g.conj().T @ inner @ g), tol)
+    ops = g.conj().T @ inner @ g
+    ops.setflags(write=False)
+    return KrausChannel(structure.dim, structure.dim, ops)
 
 
 def _stacked_leak(channel: KrausChannel, p: np.ndarray) -> float:

@@ -42,6 +42,9 @@ SHAPES = {
     60: [(1, 1), (1, 1), (2, 2), (1, 3)],
 }
 PADDED = [([(2, 2), (1, 3)], 12), ([(1, 2), (2, 1), (1, 1)], 9), ([(3, 2), (2, 2), (1, 4)], 20), ([(2, 3), (1, 1)], 10)]
+# multiplicity-heavy d = 64 shapes with maximally mixed redundant factors,
+# up to I/64 itself: every spectral cluster comes from a multiplicity
+HEAVY_64 = [[(8, 8)], [(4, 16)], [(2, 32)], [(1, 32), (1, 32)], [(1, 64)]]
 
 
 def _families():
@@ -57,6 +60,9 @@ def _families():
             out[f"{label}64-{n}"] = ("d64", lambda shape=shape, n=n: build_family(np.random.default_rng(92), shape, n))
     for n in (4, 60):
         out[f"envelope64-mixed-{n}"] = ("d64", lambda n=n: build_family(np.random.default_rng(92), ENVELOPE_64, n, mixed_red=True))
+    for shape in HEAVY_64:
+        label = "+".join(f"{a}x{b}" for a, b in shape)
+        out[f"heavy64-{label}"] = ("d64", lambda shape=shape: build_family(np.random.default_rng(5), shape, 4, mixed_red=True))
     return out
 
 

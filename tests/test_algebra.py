@@ -573,10 +573,9 @@ def record_null_space_stacks(monkeypatch):
     seen = []
     real = algebra._null_space_floor
 
-    def recorded(row_blocks, cutoff):
-        blocks = list(row_blocks)
-        seen.append((blocks[0].shape[0], blocks[0].shape[2]))
-        return real(iter(blocks), cutoff)
+    def recorded(systems, cutoff):
+        seen.append((systems.shape[0], systems.shape[2]))
+        return real(systems, cutoff)
 
     monkeypatch.setattr(algebra, "_null_space_floor", recorded)
     return seen
@@ -638,33 +637,58 @@ def test_intertwiners_split_block_diagonal_families_into_stacked_pair_solves(mon
 
 
 def record_null_space_systems(monkeypatch):
-    """Record the systems every `_null_space_floor` call solves, as one
-    m x rows x unknowns array per call, its row blocks joined."""
+    """Record the m x rows x unknowns stack every `_null_space_floor` call
+    solves."""
     seen = []
     real = algebra._null_space_floor
 
-    def recorded(row_blocks, cutoff):
-        blocks = list(row_blocks)
-        seen.append(np.concatenate(blocks, axis=1))
-        return real(iter(blocks), cutoff)
+    def recorded(systems, cutoff):
+        seen.append(systems)
+        return real(systems, cutoff)
 
     monkeypatch.setattr(algebra, "_null_space_floor", recorded)
     return seen
+
+
+def frame_generators(xs):
+    """The normalized nonzero members in the frame of `_spectral_frame`, with
+    the frame's block edges and mask."""
+    gens = np.asarray([x / np.linalg.norm(x) for x in xs if np.linalg.norm(x) > DEFAULT_TOL.tol_zero])
+    edges, u, mask = _spectral_frame(gens, DEFAULT_TOL)
+    return u.conj().T @ gens @ u, edges, mask
 
 
 def dense_frame_system(xs):
     """The uncompressed system in the frame of `_spectral_frame`: n k^2 rows,
     one column E_pq m' - m' E_pq per kept unknown (p, q), stacked over the
     normalized nonzero members."""
-    gens = np.asarray([x / np.linalg.norm(x) for x in xs if np.linalg.norm(x) > DEFAULT_TOL.tol_zero])
-    _, u, mask = _spectral_frame(gens, DEFAULT_TOL)
-    m = u.conj().T @ gens @ u
+    m, _, mask = frame_generators(xs)
     cols = []
     for p, q in zip(*np.nonzero(mask)):
         e = np.zeros(mask.shape)
         e[p, q] = 1.0
         cols.append((e @ m - m @ e).reshape(-1))
     return np.array(cols).T
+
+
+def dropped_tails(xs):
+    """Per cluster pair, the joint norm of the trailing singular values of
+    the members' centered n x f stack that a cut at tol_zero drops: the
+    longest tail whose root sum of squares is at most tol_zero."""
+    m, edges, mask = frame_generators(xs)
+    clusters = [np.flatnonzero(row) for row in np.unique(mask, axis=0)]
+    for c in clusters:  # take off each diagonal cluster block's mean diagonal entry
+        m[:, c, c] -= m[:, c, c].mean(axis=1, keepdims=True)
+    block = np.repeat(np.arange(edges.size - 1), np.diff(edges))
+    tails = []
+    for g in clusters:
+        for h in clusters:
+            a, b = np.nonzero(block[g, None] == block[None, h])
+            if a.size:
+                sv = np.linalg.svd(m[:, g[a], h[b]], compute_uv=False)
+                tail = np.sqrt(np.cumsum(sv[::-1] ** 2))
+                tails.append(float(tail[tail <= DEFAULT_TOL.tol_zero].max(initial=0.0)))
+    return np.array(tails)
 
 
 def padded_singular_values(system):
@@ -678,39 +702,53 @@ def compression_cases():
     rng = np.random.default_rng(230)
     h, g = hermitians(232, 3, n=5), hermitians(240, 2, n=5)
     return [
-        ("generic-4", build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 4)["states"]),
-        ("generic-60", build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 60)["states"]),
+        # (name, members, compressed generator rows, where a rank argument fixes them)
+        ("generic-4", build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 4)["states"], 1),
+        ("generic-60", build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 60)["states"], 1),
         # pass 2's kept pattern: exactly block diagonal, with equal copies
-        ("copies", list(block_diagonal(h, h, conjugated(h, 5), g))),
-        # maximally mixed redundant factors: clusters of 2 and 3 eigenvalues
-        ("clusters", build_family(rng, [(2, 2), (1, 3), (2, 1)], 5, mixed_red=True)["states"]),
-        ("clusters-60", build_family(rng, [(2, 3), (1, 2)], 60, mixed_red=True)["states"]),
+        ("copies", list(block_diagonal(h, h, conjugated(h, 5), g)), None),
+        # maximally mixed redundant factors: clusters of 2 and 3 eigenvalues,
+        # and every cluster pair's stack of rank 1 once centered
+        ("clusters", build_family(rng, [(2, 2), (1, 3), (2, 1)], 5, mixed_red=True)["states"], 1),
+        ("clusters-60", build_family(rng, [(2, 3), (1, 2)], 60, mixed_red=True)["states"], 1),
+        # one block with a mixed factor: two clusters of 4, and a scalar
+        # family, which centering takes to zero: one zero row stands for it
+        ("multiplicity", build_family(rng, [(2, 4)], 3, mixed_red=True)["states"], 1),
+        ("scalar", [np.eye(3) / 3] * 2, 1),
         # every eigenvalue in one cluster: the identity plus noise far below
         # the rank floor, and a non-Hermitian family, which keeps the
-        # identity frame; their R factors have more than one row of weight
-        ("one-cluster", [np.eye(4) + 1e-12 * seeded_random_hermitian(4, 252 + s) for s in range(3)]),
-        ("non-hermitian", list(rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))),
-        ("k2", list(hermitians(250, 2))),
-        ("k2-commuting", [conjugated(np.diag(rng.uniform(0.1, 1.0, 2))[None], 6)[0] for _ in range(3)]),
+        # identity frame; their stacks have more than one row of weight
+        ("one-cluster", [np.eye(4) + 1e-12 * seeded_random_hermitian(4, 252 + s) for s in range(3)], None),
+        ("non-hermitian", list(rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))), None),
+        ("k2", list(hermitians(250, 2)), None),
+        ("k2-commuting", [conjugated(np.diag(rng.uniform(0.1, 1.0, 2))[None], 6)[0] for _ in range(3)], 1),
     ]
 
 
-@pytest.mark.parametrize("name, xs", compression_cases(), ids=[c[0] for c in compression_cases()])
-def test_compressed_systems_are_the_dense_system(monkeypatch, name, xs):
-    # each cluster pair's rows are an orthogonal transform of the dense rows,
-    # so the compressed block-pair systems together have the singular values
-    # of the dense n k^2 system and make its rank decisions
+@pytest.mark.parametrize("name, xs, generator_rows", compression_cases(), ids=[c[0] for c in compression_cases()])
+def test_compressed_systems_are_the_dense_system(monkeypatch, name, xs, generator_rows):
+    # centering leaves the system's operator as it is, and each cluster
+    # pair's kept rows are an orthogonal transform of the dense rows less
+    # the dropped tail, so the compressed block-pair systems together have
+    # the singular values of the dense n k^2 system within Weyl's bound,
+    # 2 ||dropped rows||, and make its rank decisions
+    comp = []
+    real = algebra._compressed_generators
+    monkeypatch.setattr(algebra, "_compressed_generators", lambda *args: comp.append(real(*args)) or comp[-1])
     seen = record_null_space_systems(monkeypatch)
     got = _commutant_basis(xs, DEFAULT_TOL)
     dense = dense_frame_system(xs)
     want = np.sort(padded_singular_values(dense))
     have = np.sort(np.concatenate([padded_singular_values(x) for stack in seen for x in stack]))
     assert have.shape == want.shape
+    weyl = 2.0 * float(np.linalg.norm(dropped_tails(xs)))
     # the members have unit norm, so roundoff is relative to 1 where every
     # constraint is noise
-    assert np.abs(have - want).max() <= 1e-12 * max(want[-1], 1.0)
+    assert np.abs(have - want).max() <= weyl + 1e-12 * max(want[-1], 1.0)
     rows = sum(stack.shape[0] * stack.shape[1] for stack in seen)
     assert rows <= dense.shape[0]
+    if generator_rows is not None:
+        assert len(comp) == 1 and comp[0].shape[0] == generator_rows
     floor = DEFAULT_TOL.tol_rank
     assert len(got) == np.sum(want <= floor) == np.sum(have <= floor)
     assert_same_span(got, dense_intertwiners(unit(xs), unit(xs)))
@@ -760,11 +798,9 @@ def test_diagonal_blocks_reads_the_exact_zero_pattern():
     assert algebra._diagonal_blocks(xs).tolist() == [0, 6]
 
 
-@pytest.mark.parametrize("splits", [[9], [2, 5, 9], [3, 6, 9], [4, 8, 9]])
 @pytest.mark.parametrize("transposed", [False, True], ids=["c-ordered", "transposed"])
-def test_null_space_floor_of_a_stack_with_different_null_dimensions(splits, transposed):
-    # three 9 x 4 systems of rank 4, 2 and 0, fed in row blocks of every
-    # size, above and below the 4 columns
+def test_null_space_floor_of_a_stack_with_different_null_dimensions(transposed):
+    # three 9 x 4 systems of rank 4, 2 and 0, in one stack
     rng = np.random.default_rng(180)
 
     def gaussian(*shape):
@@ -773,9 +809,20 @@ def test_null_space_floor_of_a_stack_with_different_null_dimensions(splits, tran
     systems = np.stack([gaussian(9, 4), gaussian(9, 2) @ gaussian(2, 4), np.zeros((9, 4))])
     if transposed:
         systems = np.ascontiguousarray(systems.transpose(0, 2, 1)).transpose(0, 2, 1)
-    blocks = [systems[:, a:b] for a, b in zip([0] + splits[:-1], splits)]
-    got = algebra._null_space_floor(iter(blocks), DEFAULT_TOL.tol_rank)
+    got = algebra._null_space_floor(systems, DEFAULT_TOL.tol_rank)
     assert [g.shape for g in got] == [(4, 0), (4, 2), (4, 4)]
+    for a, g in zip(systems, got):
+        assert np.linalg.norm(a @ g) <= 1e-12
+        assert np.allclose(g.conj().T @ g, np.eye(g.shape[1]), atol=1e-12)
+
+
+def test_null_space_floor_keeps_the_whole_null_space_of_a_wide_system():
+    # three 3 x 4 systems of rank 3, 2 and 0: fewer rows than unknowns
+    rng = np.random.default_rng(181)
+    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    systems = np.stack([a, np.outer([1.0, 2.0, 0.0], a[0]) + np.outer([0.0, 1.0, 1.0], a[1]), np.zeros((3, 4))])
+    got = algebra._null_space_floor(systems, DEFAULT_TOL.tol_rank)
+    assert [g.shape for g in got] == [(4, 1), (4, 2), (4, 4)]
     for a, g in zip(systems, got):
         assert np.linalg.norm(a @ g) <= 1e-12
         assert np.allclose(g.conj().T @ g, np.eye(g.shape[1]), atol=1e-12)

@@ -164,6 +164,23 @@ def test_block_channel_validation():
         block_channel(st, [mover] + good[1:], red_states=reds)
 
 
+def test_block_channel_assembles_through_a_transform_unitary_to_roundoff():
+    # a decomposition's transform is unitary only to roundoff (about 6e-15
+    # here); the block channels are validated channels, so the assembled
+    # operators are not checked again and no tol_psd, zero included, rejects
+    # them; a transform that is not unitary still raises
+    strict = Tolerances(tol_psd=0.0)
+    for seed in range(20):
+        states = build_family(np.random.default_rng(seed), [(1, 2), (2, 3), (1, 1)], 4)["states"]
+        st = decompose(states, tol=strict).structure
+        ch = block_channel(st, [identity_channel(dr) for _, dr in st.blocks])
+        assert ch.kraus_ops.shape == (1, st.dim, st.dim) and not ch.kraus_ops.flags.writeable
+        assert np.abs(ch.kraus_ops[0] - np.eye(st.dim)).max() <= 1e-12
+    skewed = Structure(st.dim, st.blocks, 1.001 * st.transform)
+    with pytest.raises(ValidationError, match="transform is not unitary"):
+        block_channel(skewed, [identity_channel(dr) for _, dr in st.blocks])
+
+
 def test_block_channel_preserves_and_has_block_form():
     rng = np.random.default_rng(7)
     for trial in range(12):

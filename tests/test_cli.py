@@ -230,7 +230,7 @@ def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
         ("isotypic_decompose", "matrix_rank"),
         ("isotypic_decompose", "eigh"),
         ("_spectral_frame", "eigh"),
-        ("_compressed_generators", "qr"),
+        ("_compressed_generators", "svd"),
         ("_null_space_floor", "qr"),
         ("_null_space_floor", "svd"),
         ("_unitary_polish", "svd"),

@@ -8,7 +8,7 @@ give the same structure (through V, for the last). The block weights are
 per member, so they follow the members: permuted rows, the same rows, the
 mixtures' rows appended, and the same rows again.
 
-Tier-1 checks the four relations on the families below (d <= 20). The five
+Tier-1 checks the four relations on the families below (d <= 20). The
 d = 64 families of the decision corpus are too slow for that budget; CI's
 seed-scan job checks the relations on them from the command line:
 

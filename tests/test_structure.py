@@ -175,6 +175,23 @@ def test_decompose_envelope(seed, blocks, n_states, pad_to):
     assert rep.ok
 
 
+@pytest.mark.parametrize("blocks", [[(8, 8)], [(4, 16)], [(1, 32), (1, 32)]], ids=["8x8", "4x16", "1x32+1x32"])
+def test_decompose_multiplicity_heavy_block(blocks):
+    # d = 64 with maximally mixed redundant factors of dimension 8 to 32:
+    # every spectral cluster comes from a multiplicity: pass 1 keeps 8
+    # clusters of 8, 4 of 16 or 2 of 32 (each case about 1.5 s with
+    # check_maximal on 2 vCPUs; (2, 32) and (1, 64) are in the d = 64
+    # decision corpus)
+    built = build_family(np.random.default_rng(5), blocks, 4, mixed_red=True)
+    dec = decompose(state_family(built["states"]))
+    assert dec.support.shape == (64, 64)
+    assert sorted(dec.structure.blocks) == sorted(built["blocks"])
+    assert weights_match(dec.weights, built["weights"], atol=1e-7)
+    rep = check_maximal(dec)
+    assert rep.reassembly_residual <= 1e-7
+    assert rep.ok
+
+
 def merged_classical(blocks, weights):
     """The finest blocks and weights of an equal-weight family: its d_info = 1
     blocks merge into one, whose weight is the sum of theirs."""
@@ -192,8 +209,7 @@ def merged_classical(blocks, weights):
         (96, 4, {"equal_weights": True}),  # the d_info = 1 blocks merge into (1, 8)
         (96, 60, {"equal_weights": True}),
         (98, 4, {"mixed_red": True}),  # maximally mixed redundant factors: pass 1 is non-abelian
-        # the same with 60 states, where the cluster pairs' R factors carry
-        # pass 1: about 1 s on 2 vCPUs
+        # the same with 60 states: each cluster pair compresses to one row
         (98, 60, {"mixed_red": True}),
     ],
 )
