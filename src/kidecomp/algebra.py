@@ -31,23 +31,18 @@ solve once, for the commutant of the whole family, and reads everything
 else off two random Hermitian commutant elements (after Maehara & Murota,
 SIAM J. Matrix Anal. Appl. 32, 2011): the simple pieces from the
 eigenspaces of the first, and the classes and the alignment of their copies
-from the Schur blocks of the second. It returns the pieces' bases, grouped
-by class, and no leak or residual figure: a caller that needs one computes
-it from the bases. Everything works on dense complex matrices; commutant
-bases are orthonormal under the Hilbert-Schmidt inner product
-<A, B> = Tr(A^dag B).
+from the Schur blocks of the second, both read in the solve's frame. It
+returns the pieces' bases, grouped by class, and no leak or residual
+figure: a caller that needs one computes it from the bases. Everything
+works on dense complex matrices; commutant bases are orthonormal under the
+Hilbert-Schmidt inner product <A, B> = Tr(A^dag B).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateSample,
-    DimensionMismatch,
-    NotInvariant,
-    SupportDeficient,
-)
+from .exceptions import DegenerateSample, DimensionMismatch, NotInvariant
 from .linalg import DEFAULT_TOL, Tolerances, _hermitian_stack, _lapack, as_complex_matrix, seeded_random_hermitian
 
 __all__ = [
@@ -89,14 +84,15 @@ def _check_square_family(mats):
     return np.stack(out), d
 
 
-def _null_space_floor(systems: np.ndarray, cutoff: float) -> list:
+def _null_space_floor(systems: np.ndarray, cutoff: float) -> tuple:
     """Null spaces, with an absolute singular-value cutoff, of an m x rows x c
     stack of equal-shape systems.
 
-    Returns one c x z_j matrix per system, z_j its own null dimension. The
-    stack holds the block-pair systems of one shape and one set of kept
-    unknowns (`_commutant_basis`); a family with no consecutive diagonal
-    blocks is a stack of one. The systems of a stack share their row
+    Returns the null vectors of all systems, in order, as the rows of one
+    z x c array, and the m null dimensions z_j that sum to z. The stack
+    holds the block-pair systems of one shape and one set of kept unknowns
+    (`_commutant_basis`); a family with no consecutive blocks is a stack of
+    one. The systems of a stack share their row
     positions, and a row that vanishes in only some of them is an exact
     zero row there (`_pair_rows`), which changes no singular value. A
     system with fewer rows than unknowns keeps its whole null space: the
@@ -116,7 +112,8 @@ def _null_space_floor(systems: np.ndarray, cutoff: float) -> list:
     with _lapack():
         _, s, vh = np.linalg.svd(np.linalg.qr(systems, mode="r"))
     ranks = np.sum(s > cutoff, axis=1)
-    return [v[rank:, :].conj().T for v, rank in zip(vh, ranks)]
+    null = np.concatenate([v[rank:] for v, rank in zip(vh, ranks)])
+    return np.conjugate(null, out=null), vh.shape[1] - ranks
 
 
 def _diagonal_blocks(mats: np.ndarray) -> np.ndarray:
@@ -267,14 +264,16 @@ def _pair_rows(mq: np.ndarray, mp: np.ndarray, ps: np.ndarray, qs: np.ndarray) -
     cols[:, k, :, :, qs] -= mp[:, :, :, ps].transpose(3, 0, 1, 2)  # m'_P E_pq: column q is m'_P[:, p]
     cols = cols.reshape(m, ps.size, -1)
     live = cols.any(axis=(0, 1))
-    if not live.all():
-        cols = cols[:, :, live] if live.any() else cols[:, :, :1]
+    live[0] |= not live.any()
+    if not live.all():  # a copy, so the full buffer is freed
+        cols = cols[:, :, live]
     return cols.transpose(0, 2, 1)
 
 
-def _commutant_basis(mats, tol: Tolerances) -> np.ndarray:
-    """Orthonormal basis of {X : X m_i = m_i X for every m_i in mats}, as
-    one z x k x k stack.
+def _commutant_basis(mats, tol: Tolerances) -> tuple:
+    """Orthonormal basis of {X : X m_i = m_i X for every m_i in mats}, in
+    the frame it is solved in: (u, basis), the unitary of `_spectral_frame`
+    and one z x k x k stack of the matrices X' = u^dag X u.
 
     Members of norm at most tol_zero impose nothing and are dropped; the
     n others are normalized, since the rank floor tol_rank is absolute.
@@ -296,12 +295,13 @@ def _commutant_basis(mats, tol: Tolerances) -> np.ndarray:
     system by at most 2 sqrt(pairs) tol_zero, so every rank decision is the
     one a single solve of the n k^2 rows would make, unless that solve has
     a singular value within that bound of tol_rank. The basis is
-    orthonormal under the Hilbert-Schmidt inner product, and every basis
-    matrix is nonzero on exactly one block pair (P, Q), so a caller can
-    count the solutions per pair from their nonzero pattern. For a direct
-    sum of families, by Schur's lemma, the matrices on the pair (B, A) of
-    two summands are a basis of the intertwiners from A to B
-    (`intertwiner_space`, `structure.check_maximal`).
+    orthonormal under the Hilbert-Schmidt inner product, as is u X' u^dag
+    (`_ambient_commutant`), and <X', u^dag H u> = <X, H>. Every basis
+    matrix is nonzero on exactly one block pair (P, Q), as is u X' u^dag (u
+    is block diagonal over the blocks), so a caller can count the solutions
+    per pair from the frame basis. For a direct sum of families, by Schur's
+    lemma, the matrices on the pair (B, A) of two summands are a basis of
+    the intertwiners from A to B (`intertwiner_space`, `check_maximal`).
     """
     stacked = np.asarray(mats, dtype=complex)
     norms = np.linalg.norm(stacked, axis=(1, 2))
@@ -320,27 +320,28 @@ def _commutant_basis(mats, tol: Tolerances) -> np.ndarray:
         sub = mask[edges[bp] : edges[bp + 1], edges[bq] : edges[bq + 1]]
         starts = groups.setdefault((sub.shape, sub.tobytes()), (sub, []))[1]
         starts.append((edges[bp], edges[bq]))
-    found = []
+    found = []  # per stack: its null vectors, one per row, and the frame entries each fills
     for sub, starts in groups.values():
         ps, qs = np.nonzero(sub)
         first_p, first_q = np.array(starts).T
         ip = first_p[:, None] + np.arange(sub.shape[0])
         iq = first_q[:, None] + np.arange(sub.shape[1])
         mq, mp = _blocks_at(comp, iq).swapaxes(0, 1), _blocks_at(comp, ip).swapaxes(0, 1)
-        nulls = _null_space_floor(_pair_rows(mq, mp, ps, qs), tol.tol_rank)
-        owner = np.repeat(np.arange(len(starts)), [v.shape[1] for v in nulls])
-        if owner.size:
-            xf = np.zeros((owner.size,) + sub.shape, dtype=complex)
-            xf[:, ps, qs] = np.concatenate(nulls, axis=1).T
-            up, uq = _blocks_at(u, ip[owner]), _blocks_at(u, iq[owner])
-            found.append((up @ xf @ uq.conj().swapaxes(1, 2), ip[owner], iq[owner]))
-    out = np.zeros((sum(f[0].shape[0] for f in found), k, k), dtype=complex)
+        null, dims = _null_space_floor(_pair_rows(mq, mp, ps, qs), tol.tol_rank)
+        owner = np.repeat(np.arange(len(starts)), dims)
+        found.append((null, ip[owner][:, ps] * k + iq[owner][:, qs]))
+    out = np.zeros((sum(f[0].shape[0] for f in found), k * k), dtype=complex)
     z = 0
-    for blocks, ip, iq in found:
-        rows = np.arange(z, z + blocks.shape[0])
-        out[rows[:, None, None], ip[:, :, None], iq[:, None, :]] = blocks
-        z += blocks.shape[0]
-    return out
+    for vecs, at in found:
+        out[np.arange(z, z + vecs.shape[0])[:, None], at] = vecs
+        z += vecs.shape[0]
+    return u, out.reshape(-1, k, k)
+
+
+def _ambient_commutant(mats, tol: Tolerances) -> np.ndarray:
+    """The basis of `_commutant_basis` as ambient matrices u X' u^dag."""
+    u, basis = _commutant_basis(mats, tol)
+    return u @ basis @ u.conj().T
 
 
 def commutant_of_family(generators, tol: Tolerances = DEFAULT_TOL) -> tuple:
@@ -349,7 +350,7 @@ def commutant_of_family(generators, tol: Tolerances = DEFAULT_TOL) -> tuple:
     Always contains the identity direction I/sqrt(d) in its span.
     """
     mats, _ = _check_square_family(generators)
-    return tuple(_commutant_basis(mats, tol))
+    return tuple(_ambient_commutant(mats, tol))
 
 
 @dataclass(frozen=True)
@@ -415,7 +416,8 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
     Hermitian elements X1, X2 of the commutant, each the projection of
     `seeded_random_hermitian` onto it (after Murota, Kanno, Kojima & Kojima,
     Japan J. Indust. Appl. Math. 27, 2010, and Maehara & Murota, SIAM J.
-    Matrix Anal. Appl. 32, 2011):
+    Matrix Anal. Appl. 32, 2011), all read in the solve's frame u: each draw
+    H is projected as u^dag H u, and the pieces' bases V come out as u V:
 
     - the eigenvalue clusters of X1 (`_cluster_ascending`) are the simple
       pieces V_a;
@@ -435,25 +437,21 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
     from V_0 to V_j, so V_j^dag A_i V_j = V_0^dag A_i V_0 for every
     generator A_i.
 
-    Requires the generators to jointly span the ambient space
-    (SupportDeficient otherwise); restrict first if they do not.
+    A kernel K that all generators share, where the algebra acts as 0,
+    comes back as one class of simple dimension 1 and multiplicity dim K.
     """
     mats, d = _check_square_family(generators)
-    with _lapack():
-        ranks = np.linalg.matrix_rank(mats.reshape(-1, d), tol=None)
-    if ranks < d:
-        raise SupportDeficient(
-            f"generators span a {ranks}-dim subspace of the {d}-dim ambient space"
-        )
-    comm = _commutant_basis(mats, tol)
+    frame, comm = _commutant_basis(mats, tol)
 
     if len(comm) == 1:  # the identity alone: one simple piece, nothing to draw
         return IsotypicDecomposition(d, (IsotypicComponent((np.eye(d, dtype=complex),), d),))
-    x1, x2 = (_hermitian_stack(_project_onto_span(seeded_random_hermitian(d, int(seed) + j), comm)) for j in (0, 1))
+    draws = (frame.conj().T @ seeded_random_hermitian(d, int(seed) + j) @ frame for j in (0, 1))
+    x1, x2 = (_hermitian_stack(_project_onto_span(h, comm)) for h in draws)
     with _lapack():
         w, u = np.linalg.eigh(x1)
     pieces = _cluster_ascending(w, tol)
     x2 = u.conj().T @ x2 @ u
+    u = frame @ u
     # norms[b, a] = ||V_b^dag X2 V_a||_F; pieces are runs of consecutive columns
     starts = [cl[0] for cl in pieces]
     norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(x2) ** 2, starts, 0), starts, 1))
@@ -508,7 +506,7 @@ def intertwiner_space(generators, basis_a, basis_b, tol: Tolerances = DEFAULT_TO
             raise NotInvariant(f"{name} is not invariant under generator family")
         direct[:, at, at] = comp
     out = []
-    for x in _commutant_basis(direct, tol):
+    for x in _ambient_commutant(direct, tol):
         lam = x[ka:, :ka]
         if not lam.any():
             continue

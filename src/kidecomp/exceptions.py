@@ -12,7 +12,6 @@ __all__ = [
     "ParseError",
     "EmptyFamily",
     "BadWeights",
-    "SupportDeficient",
     "DegenerateSample",
     "NotInvariant",
     "StatesIdentical",
@@ -75,10 +74,6 @@ class EmptyFamily(KidecompError):
 
 class BadWeights(KidecompError):
     """Probability weights must be strictly positive and sum to 1."""
-
-
-class SupportDeficient(KidecompError):
-    """Generators do not jointly span the ambient space."""
 
 
 class DegenerateSample(KidecompError):

@@ -308,7 +308,9 @@ class DecomposedFamily:
 
     def block_matrix(self, s: int) -> np.ndarray:
         """Direct sum (+)_l w[s,l] info (x) red, in block coordinates."""
-        return _block_matrices(self, _component_stacks(self))[s]
+        if not 0 <= s < len(self.family):
+            raise DimensionMismatch(f"member {s} out of range for {len(self.family)} members")
+        return _block_matrices(self, _component_stacks(self, slice(s, s + 1)))[0]
 
     def reassemble(self, s: int) -> np.ndarray:
         """Rebuild family member s in the original ambient coordinates."""
@@ -317,16 +319,16 @@ class DecomposedFamily:
         return self.support @ inner @ self.support.conj().T
 
 
-def _component_stacks(decomp: DecomposedFamily) -> list:
-    """The stored components of all members, per block l: the weight column
+def _component_stacks(decomp: DecomposedFamily, members: slice = slice(None)) -> list:
+    """The stored components of `members`, per block l: the weight column
     and the information states stacked n x d_info x d_info, both zero for a
     member whose weight vanishes or whose information state is None."""
-    n = len(decomp.family)
+    rows = decomp.info_states[members]
     comps = []
     for l, (di, _) in enumerate(decomp.structure.blocks):
-        w = np.array(decomp.weights[:, l], dtype=float)
-        infos = np.zeros((n, di, di), dtype=complex)
-        for s, row in enumerate(decomp.info_states):
+        w = np.array(decomp.weights[members, l], dtype=float)
+        infos = np.zeros((len(rows), di, di), dtype=complex)
+        for s, row in enumerate(rows):
             if row[l] is None or w[s] <= 0.0:
                 w[s] = 0.0
             else:
@@ -342,10 +344,10 @@ def _kron_pairs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _block_matrices(decomp: DecomposedFamily, comps: list) -> np.ndarray:
-    """The n block matrices of `block_matrix`, one kron per block, from the
-    component stacks of `_component_stacks`."""
+    """The block matrices of `block_matrix`, one kron per block, of the
+    members whose component stacks `_component_stacks` gave."""
     st = decomp.structure
-    blocks = np.zeros((len(decomp.family), st.dim, st.dim), dtype=complex)
+    blocks = np.zeros((len(comps[0][0]), st.dim, st.dim), dtype=complex)
     for l, ((w, infos), red) in enumerate(zip(comps, decomp.red_states)):
         off, sz = st.block_offset(l), st.block_size(l)
         kron = _kron_pairs(infos, red.mat[None])
@@ -611,7 +613,7 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     direct = np.zeros((len(states), edges[-1], edges[-1]), dtype=complex)
     for (w, infos), p, a, b in zip(comps, p_all.clip(tol.tol_zero), edges[:-1], edges[1:]):
         direct[:, a:b, a:b] = (w / p)[:, None, None] * infos
-    basis = _commutant_basis(direct, tol)
+    _, basis = _commutant_basis(direct, tol)
     # counts[l', l]: basis matrices on block pair (l', l), each on exactly one
     per_pair = np.add.reduceat(np.add.reduceat(np.abs(basis), edges[:-1], axis=1), edges[:-1], axis=2)
     counts = np.count_nonzero(per_pair, axis=0)

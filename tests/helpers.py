@@ -553,6 +553,13 @@ def split_decomp_identical_pair(p=0.75):
     return split_decomp_identical([p, 1.0 - p])
 
 
+def ambient(solved):
+    """The (u, basis) that `_commutant_basis` returns, its basis solved in
+    the frame u, as one stack of ambient matrices u X' u^dag."""
+    u, basis = solved
+    return u @ basis @ u.conj().T
+
+
 def dense_intertwiners(xs, ys, tol=DEFAULT_TOL):
     """Reference: null space of the full kron system L x_i = y_i L, one SVD."""
     ka, kb = xs[0].shape[0], ys[0].shape[0]
@@ -848,7 +855,7 @@ def recursive_isotypic_split(generators, seed=0, tol=DEFAULT_TOL):
     simples = []
 
     def split(iso):
-        comm = _commutant_basis(iso.conj().T @ mats @ iso, tol)
+        comm = ambient(_commutant_basis(iso.conj().T @ mats @ iso, tol))
         if len(comm) <= 1:
             simples.append(iso)
             return

@@ -14,13 +14,13 @@ from kidecomp.exceptions import (
     DegenerateSample,
     DimensionMismatch,
     NotInvariant,
-    SupportDeficient,
     ValidationError,
 )
 from kidecomp.linalg import DEFAULT_TOL
 
 from helpers import (
     ENVELOPE_64,
+    ambient,
     build_family,
     component_projector,
     dense_intertwiners,
@@ -182,12 +182,23 @@ def test_isotypic_trivial_family():
             assert np.linalg.norm(leak) < 1e-10
 
 
-def test_isotypic_rejects_generators_spanning_a_proper_subspace():
-    # rotated so the missing direction is not a coordinate axis
+@pytest.mark.parametrize("diagonals, classes", [
+    ([[0.5, 0.5, 0, 0], [0.2, 0, 0.8, 0]], [(1, 1)] * 4),
+    ([[1, 0, 0, 0]], [(1, 1), (1, 3)]),
+])
+def test_isotypic_returns_a_shared_kernel_as_one_class(diagonals, classes):
+    # generators that span a proper subspace share the kernel K, on which
+    # the algebra acts as 0: K is one class of multiplicity dim K, and
+    # rotating keeps K off the coordinate axes
     u = haar_unitary(np.random.default_rng(11), 4)
-    gens = [u @ np.diag(d).astype(complex) @ u.conj().T for d in ([0.5, 0.5, 0, 0], [0.2, 0, 0.8, 0])]
-    with pytest.raises(SupportDeficient, match="3-dim subspace of the 4-dim"):
-        isotypic_decompose(gens)
+    gens = np.array([u @ np.diag(d).astype(complex) @ u.conj().T for d in diagonals])
+    dec = isotypic_decompose(gens)
+    assert sorted((c.simple_dim, c.multiplicity) for c in dec.components) == classes
+    kernel = u[:, np.flatnonzero(~np.any(diagonals, axis=0))]
+    vanish = [c for c in dec.components if all(np.linalg.norm(gens @ v) <= 1e-12 for v in c.submodule_bases)]
+    assert len(vanish) == 1 and vanish[0].multiplicity == kernel.shape[1]
+    span = np.hstack(vanish[0].submodule_bases)
+    assert np.allclose(span @ span.conj().T, kernel @ kernel.conj().T, atol=1e-12)
 
 
 def test_isotypic_planted_tensor_block():
@@ -290,12 +301,33 @@ def test_isotypic_matches_recursive_split(name, gens):
     [f() for f in ISOTYPIC_FIXTURES] + [planted_generators(np.random.default_rng(111), CLASSICAL_24, 3)],
 )
 def test_isotypic_makes_one_commutant_solve(monkeypatch, gens):
-    # one solve whatever the number of simple pieces (2 to 24 here)
+    # one solve whatever the number of simple pieces (2 to 24 here), read
+    # in its frame: no ambient basis is built
     calls = []
-    real = algebra._commutant_basis
-    monkeypatch.setattr(algebra, "_commutant_basis", lambda mats, tol: calls.append(1) or real(mats, tol))
+    for name in ("_commutant_basis", "_ambient_commutant"):
+        real = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name, lambda mats, tol, _real=real, _name=name: calls.append(_name) or _real(mats, tol))
     isotypic_decompose(gens)
-    assert len(calls) == 1
+    assert calls == ["_commutant_basis"]
+
+
+@pytest.mark.parametrize("gens", [tensor_block_gens(), planted_generators(np.random.default_rng(112), [(2, 2), (1, 3), (3, 1)], 3)])
+def test_isotypic_draws_are_projections_onto_the_dense_commutant(monkeypatch, gens):
+    # X1 and X2, read in the solve's frame and rotated out, are the
+    # projections of the seeded draws onto the dense solve's commutant
+    solved, drawn = [], []
+    real_solve, real_project = algebra._commutant_basis, algebra._project_onto_span
+    monkeypatch.setattr(algebra, "_commutant_basis", lambda mats, tol: solved.append(real_solve(mats, tol)) or solved[-1])
+    monkeypatch.setattr(algebra, "_project_onto_span", lambda m, b: drawn.append(real_project(m, b)) or drawn[-1])
+    isotypic_decompose(gens, seed=5)
+    (u, _), d = solved[0], gens[0].shape[0]
+    dense = dense_intertwiners(gens, gens)
+    q, _ = np.linalg.qr(np.array([m.reshape(-1) for m in dense]).T)
+    assert len(drawn) == 2
+    for j, x in enumerate(drawn):
+        h = seeded_random_hermitian(d, 5 + j).reshape(-1)
+        want = (q @ (q.conj().T @ h)).reshape(d, d)
+        assert np.abs(u @ x @ u.conj().T - want).max() <= 1e-10
 
 
 def full_algebra_gens():
@@ -430,18 +462,18 @@ def test_intertwiners_match_dense_solve_on_planted_families(seed, blocks):
     # the eigenframe of a random family element leaves few unknowns
     _, _, mask = _spectral_frame(np.array(xs), DEFAULT_TOL)
     assert mask.sum() <= sum(a * b * b for a, b in blocks) < mask.size
-    assert_same_span(_commutant_basis(xs, DEFAULT_TOL), dense_intertwiners(xs, xs))
+    assert_same_span(ambient(_commutant_basis(xs, DEFAULT_TOL)), dense_intertwiners(xs, xs))
 
 
 def test_intertwiners_match_dense_solve_on_identity_and_redundant_copies():
     eye = [np.eye(5, dtype=complex) / np.sqrt(5)] * 2
-    assert len(_commutant_basis(eye, DEFAULT_TOL)) == 25
-    assert_same_span(_commutant_basis(eye, DEFAULT_TOL), dense_intertwiners(eye, eye))
+    assert len(ambient(_commutant_basis(eye, DEFAULT_TOL))) == 25
+    assert_same_span(ambient(_commutant_basis(eye, DEFAULT_TOL)), dense_intertwiners(eye, eye))
     # info factor tensored with a redundant copy space, each generator listed three times
     u = haar_unitary(np.random.default_rng(73), 8)
     gens = [u @ np.kron(seeded_random_hermitian(2, 74 + s), np.eye(4)) @ u.conj().T for s in range(2)]
     xs = unit(gens * 3)
-    got = _commutant_basis(xs, DEFAULT_TOL)
+    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
     assert len(got) == 16
     assert_same_span(got, dense_intertwiners(xs, xs))
 
@@ -452,7 +484,7 @@ def test_intertwiners_match_dense_solve_on_noisy_identity():
     # of the random combination's eigenvalues
     eye = np.eye(4, dtype=complex)
     xs = unit([eye + 1e-12 * seeded_random_hermitian(4, 90 + s) for s in range(3)])
-    got = _commutant_basis(xs, DEFAULT_TOL)
+    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
     assert len(got) == 16
     assert_same_span(got, dense_intertwiners(xs, xs))
 
@@ -496,7 +528,7 @@ def test_remix_solves_a_sixty_member_commutant_on_its_span(monkeypatch):
     base = build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 5)["states"]
     xs = unit(combinations(rng, base, 60))
     seen = count_frame_generators(monkeypatch)
-    got = _commutant_basis(xs, DEFAULT_TOL)
+    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
     assert seen == [60]
     assert len(got) == 2 + 3 + 1 + 1  # diagonal on each redundant factor
     assert_same_span(got, dense_intertwiners(xs, xs))
@@ -531,7 +563,7 @@ def test_remix_solves_sixty_block_pairs_on_their_span(monkeypatch):
 )
 def test_remix_of_one_member_and_of_an_all_zero_family(monkeypatch, xs):
     seen = count_frame_generators(monkeypatch)
-    got = _commutant_basis(xs, DEFAULT_TOL)
+    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
     assert seen == [1]
     assert len(got) == (4 if np.any(xs[0]) else 16)
     assert_same_span(got, dense_intertwiners(xs, xs))
@@ -546,7 +578,7 @@ def test_remix_of_more_members_than_real_entries(monkeypatch, d_info):
     infos = np.stack([random_density(rng, d_info) for _ in range(60)])
     w = rng.uniform(0.1, 1.0, 60)
     seen = count_frame_generators(monkeypatch)
-    got = _commutant_basis(w[:, None, None] * infos, DEFAULT_TOL)
+    got = ambient(_commutant_basis(w[:, None, None] * infos, DEFAULT_TOL))
     xs = unit(list(w[:, None, None] * infos))
     assert len(got) == 1
     assert_same_span(got, dense_intertwiners(xs, xs))
@@ -630,7 +662,7 @@ def test_intertwiners_split_block_diagonal_families_into_stacked_pair_solves(mon
     xs = xs / scale[:, None, None]
     ys = ys / scale[:, None, None] if between else xs
     seen = record_null_space_stacks(monkeypatch)
-    got = block_maps(xs, ys) if between else _commutant_basis(xs, DEFAULT_TOL)
+    got = block_maps(xs, ys) if between else ambient(_commutant_basis(xs, DEFAULT_TOL))
     assert sorted(seen) == stacks
     assert len(got) == count
     assert_same_span(got, dense_intertwiners(list(xs), list(ys)))
@@ -736,7 +768,7 @@ def test_compressed_systems_are_the_dense_system(monkeypatch, name, xs, generato
     real = algebra._compressed_generators
     monkeypatch.setattr(algebra, "_compressed_generators", lambda *args: comp.append(real(*args)) or comp[-1])
     seen = record_null_space_systems(monkeypatch)
-    got = _commutant_basis(xs, DEFAULT_TOL)
+    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
     dense = dense_frame_system(xs)
     want = np.sort(padded_singular_values(dense))
     have = np.sort(np.concatenate([padded_singular_values(x) for stack in seen for x in stack]))
@@ -778,13 +810,15 @@ def contract_cases():
 def test_intertwiners_lie_each_in_one_block_pair(name, xs, ys):
     # the contract check_maximal and intertwiner_space count on: every
     # commutant basis matrix is nonzero on exactly one pair of the blocks
-    # found; two families are solved as their direct sum
+    # found, in the solve's frame and, as u is block diagonal over them,
+    # in ambient coordinates; two families are solved as their direct sum
     mats = xs if ys is None else block_diagonal(xs, ys)
-    got = np.asarray(_commutant_basis(mats, DEFAULT_TOL))
+    u, frame = _commutant_basis(mats, DEFAULT_TOL)
     edges = algebra._diagonal_blocks(mats)[:-1]
-    per_pair = np.add.reduceat(np.add.reduceat(np.abs(got), edges, axis=1), edges, axis=2)
-    assert got.shape[0] > 0
-    assert np.count_nonzero(per_pair, axis=(1, 2)).tolist() == [1] * got.shape[0]
+    assert frame.shape[0] > 0
+    for got in (frame, ambient((u, frame))):
+        per_pair = np.add.reduceat(np.add.reduceat(np.abs(got), edges, axis=1), edges, axis=2)
+        assert np.count_nonzero(per_pair, axis=(1, 2)).tolist() == [1] * got.shape[0]
 
 
 def test_diagonal_blocks_reads_the_exact_zero_pattern():
@@ -809,7 +843,8 @@ def test_null_space_floor_of_a_stack_with_different_null_dimensions(transposed):
     systems = np.stack([gaussian(9, 4), gaussian(9, 2) @ gaussian(2, 4), np.zeros((9, 4))])
     if transposed:
         systems = np.ascontiguousarray(systems.transpose(0, 2, 1)).transpose(0, 2, 1)
-    got = algebra._null_space_floor(systems, DEFAULT_TOL.tol_rank)
+    null, dims = algebra._null_space_floor(systems, DEFAULT_TOL.tol_rank)
+    got = [g.T for g in np.split(null, np.cumsum(dims)[:-1])]
     assert [g.shape for g in got] == [(4, 0), (4, 2), (4, 4)]
     for a, g in zip(systems, got):
         assert np.linalg.norm(a @ g) <= 1e-12
@@ -821,7 +856,8 @@ def test_null_space_floor_keeps_the_whole_null_space_of_a_wide_system():
     rng = np.random.default_rng(181)
     a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     systems = np.stack([a, np.outer([1.0, 2.0, 0.0], a[0]) + np.outer([0.0, 1.0, 1.0], a[1]), np.zeros((3, 4))])
-    got = algebra._null_space_floor(systems, DEFAULT_TOL.tol_rank)
+    null, dims = algebra._null_space_floor(systems, DEFAULT_TOL.tol_rank)
+    got = [g.T for g in np.split(null, np.cumsum(dims)[:-1])]
     assert [g.shape for g in got] == [(4, 1), (4, 2), (4, 4)]
     for a, g in zip(systems, got):
         assert np.linalg.norm(a @ g) <= 1e-12
@@ -835,7 +871,7 @@ def test_commutant_of_non_normal_generator():
     xs = unit([jordan])
     _, _, mask = _spectral_frame(np.array(xs), DEFAULT_TOL)
     assert mask.all()
-    got = _commutant_basis(xs, DEFAULT_TOL)
+    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
     assert len(got) == 3
     assert_same_span(got, dense_intertwiners(xs, xs))
     assert len(commutant_of_family([jordan])) == 3

@@ -227,7 +227,6 @@ def test_lapack_failure_exits_as_numerical_failure(monkeypatch, capsys):
     [
         ("_hermitian_psd", "eigvalsh"),
         ("_eigh", "eigh"),
-        ("isotypic_decompose", "matrix_rank"),
         ("isotypic_decompose", "eigh"),
         ("_spectral_frame", "eigh"),
         ("_compressed_generators", "svd"),

@@ -33,6 +33,7 @@ import noise_band
 from helpers import (
     CLASSICAL_64,
     ENVELOPE_64,
+    ambient,
     build_family,
     haar_unitary,
     hand_decomp,
@@ -280,21 +281,23 @@ def count_calls(monkeypatch, names, modules=(algebra, structure)):
 def test_decompose_makes_one_commutant_solve_per_isotypic_pass(monkeypatch):
     # the d = 64 envelope family; the copies come aligned out of
     # isotypic_decompose, so no intertwiner solve aligns or groups them, and
-    # the certificate makes the third solve
+    # the certificate makes the third solve; every solve is read in its
+    # frame, so no ambient basis is built
     built = build_family(np.random.default_rng(92), ENVELOPE_64, 4)
-    calls = count_calls(monkeypatch, ("_commutant_basis", "intertwiner_space"))
+    calls = count_calls(monkeypatch, ("_commutant_basis", "_ambient_commutant", "intertwiner_space"))
     dec = decompose(built["states"])
     assert sorted(dec.structure.blocks) == sorted(built["blocks"])
-    assert calls == {"_commutant_basis": 3, "intertwiner_space": 0}
+    assert calls == {"_commutant_basis": 3, "_ambient_commutant": 0, "intertwiner_space": 0}
 
 
 @pytest.mark.parametrize("shape", [ENVELOPE_64, CLASSICAL_64], ids=["envelope", "classical"])
 def test_check_maximal_makes_one_commutant_solve(monkeypatch, shape):
-    # conditions (ii) and (iii) of all blocks come from one solve
+    # conditions (ii) and (iii) of all blocks come from one solve, counted
+    # on its frame basis
     dec = decompose(build_family(np.random.default_rng(92), shape, 4)["states"])
-    calls = count_calls(monkeypatch, ("_commutant_basis",))
+    calls = count_calls(monkeypatch, ("_commutant_basis", "_ambient_commutant"))
     assert check_maximal(dec).ok
-    assert calls == {"_commutant_basis": 1}
+    assert calls == {"_commutant_basis": 1, "_ambient_commutant": 0}
 
 
 def test_second_pass_runs_in_the_piece_frame(monkeypatch):
@@ -331,6 +334,26 @@ def test_reassembly_residual_matches_reassemble_loop():
         assert abs(check_maximal(dec).reassembly_residual - loop_max_residual(dec)) <= 1e-14
         for s in range(len(dec.family)):
             assert np.abs(dec.block_matrix(s) - loop_block_matrix(dec, s)).max() <= 1e-14
+
+
+def test_block_matrix_builds_only_its_member(monkeypatch):
+    dec = decompose(build_family(np.random.default_rng(97), [(2, 2), (1, 3)], 5)["states"])
+    built = []
+    real = structure._block_matrices
+    monkeypatch.setattr(structure, "_block_matrices", lambda *args: built.append(real(*args)) or built[-1])
+    for s in range(5):
+        assert np.abs(dec.block_matrix(s) - loop_block_matrix(dec, s)).max() <= 1e-14
+        assert np.abs(dec.reassemble(s) - dec.family.mats()[s]).max() <= 1e-12
+    assert [b.shape[0] for b in built] == [1] * 10
+
+
+@pytest.mark.parametrize("s", [-1, 5, 6])
+def test_block_matrix_rejects_a_member_out_of_range(s):
+    dec = decompose(build_family(np.random.default_rng(97), [(2, 2), (1, 3)], 5)["states"])
+    with pytest.raises(DimensionMismatch, match=f"member {s} out of range for 5 members"):
+        dec.block_matrix(s)
+    with pytest.raises(DimensionMismatch, match=f"member {s} out of range for 5 members"):
+        dec.reassemble(s)
 
 
 def test_decompose_classical_sectors_with_small_red_eigenvalues():
@@ -671,7 +694,7 @@ def test_check_maximal_matches_the_per_block_and_per_pair_reference():
         assert rep.reassembly_residual == 0.0
         assert rep.violated == loop_maximality_violations(dec) == want
     direct_sum = diagonal_infos(x, 1.0 - x, x, 1.0 - x, 0.0 * x)
-    maps = np.asarray(algebra._commutant_basis(direct_sum, Tolerances()))[:, 2:, :2]
+    maps = ambient(algebra._commutant_basis(direct_sum, Tolerances()))[:, 2:, :2]
     assert np.abs(maps).max() > 0.5
 
 
