@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSample, DimensionMismatch, NotInvariant
-from .linalg import DEFAULT_TOL, Tolerances, _hermitian_stack, _lapack, as_complex_matrix, seeded_random_hermitian
+from .linalg import DEFAULT_TOL, Tolerances, _check_seed, _hermitian_stack, _lapack, as_complex_matrix, seeded_random_hermitian
 
 __all__ = [
     "IsotypicComponent",
@@ -272,8 +272,19 @@ def _pair_rows(mq: np.ndarray, mp: np.ndarray, ps: np.ndarray, qs: np.ndarray) -
 
 def _commutant_basis(mats, tol: Tolerances) -> tuple:
     """Orthonormal basis of {X : X m_i = m_i X for every m_i in mats}, in
-    the frame it is solved in: (u, basis), the unitary of `_spectral_frame`
-    and one z x k x k stack of the matrices X' = u^dag X u.
+    the frame it is solved in and in the form the solve gives it:
+    (u, stacks), the unitary of `_spectral_frame` and, per stack of
+    systems solved together, the triple (pos, null, dims).
+
+    pos is m x c, row j the flat positions p k + q in the k x k frame of
+    system j's c kept entries; null holds the null vectors of all m
+    systems as rows, in order, system j's dims[j] of them on pos[j]. Each
+    null vector is a basis matrix X' = u^dag X u that is zero off its
+    system's positions. No k x k basis matrix is built here: the
+    pipeline reads the dimension (the sum of the dims), projections
+    (`_project_onto_span`) and the count per block pair
+    (`structure.check_maximal`) off this form, and only
+    `_ambient_commutant` scatters it to dense matrices.
 
     Members of norm at most tol_zero impose nothing and are dropped; the
     n others are normalized, since the rank floor tol_rank is absolute.
@@ -295,13 +306,14 @@ def _commutant_basis(mats, tol: Tolerances) -> tuple:
     system by at most 2 sqrt(pairs) tol_zero, so every rank decision is the
     one a single solve of the n k^2 rows would make, unless that solve has
     a singular value within that bound of tol_rank. The basis is
-    orthonormal under the Hilbert-Schmidt inner product, as is u X' u^dag
-    (`_ambient_commutant`), and <X', u^dag H u> = <X, H>. Every basis
-    matrix is nonzero on exactly one block pair (P, Q), as is u X' u^dag (u
-    is block diagonal over the blocks), so a caller can count the solutions
-    per pair from the frame basis. For a direct sum of families, by Schur's
-    lemma, the matrices on the pair (B, A) of two summands are a basis of
-    the intertwiners from A to B (`intertwiner_space`, `check_maximal`).
+    orthonormal under the Hilbert-Schmidt inner product, as is u X' u^dag,
+    and <X', u^dag H u> = <X, H>. Every system lies on exactly one block
+    pair (P, Q), the one that holds its first row and column, and so does
+    u X' u^dag (u is block diagonal over the blocks), so a caller counts
+    the solutions per pair by adding up the dims. For a direct sum of
+    families, by Schur's lemma, the matrices on the pair (B, A) of two
+    summands are a basis of the intertwiners from A to B
+    (`intertwiner_space`, `check_maximal`).
     """
     stacked = np.asarray(mats, dtype=complex)
     norms = np.linalg.norm(stacked, axis=(1, 2))
@@ -320,7 +332,7 @@ def _commutant_basis(mats, tol: Tolerances) -> tuple:
         sub = mask[edges[bp] : edges[bp + 1], edges[bq] : edges[bq + 1]]
         starts = groups.setdefault((sub.shape, sub.tobytes()), (sub, []))[1]
         starts.append((edges[bp], edges[bq]))
-    found = []  # per stack: its null vectors, one per row, and the frame entries each fills
+    stacks = []
     for sub, starts in groups.values():
         ps, qs = np.nonzero(sub)
         first_p, first_q = np.array(starts).T
@@ -328,20 +340,22 @@ def _commutant_basis(mats, tol: Tolerances) -> tuple:
         iq = first_q[:, None] + np.arange(sub.shape[1])
         mq, mp = _blocks_at(comp, iq).swapaxes(0, 1), _blocks_at(comp, ip).swapaxes(0, 1)
         null, dims = _null_space_floor(_pair_rows(mq, mp, ps, qs), tol.tol_rank)
-        owner = np.repeat(np.arange(len(starts)), dims)
-        found.append((null, ip[owner][:, ps] * k + iq[owner][:, qs]))
-    out = np.zeros((sum(f[0].shape[0] for f in found), k * k), dtype=complex)
-    z = 0
-    for vecs, at in found:
-        out[np.arange(z, z + vecs.shape[0])[:, None], at] = vecs
-        z += vecs.shape[0]
-    return u, out.reshape(-1, k, k)
+        stacks.append((ip[:, ps] * k + iq[:, qs], null, dims))
+    return u, stacks
 
 
 def _ambient_commutant(mats, tol: Tolerances) -> np.ndarray:
-    """The basis of `_commutant_basis` as ambient matrices u X' u^dag."""
-    u, basis = _commutant_basis(mats, tol)
-    return u @ basis @ u.conj().T
+    """The basis of `_commutant_basis` as one z x k x k stack of ambient
+    matrices u X' u^dag, stack by stack and system by system."""
+    u, stacks = _commutant_basis(mats, tol)
+    k = u.shape[0]
+    basis = np.zeros((sum(null.shape[0] for _, null, _ in stacks), k * k), dtype=complex)
+    z = 0
+    for pos, null, dims in stacks:
+        rows = np.arange(z, z + null.shape[0])
+        basis[rows[:, None], pos[np.repeat(np.arange(dims.size), dims)]] = null
+        z += null.shape[0]
+    return u @ basis.reshape(-1, k, k) @ u.conj().T
 
 
 def commutant_of_family(generators, tol: Tolerances = DEFAULT_TOL) -> tuple:
@@ -389,10 +403,21 @@ def _cluster_ascending(w: np.ndarray, tol: Tolerances, floor: float = 0.0):
     return clusters
 
 
-def _project_onto_span(mat, basis_mats):
-    basis = np.asarray(basis_mats)
-    coeffs = basis.reshape(basis.shape[0], -1).conj() @ mat.reshape(-1)
-    return np.tensordot(coeffs, basis, axes=1)
+def _project_onto_span(mat: np.ndarray, stacks) -> np.ndarray:
+    """Orthogonal projection of a k x k matrix onto the span of a basis in
+    the form of `_commutant_basis`, both read in the solve's frame.
+
+    System by system, the matrix's entries h on the system's positions
+    give the coefficients conj(N conj(h)) on its null vectors N, and
+    the projection's entries there are those coefficients times N; the
+    systems' positions do not overlap, and every other entry is zero.
+    """
+    flat = mat.reshape(-1)
+    out = np.zeros_like(flat)
+    for pos, null, dims in stacks:
+        for at, vecs in zip(pos, np.split(null, np.cumsum(dims)[:-1])):
+            out[at] = np.conj(vecs @ np.conj(flat[at])) @ vecs
+    return out.reshape(mat.shape)
 
 
 def _leaks(mats, v):
@@ -416,8 +441,12 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
     Hermitian elements X1, X2 of the commutant, each the projection of
     `seeded_random_hermitian` onto it (after Murota, Kanno, Kojima & Kojima,
     Japan J. Indust. Appl. Math. 27, 2010, and Maehara & Murota, SIAM J.
-    Matrix Anal. Appl. 32, 2011), all read in the solve's frame u: each draw
-    H is projected as u^dag H u, and the pieces' bases V come out as u V:
+    Matrix Anal. Appl. 32, 2011), all read in the solve's frame u and its
+    form (`_commutant_basis`): each draw H is rotated to u^dag H u and
+    projected system by system onto the solve's null vectors
+    (`_project_onto_span`), the commutant's dimension is the sum of the
+    systems' null dimensions, no k x k basis matrix is built, and the
+    pieces' bases V come out as u V:
 
     - the eigenvalue clusters of X1 (`_cluster_ascending`) are the simple
       pieces V_a;
@@ -440,12 +469,14 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
     A kernel K that all generators share, where the algebra acts as 0,
     comes back as one class of simple dimension 1 and multiplicity dim K.
     """
+    seed = _check_seed(seed)
     mats, d = _check_square_family(generators)
     frame, comm = _commutant_basis(mats, tol)
+    dim = sum(int(dims.sum()) for _, _, dims in comm)
 
-    if len(comm) == 1:  # the identity alone: one simple piece, nothing to draw
+    if dim == 1:  # the identity alone: one simple piece, nothing to draw
         return IsotypicDecomposition(d, (IsotypicComponent((np.eye(d, dtype=complex),), d),))
-    draws = (frame.conj().T @ seeded_random_hermitian(d, int(seed) + j) @ frame for j in (0, 1))
+    draws = (frame.conj().T @ seeded_random_hermitian(d, seed + j) @ frame for j in (0, 1))
     x1, x2 = (_hermitian_stack(_project_onto_span(h, comm)) for h in draws)
     with _lapack():
         w, u = np.linalg.eigh(x1)
@@ -465,10 +496,10 @@ def isotypic_decompose(generators, seed: int = 0, tol: Tolerances = DEFAULT_TOL)
         else:
             classes.append([a])
     count = sum(len(cls) ** 2 for cls in classes)
-    if count != len(comm):
+    if count != dim:
         raise DegenerateSample(
             f"degenerate commutant sample: pieces {len(pieces)}, classes {len(classes)}, "
-            f"sum m_c^2 {count}, commutant dimension {len(comm)}"
+            f"sum m_c^2 {count}, commutant dimension {dim}"
         )
 
     components = []

@@ -401,8 +401,20 @@ def _entropy_bits(w: np.ndarray, tol: Tolerances) -> float:
     return entropy_of_spectrum(np.where(w <= tol.tol_zero, 0.0, w))
 
 
+def _check_seed(seed) -> int:
+    """A seed as an int; ValidationError, naming it, unless it is a
+    non-negative integer (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def seeded_random_hermitian(d: int, seed: int) -> np.ndarray:
-    """Deterministic random Hermitian d x d matrix (Gaussian entries)."""
+    """Deterministic random Hermitian d x d matrix (Gaussian entries).
+
+    The seed must be a non-negative integer (ValidationError otherwise).
+    """
+    seed = _check_seed(seed)
     if d < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {d}")
     rng = np.random.default_rng(seed)

@@ -39,6 +39,7 @@ from .exceptions import (
 from .linalg import (
     _as_densities,
     _as_family,
+    _check_seed,
     _eigh,
     _hermitian_stack,
     _lapack,
@@ -465,8 +466,10 @@ def decompose(family, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompose
 
     The result is self-certified with `check_maximal`;
     MaximalityCheckFailed signals a tolerance breakdown, never a silent
-    wrong answer.
+    wrong answer. The seed must be a non-negative integer (ValidationError
+    otherwise), also for a family that draws nothing.
     """
+    seed = _check_seed(seed)
     fam = family if isinstance(family, StateFamily) else state_family(family, tol=tol)
     _, sup = _average_and_support(fam, tol)
     d0, da = fam.dim, sup.shape[1]
@@ -580,11 +583,14 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     off one commutant solve of the direct sum of all blocks' families:
     member s is (+)_l (w_sl / p_l) info_sl, with p_l the block's average
     weight and exact zeros between blocks, and `_commutant_basis` scales
-    each member by its whole norm. Every basis matrix then lies in one pair
-    of blocks (`_commutant_basis`); the matrices on (l, l) span block l's
-    commutant, and those on (l', l) the maps from block l to block l'. So
-    (ii) fails for l when the count on (l, l) is not 1, and (iii) for
-    l < l' of equal d_info when the count on (l', l) is nonzero. Scaling by
+    each member by its whole norm. Every system of the solve, and so each
+    of its null vectors, lies on one pair of blocks (`_commutant_basis`);
+    the matrices on (l, l) span block l's commutant, and those on (l', l)
+    the maps from block l to block l'. The count on a pair is the sum of
+    the null dimensions of the systems whose first row and column it
+    holds, so no basis matrix is built. (ii) fails for l when the count on
+    (l, l) is not 1, and (iii) for l < l' of equal d_info when the count
+    on (l', l) is nonzero. Scaling by
     the whole member rather than per block or per pair leaves L x = y L
     unchanged but shrinks the margin: on the planted d = 64 families with 8
     blocks (4 and 60 states) the smallest kept singular value of the
@@ -613,12 +619,15 @@ def check_maximal(decomp: DecomposedFamily, tol: Tolerances = DEFAULT_TOL) -> Ma
     direct = np.zeros((len(states), edges[-1], edges[-1]), dtype=complex)
     for (w, infos), p, a, b in zip(comps, p_all.clip(tol.tol_zero), edges[:-1], edges[1:]):
         direct[:, a:b, a:b] = (w / p)[:, None, None] * infos
-    _, basis = _commutant_basis(direct, tol)
-    # counts[l', l]: basis matrices on block pair (l', l), each on exactly one
-    per_pair = np.add.reduceat(np.add.reduceat(np.abs(basis), edges[:-1], axis=1), edges[:-1], axis=2)
-    counts = np.count_nonzero(per_pair, axis=0)
-    violated.extend(("ii", l) for l in np.flatnonzero(np.diag(counts) != 1).tolist())
+    _, stacks = _commutant_basis(direct, tol)
+    # counts[l', l]: basis matrices on block pair (l', l); each system lies on
+    # one, the pair that holds its first row and column
     n_blocks = len(d_info)
+    counts = np.zeros((n_blocks, n_blocks), dtype=int)
+    for pos, _, dims in stacks:
+        rows, cols = np.divmod(pos[:, 0], edges[-1])
+        np.add.at(counts, (np.searchsorted(edges, rows, "right") - 1, np.searchsorted(edges, cols, "right") - 1), dims)
+    violated.extend(("ii", l) for l in np.flatnonzero(np.diag(counts) != 1).tolist())
     violated.extend(
         ("iii", l, lp)
         for l in range(n_blocks)

@@ -4,9 +4,11 @@ planted families, kept in tests/golden/decision_corpus.json.
 Per family the file holds the blocks, the support dimension, the
 `check_maximal` verdict (ok, violated), the weights, and per block l the
 traces Tr(P_l G_k) for k = 0, 1, with P_l the ambient projector onto block
-l and G_k = seeded_random_hermitian(d, k). None of these depends on the
-gauge (block-local unitaries) that the decomposition leaves free, so the
-file pins the decisions and nothing else.
+l and G_k the probe `probe(d, k)`, a Gaussian Hermitian matrix built here
+from np.random.default_rng(k), so the record does not depend on the
+library's own random draws. None of these depends on the gauge
+(block-local unitaries) that the decomposition leaves free, so the file
+pins the decisions and nothing else.
 
 The "tier1" part runs in `tests/test_decision_corpus.py`; the "d64" part
 is too slow for that budget and runs from the command line:
@@ -26,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from kidecomp import check_maximal, decompose
-from kidecomp.linalg import seeded_random_hermitian
 
 from helpers import CLASSICAL_64, ENVELOPE_64, build_family
 
@@ -73,13 +74,21 @@ def names(part):
     return [name for name, (p, _) in FAMILIES.items() if p == part]
 
 
+def probe(d, k):
+    """The k-th trace probe on C^d: (A + A^dag) / 2 for A with independent
+    standard Gaussian real and imaginary parts, from np.random.default_rng(k)."""
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (a + a.conj().T)
+
+
 def fingerprint(name):
     """The gauge-free record of `decompose` on the named family."""
     states = FAMILIES[name][1]()["states"]
     dec = decompose(states)
     rep = check_maximal(dec)
     d = dec.support.shape[0]
-    gs = [seeded_random_hermitian(d, k) for k in (0, 1)]
+    gs = [probe(d, k) for k in (0, 1)]
     traces = []
     for l in range(dec.n_blocks):
         v = dec.support @ dec.structure.block_basis(l)

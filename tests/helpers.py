@@ -24,9 +24,8 @@ from kidecomp import (
 )
 from kidecomp.applications import BlockEntropy, BroadcastOutput, EntropyReport
 from kidecomp.algebra import (
+    _ambient_commutant,
     _cluster_ascending,
-    _commutant_basis,
-    _project_onto_span,
     intertwiner_space,
 )
 from kidecomp.exceptions import DegenerateSample, DimensionMismatch
@@ -553,13 +552,6 @@ def split_decomp_identical_pair(p=0.75):
     return split_decomp_identical([p, 1.0 - p])
 
 
-def ambient(solved):
-    """The (u, basis) that `_commutant_basis` returns, its basis solved in
-    the frame u, as one stack of ambient matrices u X' u^dag."""
-    u, basis = solved
-    return u @ basis @ u.conj().T
-
-
 def dense_intertwiners(xs, ys, tol=DEFAULT_TOL):
     """Reference: null space of the full kron system L x_i = y_i L, one SVD."""
     ka, kb = xs[0].shape[0], ys[0].shape[0]
@@ -855,12 +847,14 @@ def recursive_isotypic_split(generators, seed=0, tol=DEFAULT_TOL):
     simples = []
 
     def split(iso):
-        comm = ambient(_commutant_basis(iso.conj().T @ mats @ iso, tol))
+        comm = _ambient_commutant(iso.conj().T @ mats @ iso, tol)
         if len(comm) <= 1:
             simples.append(iso)
             return
+        flat = comm.reshape(len(comm), -1)
         for _ in range(attempts):
-            x = _project_onto_span(seeded_random_hermitian(iso.shape[1], next(seeds)), comm)
+            h = seeded_random_hermitian(iso.shape[1], next(seeds)).reshape(-1)
+            x = ((flat.conj() @ h) @ flat).reshape(comm.shape[1:])  # the basis is orthonormal
             w, u = np.linalg.eigh(0.5 * (x + x.conj().T))
             clusters = _cluster_ascending(w, tol)
             if len(clusters) > 1:

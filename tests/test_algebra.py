@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from kidecomp import (
     seeded_random_hermitian,
 )
 from kidecomp import algebra
-from kidecomp.algebra import _commutant_basis, _spectral_frame
+from kidecomp.algebra import _ambient_commutant, _commutant_basis, _spectral_frame
 from kidecomp.exceptions import (
     DegenerateSample,
     DimensionMismatch,
@@ -20,7 +23,6 @@ from kidecomp.linalg import DEFAULT_TOL
 
 from helpers import (
     ENVELOPE_64,
-    ambient,
     build_family,
     component_projector,
     dense_intertwiners,
@@ -311,6 +313,23 @@ def test_isotypic_makes_one_commutant_solve(monkeypatch, gens):
     assert calls == ["_commutant_basis"]
 
 
+def test_isotypic_builds_no_dense_commutant_stack():
+    # two 16-fold multiplicities on C^32, unscrambled: the solve splits into
+    # 512 one-entry systems, and the commutant has 2 * 16^2 = 512 elements,
+    # whose dense z x k x k stack is 8 MB; the split reads the solve's form
+    fam = build_family(np.random.default_rng(5), [(1, 16), (1, 16)], 4, scramble=False, mixed_red=True)
+    gens = np.stack(fam["states"])
+    tracemalloc.start()
+    try:
+        dec = isotypic_decompose(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted((c.simple_dim, c.multiplicity) for c in dec.components) == [(1, 16), (1, 16)]
+    z, k = sum(c.multiplicity**2 for c in dec.components), gens.shape[1]
+    assert peak < z * k * k * np.dtype(complex).itemsize
+
+
 @pytest.mark.parametrize("gens", [tensor_block_gens(), planted_generators(np.random.default_rng(112), [(2, 2), (1, 3), (3, 1)], 3)])
 def test_isotypic_draws_are_projections_onto_the_dense_commutant(monkeypatch, gens):
     # X1 and X2, read in the solve's frame and rotated out, are the
@@ -368,6 +387,25 @@ def test_decompose_of_a_full_algebra_family_does_not_depend_on_the_seed():
     assert {dec.structure.blocks for dec in decs} == {((6, 1),)}
     for dec in decs[1:]:
         assert np.array_equal(dec.structure.transform, decs[0].structure.transform)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(-2), "3", None], ids=repr)
+@pytest.mark.parametrize("draws", [True, False], ids=["draws", "no-draw"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused_where_it_enters(seed, draws):
+    # checked before any work, so also where nothing would be drawn
+    states = build_family(np.random.default_rng(9), [(2, 2), (1, 3)], 3)["states"] if draws else full_algebra_gens()
+    calls = [lambda: decompose(states, seed=seed), lambda: isotypic_decompose(states, seed=seed)]
+    calls.append(lambda: seeded_random_hermitian(3, seed))
+    for call in calls:
+        with pytest.raises(ValidationError, match=f"seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+            call()
+
+
+def test_a_numpy_integer_seed_is_the_same_seed():
+    states = build_family(np.random.default_rng(9), [(2, 2), (1, 3)], 3)["states"]
+    want = decompose(states, seed=4).structure.transform
+    assert np.array_equal(decompose(states, seed=np.int64(4)).structure.transform, want)
+    assert np.array_equal(seeded_random_hermitian(3, np.uint8(4)), seeded_random_hermitian(3, 4))
 
 
 def test_intertwiner_space_schur():
@@ -462,18 +500,18 @@ def test_intertwiners_match_dense_solve_on_planted_families(seed, blocks):
     # the eigenframe of a random family element leaves few unknowns
     _, _, mask = _spectral_frame(np.array(xs), DEFAULT_TOL)
     assert mask.sum() <= sum(a * b * b for a, b in blocks) < mask.size
-    assert_same_span(ambient(_commutant_basis(xs, DEFAULT_TOL)), dense_intertwiners(xs, xs))
+    assert_same_span(_ambient_commutant(xs, DEFAULT_TOL), dense_intertwiners(xs, xs))
 
 
 def test_intertwiners_match_dense_solve_on_identity_and_redundant_copies():
     eye = [np.eye(5, dtype=complex) / np.sqrt(5)] * 2
-    assert len(ambient(_commutant_basis(eye, DEFAULT_TOL))) == 25
-    assert_same_span(ambient(_commutant_basis(eye, DEFAULT_TOL)), dense_intertwiners(eye, eye))
+    assert len(_ambient_commutant(eye, DEFAULT_TOL)) == 25
+    assert_same_span(_ambient_commutant(eye, DEFAULT_TOL), dense_intertwiners(eye, eye))
     # info factor tensored with a redundant copy space, each generator listed three times
     u = haar_unitary(np.random.default_rng(73), 8)
     gens = [u @ np.kron(seeded_random_hermitian(2, 74 + s), np.eye(4)) @ u.conj().T for s in range(2)]
     xs = unit(gens * 3)
-    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
+    got = _ambient_commutant(xs, DEFAULT_TOL)
     assert len(got) == 16
     assert_same_span(got, dense_intertwiners(xs, xs))
 
@@ -484,7 +522,7 @@ def test_intertwiners_match_dense_solve_on_noisy_identity():
     # of the random combination's eigenvalues
     eye = np.eye(4, dtype=complex)
     xs = unit([eye + 1e-12 * seeded_random_hermitian(4, 90 + s) for s in range(3)])
-    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
+    got = _ambient_commutant(xs, DEFAULT_TOL)
     assert len(got) == 16
     assert_same_span(got, dense_intertwiners(xs, xs))
 
@@ -528,7 +566,7 @@ def test_remix_solves_a_sixty_member_commutant_on_its_span(monkeypatch):
     base = build_family(rng, [(2, 2), (1, 3), (3, 1), (2, 1)], 5)["states"]
     xs = unit(combinations(rng, base, 60))
     seen = count_frame_generators(monkeypatch)
-    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
+    got = _ambient_commutant(xs, DEFAULT_TOL)
     assert seen == [60]
     assert len(got) == 2 + 3 + 1 + 1  # diagonal on each redundant factor
     assert_same_span(got, dense_intertwiners(xs, xs))
@@ -563,7 +601,7 @@ def test_remix_solves_sixty_block_pairs_on_their_span(monkeypatch):
 )
 def test_remix_of_one_member_and_of_an_all_zero_family(monkeypatch, xs):
     seen = count_frame_generators(monkeypatch)
-    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
+    got = _ambient_commutant(xs, DEFAULT_TOL)
     assert seen == [1]
     assert len(got) == (4 if np.any(xs[0]) else 16)
     assert_same_span(got, dense_intertwiners(xs, xs))
@@ -578,7 +616,7 @@ def test_remix_of_more_members_than_real_entries(monkeypatch, d_info):
     infos = np.stack([random_density(rng, d_info) for _ in range(60)])
     w = rng.uniform(0.1, 1.0, 60)
     seen = count_frame_generators(monkeypatch)
-    got = ambient(_commutant_basis(w[:, None, None] * infos, DEFAULT_TOL))
+    got = _ambient_commutant(w[:, None, None] * infos, DEFAULT_TOL)
     xs = unit(list(w[:, None, None] * infos))
     assert len(got) == 1
     assert_same_span(got, dense_intertwiners(xs, xs))
@@ -662,7 +700,7 @@ def test_intertwiners_split_block_diagonal_families_into_stacked_pair_solves(mon
     xs = xs / scale[:, None, None]
     ys = ys / scale[:, None, None] if between else xs
     seen = record_null_space_stacks(monkeypatch)
-    got = block_maps(xs, ys) if between else ambient(_commutant_basis(xs, DEFAULT_TOL))
+    got = block_maps(xs, ys) if between else _ambient_commutant(xs, DEFAULT_TOL)
     assert sorted(seen) == stacks
     assert len(got) == count
     assert_same_span(got, dense_intertwiners(list(xs), list(ys)))
@@ -768,7 +806,7 @@ def test_compressed_systems_are_the_dense_system(monkeypatch, name, xs, generato
     real = algebra._compressed_generators
     monkeypatch.setattr(algebra, "_compressed_generators", lambda *args: comp.append(real(*args)) or comp[-1])
     seen = record_null_space_systems(monkeypatch)
-    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
+    got = _ambient_commutant(xs, DEFAULT_TOL)
     dense = dense_frame_system(xs)
     want = np.sort(padded_singular_values(dense))
     have = np.sort(np.concatenate([padded_singular_values(x) for stack in seen for x in stack]))
@@ -811,14 +849,22 @@ def test_intertwiners_lie_each_in_one_block_pair(name, xs, ys):
     # the contract check_maximal and intertwiner_space count on: every
     # commutant basis matrix is nonzero on exactly one pair of the blocks
     # found, in the solve's frame and, as u is block diagonal over them,
-    # in ambient coordinates; two families are solved as their direct sum
+    # in ambient coordinates; two families are solved as their direct sum.
+    # In the solve's form, every position of a system lies in the pair that
+    # holds its first row and column, where check_maximal counts its null
+    # dimension
     mats = xs if ys is None else block_diagonal(xs, ys)
-    u, frame = _commutant_basis(mats, DEFAULT_TOL)
-    edges = algebra._diagonal_blocks(mats)[:-1]
-    assert frame.shape[0] > 0
-    for got in (frame, ambient((u, frame))):
-        per_pair = np.add.reduceat(np.add.reduceat(np.abs(got), edges, axis=1), edges, axis=2)
-        assert np.count_nonzero(per_pair, axis=(1, 2)).tolist() == [1] * got.shape[0]
+    _, stacks = _commutant_basis(mats, DEFAULT_TOL)
+    edges = algebra._diagonal_blocks(mats)
+    for pos, null, dims in stacks:
+        assert null.shape == (dims.sum(), pos.shape[1])
+        for at in np.divmod(pos, edges[-1]):
+            pair = np.searchsorted(edges, at, "right") - 1
+            assert (pair == pair[:, :1]).all()
+    got = _ambient_commutant(mats, DEFAULT_TOL)
+    assert got.shape[0] == sum(dims.sum() for _, _, dims in stacks) > 0
+    per_pair = np.add.reduceat(np.add.reduceat(np.abs(got), edges[:-1], axis=1), edges[:-1], axis=2)
+    assert np.count_nonzero(per_pair, axis=(1, 2)).tolist() == [1] * got.shape[0]
 
 
 def test_diagonal_blocks_reads_the_exact_zero_pattern():
@@ -871,7 +917,7 @@ def test_commutant_of_non_normal_generator():
     xs = unit([jordan])
     _, _, mask = _spectral_frame(np.array(xs), DEFAULT_TOL)
     assert mask.all()
-    got = ambient(_commutant_basis(xs, DEFAULT_TOL))
+    got = _ambient_commutant(xs, DEFAULT_TOL)
     assert len(got) == 3
     assert_same_span(got, dense_intertwiners(xs, xs))
     assert len(commutant_of_family([jordan])) == 3

@@ -33,7 +33,6 @@ import noise_band
 from helpers import (
     CLASSICAL_64,
     ENVELOPE_64,
-    ambient,
     build_family,
     haar_unitary,
     hand_decomp,
@@ -694,7 +693,7 @@ def test_check_maximal_matches_the_per_block_and_per_pair_reference():
         assert rep.reassembly_residual == 0.0
         assert rep.violated == loop_maximality_violations(dec) == want
     direct_sum = diagonal_infos(x, 1.0 - x, x, 1.0 - x, 0.0 * x)
-    maps = ambient(algebra._commutant_basis(direct_sum, Tolerances()))[:, 2:, :2]
+    maps = algebra._ambient_commutant(direct_sum, Tolerances())[:, 2:, :2]
     assert np.abs(maps).max() > 0.5
 
 
